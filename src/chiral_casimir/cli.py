@@ -8,9 +8,9 @@ Modes:
            reference grid; exit 0 only if every comparison passes at 1e-6
 
 Exit codes: 0 success, 1 argument errors, 2 convergence or output failure,
-3 certification failure.  CHIRAL_CASIMIR_THREADS (positive integer) caps the
-number of worker threads used for sweep evaluation; results are byte-identical
-regardless of the setting.
+3 certification failure.  CHIRAL_CASIMIR_THREADS must be a positive integer
+when set (otherwise exit 1); sweeps run on one thread whatever its value, so
+output is byte-identical regardless of the setting.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import csv
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,17 +139,18 @@ class SweepTable:
     rows: tuple[SweepRow, ...]
 
 
-def _thread_cap() -> int:
+def _check_thread_setting() -> None:
+    # Still validated, though unused: sweep rows are interpreter-bound, and
+    # worker threads only slowed them down.
     raw = os.environ.get("CHIRAL_CASIMIR_THREADS")
     if raw is None:
-        return min(4, os.cpu_count() or 1)
+        return
     try:
         v = int(raw)
     except ValueError:
         v = 0
     if v < 1:
         raise ValueError(f"CHIRAL_CASIMIR_THREADS must be a positive integer, got {raw!r}")
-    return v
 
 
 def _evaluate_point(theta: float, separation: float, temperature: float,
@@ -162,47 +162,38 @@ def _evaluate_point(theta: float, separation: float, temperature: float,
     theta_eff = engine.effective_theta(cfg)
     tau = engine.reduced_temperature(separation, temperature)
 
-    # physical columns and convergence flags; physical_pressure switches to
-    # finite differences for the Faraday medium where the angle scales with l
+    # one evaluation per quantity; the reduced columns (E l^3/(hbar c) and
+    # P l^4/(hbar c) at T=0) and the error column are the same results
+    # divided back to reduced units
     e_res = engine.physical_free_energy(cfg, ctrl)
     p_res = engine.physical_pressure(cfg, ctrl)
-
-    if temperature == 0.0:
-        # reduced columns carry the T=0 conventions E l^3/(hbar c), P l^4/(hbar c)
-        red_e = engine.reduced_free_energy_T0(theta_eff)
-        red_p = engine.reduced_pressure_T0(theta_eff)
-        terms, err = 0, 1e-15
+    e_scale, p_scale = engine._unit_scales(separation, temperature)
+    if spec.medium is MediumKind.FARADAY:
+        # the column holds the fixed-angle pressure; physical_pressure adds
+        # the angle's dependence on the separation
+        if temperature == 0.0:
+            red_p = engine.reduced_pressure_T0(theta_eff)
+        else:
+            red_p = engine.reduced_pressure(ReducedPoint(theta_eff, tau), ctrl,
+                                            zero_mode=spec.zero_mode).value
     else:
-        point = ReducedPoint(theta_eff, tau)
-        re_res = engine.reduced_free_energy(point, ctrl, zero_mode=spec.zero_mode)
-        rp_res = engine.reduced_pressure(point, ctrl, zero_mode=spec.zero_mode)
-        red_e, red_p = re_res.value, rp_res.value
-        terms, err = re_res.terms_used, re_res.error_estimate
+        red_p = p_res.value / p_scale
 
-    return SweepRow(theta, theta_eff, separation, temperature, tau, red_e, red_p,
-                    e_res.value, p_res.value, terms, err,
-                    e_res.converged and p_res.converged)
+    return SweepRow(theta, theta_eff, separation, temperature, tau, e_res.value / e_scale,
+                    red_p, e_res.value, p_res.value, e_res.terms_used,
+                    e_res.error_estimate / e_scale, e_res.converged and p_res.converged)
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate the grid; row order follows the axis listing, outer first."""
-    pts = [
-        (th, l, T, B)
+    _check_thread_setting()
+    rows = [
+        _evaluate_point(th, l, T, B, spec)
         for th in spec.theta.values()
         for l in spec.separation.values()
         for T in spec.temperature.values()
         for B in spec.bfield.values()
     ]
-    cap = _thread_cap()
-
-    def work(pt):
-        return _evaluate_point(*pt, spec=spec)
-
-    if cap > 1 and len(pts) > 1:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            rows = list(pool.map(work, pts))
-    else:
-        rows = [work(pt) for pt in pts]
     return SweepTable(tuple(rows))
 
 

@@ -24,17 +24,29 @@ reduced_pressure_T0, in units of hbar c / l^3 and hbar c / l^4).
 Evaluation order is selectable: m_first is the production path described
 above; n_first evaluates one Matsubara frequency at a time through the damped
 polylogarithms and exists as an independent cross-check.
+
+The m_first terms are made by one numpy kernel (_m_series), in chunks of m
+that double from 32 to 4096.  A point stops at the first m where the closed
+tail bound of the remaining terms, plus the zero-mode error and a charge for
+rounding, is within rel_tol of the running sum; it gives up early where that
+error floor alone exceeds rel_tol, and at max_m.  No streak of small terms is
+waited for.  Values are exact sums of the computed terms, rounded once.
+n_first refuses up front, unconverged, when its tail beyond max_n already
+exceeds rel_tol.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 
+import numpy as np
+
 from .kernel import MediumKind, log_det_kernel
-from .special_functions import ZETA_3, clausen_cos, clausen_sin, re_polylog_damped
+from .special_functions import ZETA_2, ZETA_3, ZETA_4, clausen_cos, re_polylog_damped
 
 __all__ = [
     "HBAR",
@@ -62,12 +74,37 @@ HBAR = 1.054571817e-34  # J s
 C_LIGHT = 299792458.0  # m / s
 K_BOLTZMANN = 1.380649e-23  # J / K
 
-PI_LO = 1.2246467991473532e-16  # float(pi) + PI_LO ~ pi to ~1e-32
+PI_LO = 1.2246467991473532e-16  # float(pi) + PI_LO ~ pi to ~3e-33
 EIGHT_PI2 = 8.0 * math.pi**2
+_EPS = 2.0**-53  # unit roundoff
 
-# absolute error budget of the closed-form Clausen pieces (contract 1e-12,
-# split across the half weight)
-_CLAUSEN_ERR = 1e-12
+# Beyond this |theta| the fold into [0, pi/2] loses accuracy: k = round(theta
+# / pi) would no longer be exact past about 2^51, and k * PI_LO would leave
+# [-pi/2, pi/2] past about 4e16.  Up to it the fold is within 1.9e-16.
+_MAX_ABS_THETA = 1e15
+
+# Absolute error of clausen_cos(3, 2 theta) as the zero mode uses it, with
+# theta folded into [0, pi/2], so phi = 2 theta lies in [0, pi] and is not
+# reduced again.  special_functions._clausen_cos_3 returns
+# fl(fl(Z + A) - T) with Z = ZETA_3, A = phi^2/2 (ln phi - 3/2) and the
+# Bernoulli tail T = sum_j c_j phi^{2j}.  With u = 2^-53 and phi <= pi:
+#   * rounding:
+#       Z is zeta(3) rounded:                                   <= 1.4e-16
+#       A from phi*phi, log (< 1 ulp), the subtraction and the product:
+#         (phi^2/2)(3u |ln phi - 3/2| + 2u |ln phi|) <= 16.6u   <= 1.9e-15
+#       T: each c_j is an exact rational rounded once, each power phi^{2j}
+#         carries (2j - 1)u, and the 24 additions of positive terms 24u T;
+#         with T <= T(pi) = 0.3505, dominated by j = 2:
+#         (5.1 + 24)u T(pi)                                     <= 1.2e-15
+#       the two final additions, |Z + A| and |C3| <= zeta(3):  <= 2.7e-16
+#   * the truncated Bernoulli tail: the loop stops once a term falls below
+#     1e-18 (1 + T); successive terms shrink by (phi/2pi)^2 <= 1/4, so the
+#     rest is below a third of that                            <= 1e-18
+#   * the 2 theta fold: theta is folded within 1.9e-16 of its value mod pi
+#     (above), phi within twice that, and |dC3/dphi| = |Sl2| <= 1.015:
+#                                                              <= 3.9e-16
+# Sum: 3.9e-15.  A 40-digit mpmath check of a dense grid is in the tests.
+_CLAUSEN_ERR = 4e-15
 
 
 class ZeroModePolicy(Enum):
@@ -163,9 +200,13 @@ def _canonical_theta(theta: float) -> float:
 
     Uses the extended-precision pi tail so that folding is bit-exact under
     theta -> -theta and stays within ~1e-16 of exact under theta -> theta+pi.
+    Rejects |theta| > 1e15 rad, beyond which the fold is not accurate.
     """
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
+    if abs(theta) > _MAX_ABS_THETA:
+        raise ValueError(f"|theta| must be at most {_MAX_ABS_THETA:g} rad, where folding "
+                         f"into [0, pi/2] is accurate, got {theta!r}")
     r = math.remainder(theta, math.pi)
     k = round((theta - r) / math.pi)
     r -= k * PI_LO
@@ -175,106 +216,176 @@ def _canonical_theta(theta: float) -> float:
     return t
 
 
-def _thermal_weight(a: float) -> float:
-    # w(a) = y/(1-y) + a y/(1-y)^2 with y = e^{-a}; 2/a - O(a^3) as a -> 0
-    if a > 36.0:
-        return math.exp(-a) * (1.0 + a)  # relative error < 5e-15 here
-    em = math.expm1(a)
-    sh = math.sinh(0.5 * a)
-    return 1.0 / em + a / (4.0 * sh * sh)
+# m-series chunks: 32 terms, doubling up to 4096 per chunk.  The schedule is
+# the same for every batch, so a point gives bit-identical results alone or
+# batched with others.
+_FIRST_CHUNK = 32
+_LAST_CHUNK = 4096
+# Rounding charged per m-series term: EPS * weight/m^3 * (_TERM_ULPS + a + m phi).
+# _TERM_ULPS covers the at most 26 ulps of error of the pressure term (17 for
+# the energy): 2 each from exp and expm1, 1 from each division, sum and
+# product in the weight, 2 from 1/m^3 and 1 from the product with it, 2 of
+# absolute error from the cosine, 1 from the product with it and 1 from the
+# exact per-chunk sum.  a = 2 m tau bounds the relative change of the weight
+# when a is rounded, and m phi the absolute change of cos(m phi) when m phi is.
+_TERM_ULPS = 32.0
 
 
-def _pressure_weight(b: float) -> float:
-    # Sum_{n>=1} e^{-nb} (2 + 2nb + (nb)^2) in closed form; 6/b - 1 + O(b) small b
-    if b > 36.0:
-        return math.exp(-b) * (2.0 + b * (2.0 + b))
-    em = math.expm1(b)
-    sh = math.sinh(0.5 * b)
-    s2 = sh * sh
-    return 2.0 / em + 0.5 * b / s2 + 0.25 * b * b * math.cosh(0.5 * b) / (s2 * sh)
+@dataclass(frozen=True)
+class _MSeries:
+    """One m-series: its closed-form weight and the bound weight(a) <= k/a.
+
+    The weight is a Matsubara sum in closed form, written through
+    q = y/d = 1/(e^a - 1) and x = a/d with y = e^{-a}, d = 1 - y = -expm1(-a),
+    which needs no branch: for large a, y underflows to 0, and for small a,
+    x -> 1 and q -> 1/a.  The bound gives the algebraic tail
+    k/(2 tau) sum_{j>m} 1/j^4 <= k/(6 tau m^3).
+    """
+
+    pressure: bool
+    k: float
+
+    def weight(self, y, q, x):
+        """Works on floats and on numpy arrays alike."""
+        if self.pressure:
+            # Sum_{n>=1} e^{-nb} (2 + 2nb + (nb)^2); 6/b - 1 + O(b) as b -> 0
+            return q * (2.0 + x * (2.0 + x * (1.0 + y)))
+        # w(a) = Sum_{n>=1} e^{-na} (1 + na); 2/a - O(a^3) as a -> 0
+        return q * (1.0 + x)
+
+    def floor(self, theta: float, tau: float, base_err: float) -> float:
+        """Zero-mode error plus the rounding charge of every term the series can sum.
+
+        With mag_m = weight(2 m tau)/m^3 <= min(weight(2 tau)/m^3, k/(2 tau m^4)),
+        sum mag_m and sum m mag_m are bounded in closed form; the charge is
+        EPS sum_m mag_m (_TERM_ULPS + a_m + m phi).
+        """
+        a1 = 2.0 * tau
+        y = math.exp(-a1)
+        dm = math.expm1(-a1)
+        w1 = self.weight(y, y / -dm, -a1 / dm)
+        s0 = min(ZETA_3 * w1, self.k * ZETA_4 / a1)  # >= sum mag_m
+        s1 = min(ZETA_2 * w1, self.k * ZETA_3 / a1)  # >= sum m mag_m
+        return base_err + _EPS * (_TERM_ULPS * s0 + (a1 + 2.0 * theta) * s1)
 
 
-def _energy_tail_m(m: int, tau: float) -> float:
-    # |sum_{k>m}| <= min over two bounds: w(a) <= 2/a, and w decreasing
-    alg = 1.0 / (3.0 * m**3 * tau)
-    exp_reg = _thermal_weight(2.0 * (m + 1) * tau) / (2.0 * m * m)
-    return min(alg, exp_reg)
+_ENERGY = _MSeries(pressure=False, k=2.0)
+_PRESSURE = _MSeries(pressure=True, k=6.0)
 
 
-def _pressure_tail_m(m: int, tau: float) -> float:
-    # weight <= 6/b and decreasing in b
-    alg = 1.0 / (tau * m**3)
-    exp_reg = _pressure_weight(2.0 * (m + 1) * tau) / (2.0 * m * m)
-    return min(alg, exp_reg)
+@functools.lru_cache(maxsize=16)
+def _chunk_m(lo: int, hi: int):
+    """m and 1/m^3 over lo..hi+1 (the extra m feeds the tail bounds), -1/(2 m^2) over lo..hi."""
+    m = np.arange(lo, hi + 2, dtype=np.float64)
+    return m, 1.0 / (m * m * m), -0.5 / (m[:-1] * m[:-1])
 
 
-def _sum_m_first(theta: float, tau: float, ctrl: SeriesControl, base: float,
-                 base_err: float, weight, tail) -> EvalResult:
-    """Shared m-first accumulator: base - sum_m cos(2 m theta) weight(2 m tau)/m^3."""
-    phi = 2.0 * theta
-    total = base
-    comp = 0.0  # Neumaier compensation
-    small = 0
-    m = 0
-    converged = False
-    err = math.inf
-    while m < ctrl.max_m:
-        m += 1
-        term = -math.cos(m * phi) * weight(2.0 * m * tau) / (m * m * m)
-        t = total + term
-        if abs(total) >= abs(term):
-            comp += (total - t) + term
-        else:
-            comp += (term - t) + total
-        total = t
-        scale = abs(total + comp)
-        if abs(term) <= ctrl.rel_tol * scale:
-            small += 1
-            # cosine oscillation makes single small terms unsafe; require a
-            # streak and an absolute tail bound before stopping
-            if small >= 3:
-                err = tail(m, tau) + base_err
-                if err <= ctrl.rel_tol * scale:
-                    converged = True
-                    break
-                if base_err > ctrl.rel_tol * scale:
-                    # the error floor already exceeds the target, so no
-                    # number of extra terms can certify convergence
-                    break
-        else:
-            small = 0
-    value = total + comp
-    if not converged:
-        err = tail(m, tau) + base_err
-    return EvalResult(value, err, m, converged and _meets(err, ctrl.rel_tol, value))
+def _chunks(max_m: int):
+    lo, size = 1, _FIRST_CHUNK
+    while lo <= max_m:
+        hi = min(lo + size - 1, max_m)
+        yield lo, hi
+        lo = hi + 1
+        size = min(2 * size, _LAST_CHUNK)
 
 
-def _geometric_tails(y: float, n: int) -> tuple[float, float, float]:
-    # exact tails of sum y^k, sum k y^k, sum k^2 y^k over k > n
-    om = 1.0 - y
+def _m_series(points, ctrl: SeriesControl, zero_mode: ZeroModePolicy,
+              series: _MSeries) -> list[EvalResult]:
+    """base(theta) - sum_m cos(2 m theta) weight(2 m tau)/m^3 at folded (theta, tau) points.
+
+    base is the closed-form zero mode, doubled for the pressure.  Each point
+    runs through the terms a chunk at a time and stops at its first m where
+      * tail(m) + floor <= rel_tol |S_m|: certified;
+      * tail(m) <= rel_tol |S_m| < floor: the error floor, which no number
+        of further terms can get under;
+      * m = max_m.
+    tail(m) = min(k/(6 tau m^3), weight_{m+1}/(2 m^2), weight_{m+1}/((m+1)^3 sin theta))
+    bounds the terms beyond m, where weight_{m+1} = weight(2(m+1) tau), and
+    floor is _MSeries.floor.  The running sums S_m that decide
+    where to stop are float cumulative sums on top of the exact sum of the
+    earlier chunks.  The value is the exact sum (math.fsum) of the base and
+    the per-chunk exact sums, rounded once; that rounding is charged too.
+
+    Points run one after another, each vectorised over m, so a point's
+    result does not depend on the batch it came in.  For the one to four
+    points a call carries, broadcasting them together measured slower.
+    """
+    scale = 2.0 if series.pressure else 1.0
+    results = []
+    for theta, tau in points:
+        # from tau = 400 on every weight underflows to exactly 0; capping tau
+        # changes no result and keeps a and a^2 finite in the weights
+        tau = min(tau, 1e3)
+        base, base_err = _zero_mode_base(theta, zero_mode)
+        parts = [scale * base]  # the base, then the exact sum of each finished chunk
+        head = parts[0]  # sum before the chunk
+        floor = series.floor(theta, tau, scale * base_err)
+        phi, neg_2tau, tail_alg = 2.0 * theta, -2.0 * tau, series.k / (6.0 * tau)
+        # Abel summation: partial sums of cos(2 m theta) are at most
+        # 1/sin(theta); below 1e-8 this bound only wins past m ~ 1e8
+        neg_abel = -1.0 / math.sin(theta) if theta >= 1e-8 else 0.0
+        for lo, hi in _chunks(ctrl.max_m):
+            m, inv_m3, neg_inv_2m2 = _chunk_m(lo, hi)
+            na = neg_2tau * m  # -a = -2 m tau, with one extra m for the tail
+            y = np.exp(na)
+            dm = np.expm1(na)  # -d
+            neg_weight = series.weight(y, y / dm, na / dm)  # q < 0 here: -weight
+            neg_mag = neg_weight * inv_m3
+            terms = np.cos(phi * m[:-1]) * neg_mag[:-1]
+            # bounds on the terms beyond m: algebraic, exponential and Abel
+            tail = np.minimum(tail_alg * inv_m3[:-1], neg_weight[1:] * neg_inv_2m2)
+            if neg_abel:
+                tail = np.minimum(tail, neg_mag[1:] * neg_abel)
+            target = ctrl.rel_tol * np.abs(head + np.add.accumulate(terms))
+            # slack >= floor certifies; slack >= 0 suffices where target < floor
+            stop = target - tail >= floor * (target >= floor)
+            if hi == ctrl.max_m:
+                stop[-1] = True
+            j = int(stop.argmax())
+            if stop[j]:
+                parts.append(math.fsum(terms[:j + 1].tolist()))
+                value = math.fsum(parts)
+                tail_j = float(tail[j])
+                err = tail_j + floor + _EPS * abs(value)
+                certified = tail_j + floor <= target[j] and _meets(err, ctrl.rel_tol, value)
+                results.append(EvalResult(value, err, lo + j, certified))
+                break
+            parts.append(math.fsum(terms.tolist()))
+            head = math.fsum(parts)
+    return results
+
+
+def _geometric_tails(tau: float, n: int) -> tuple[float, float, float]:
+    # exact tails of sum y^k, sum k y^k, sum k^2 y^k over k > n, y = e^{-2 tau}
+    y = math.exp(-2.0 * tau)
+    om = -math.expm1(-2.0 * tau)
     ynp = y ** (n + 1)
     s0 = ynp / om
-    s1 = ynp * ((n + 1) - n * y) / (om * om)
-    s2 = ynp * ((n + 1) ** 2 - (2 * n * n + 2 * n - 1) * y + n * n * y * y) / (om**3)
+    # one om at a time: tiny tau overflows to inf instead of dividing by an
+    # underflown om^3
+    s1 = ynp * ((n + 1) - n * y) / om / om
+    s2 = ynp * ((n + 1) ** 2 - (2 * n * n + 2 * n - 1) * y + n * n * y * y) / om / om / om
     return s0, s1, s2
 
 
 def _energy_tail_n(n: int, tau: float) -> float:
     # per-term bound e^{-2 n tau} (1 + 2 n tau) zeta(2), summed exactly
-    y = math.exp(-2.0 * tau)
-    s0, s1, _ = _geometric_tails(y, n)
+    s0, s1, _ = _geometric_tails(tau, n)
     return (math.pi**2 / 6.0) * (s0 + 2.0 * tau * s1)
 
 
 def _pressure_tail_n(n: int, tau: float) -> float:
-    y = math.exp(-2.0 * tau)
-    s0, s1, s2 = _geometric_tails(y, n)
+    s0, s1, s2 = _geometric_tails(tau, n)
     z2 = math.pi**2 / 6.0
-    return 2.0 * ZETA_3 * s0 + 4.0 * tau * z2 * s1 + 4.0 * tau * tau * s2 / (1.0 - y)
+    return 2.0 * ZETA_3 * s0 + 4.0 * tau * z2 * s1 + 4.0 * tau * (tau / -math.expm1(-2.0 * tau)) * s2
 
 
 def _sum_n_first(theta: float, tau: float, ctrl: SeriesControl, base: float,
                  base_err: float, per_n, tail) -> EvalResult:
+    whole = tail(0, tau)  # bounds all n >= 1 terms, so |value| <= |base| + whole
+    if not tail(ctrl.max_n, tau) + base_err <= ctrl.rel_tol * (abs(base) + whole) < math.inf:
+        # max_n terms cannot meet rel_tol however they cancel: refuse up front
+        return EvalResult(base, base_err + whole, 1, False)
     total = base
     acc_err = base_err
     small = 0
@@ -310,6 +421,9 @@ def _validate_point(p: ReducedPoint) -> None:
             "tau must be positive for the thermal series; use the *_T0 "
             "closed forms at zero temperature"
         )
+    if p.tau < 1e-300:
+        raise ValueError(f"tau must be at least 1e-300, below which the series, which "
+                         f"grows like 1/tau, overflows; got {p.tau!r}")
     if p.tau < 1e-6:
         warnings.warn(
             f"tau = {p.tau:g} is deep in the quantum regime; the T=0 closed "
@@ -335,15 +449,21 @@ def reduced_free_energy(p: ReducedPoint, ctrl: SeriesControl | None = None,
     ctrl = ctrl or SeriesControl()
     _validate_point(p)
     theta = _canonical_theta(p.theta)
-    return _reduced_free_energy(theta, p.tau, ctrl, zero_mode)
+    return _reduced([(theta, p.tau)], ctrl, zero_mode, _ENERGY)[0]
 
 
-def _reduced_free_energy(theta: float, tau: float, ctrl: SeriesControl,
+def _reduced(points, ctrl: SeriesControl, zero_mode: ZeroModePolicy,
+             series: _MSeries) -> list[EvalResult]:
+    """Reduced free energies or pressures at folded (theta, tau) points."""
+    if ctrl.order == "m_first":
+        return _m_series(points, ctrl, zero_mode, series)
+    n_first = _pressure_n_first if series.pressure else _free_energy_n_first
+    return [n_first(theta, tau, ctrl, zero_mode) for theta, tau in points]
+
+
+def _free_energy_n_first(theta: float, tau: float, ctrl: SeriesControl,
                          zero_mode: ZeroModePolicy) -> EvalResult:
     base, base_err = _zero_mode_base(theta, zero_mode)
-    if ctrl.order == "m_first":
-        return _sum_m_first(theta, tau, ctrl, base, base_err, _thermal_weight, _energy_tail_m)
-
     phi = 2.0 * theta
 
     def per_n(n: int) -> tuple[float, float]:
@@ -375,17 +495,14 @@ def reduced_pressure(p: ReducedPoint, ctrl: SeriesControl | None = None,
     ctrl = ctrl or SeriesControl()
     _validate_point(p)
     theta = _canonical_theta(p.theta)
-    return _reduced_pressure(theta, p.tau, ctrl, zero_mode)
+    return _reduced([(theta, p.tau)], ctrl, zero_mode, _PRESSURE)[0]
 
 
-def _reduced_pressure(theta: float, tau: float, ctrl: SeriesControl,
+def _pressure_n_first(theta: float, tau: float, ctrl: SeriesControl,
                       zero_mode: ZeroModePolicy) -> EvalResult:
     # the tau-independent n=0 part contributes twice its free-energy value
     base, base_err = _zero_mode_base(theta, zero_mode)
     base, base_err = 2.0 * base, 2.0 * base_err
-    if ctrl.order == "m_first":
-        return _sum_m_first(theta, tau, ctrl, base, base_err, _pressure_weight, _pressure_tail_m)
-
     phi = 2.0 * theta
 
     def per_n(n: int) -> tuple[float, float]:
@@ -396,8 +513,11 @@ def _reduced_pressure(theta: float, tau: float, ctrl: SeriesControl,
         li3, b3 = re_polylog_damped(3, r, phi, with_bound=True)
         li2, b2 = re_polylog_damped(2, r, phi, with_bound=True)
         li1 = -0.5 * log_det_kernel(r, theta)  # Re Li_1(r e^{2 i theta}), closed form
+        # the kernel's log argument carries up to 7 ulps, an absolute error
+        # that dominates li1 when r is tiny; there |exact li1| <= r/(1-r)
+        li1_err = min(3.9e-16 + 2.3e-16 * abs(li1), r / (1.0 - r) + abs(li1))
         term = -(2.0 * li3 + 2.0 * a * li2 + a * a * li1)
-        err = 2.0 * b3 + 2.0 * a * b2 + 4e-16 * a * a * abs(li1) + 2e-16 * abs(term)
+        err = 2.0 * b3 + 2.0 * a * b2 + a * a * li1_err + 2e-16 * abs(term)
         return term, err
     return _sum_n_first(theta, tau, ctrl, base, base_err, per_n, _pressure_tail_n)
 
@@ -450,19 +570,42 @@ def reduced_temperature(separation: float, temperature: float) -> float:
     return 2.0 * math.pi * separation * K_BOLTZMANN * temperature / (HBAR * C_LIGHT)
 
 
+def _unit_scales(separation: float, temperature: float) -> tuple[float, float]:
+    """Factors taking the reduced free energy and pressure to J/m^2 and Pa.
+
+    At T = 0 the reduced quantities are E l^3/(hbar c) and P l^4/(hbar c);
+    otherwise E 4 pi beta l^2 and P 4 pi beta l^3.
+    """
+    if temperature == 0.0:
+        return HBAR * C_LIGHT / separation**3, HBAR * C_LIGHT / separation**4
+    return (K_BOLTZMANN * temperature / (4.0 * math.pi * separation**2),
+            K_BOLTZMANN * temperature / (4.0 * math.pi * separation**3))
+
+
+def _scaled(res: EvalResult, scale: float) -> EvalResult:
+    return EvalResult(res.value * scale, res.error_estimate * scale, res.terms_used, res.converged)
+
+
+def _physical_free_energies(cfgs, ctrl: SeriesControl) -> list[EvalResult]:
+    """Free energies in J/m^2 of configurations sharing temperature and zero-mode policy."""
+    if cfgs[0].temperature == 0.0:
+        out = []
+        for cfg in cfgs:
+            value = reduced_free_energy_T0(effective_theta(cfg))
+            err = 1e-15  # polynomial closed form, roundoff level in reduced units
+            out.append(_scaled(EvalResult(value, err, 0, _meets(err, ctrl.rel_tol, value)),
+                               _unit_scales(cfg.separation, 0.0)[0]))
+        return out
+    points = [(_canonical_theta(effective_theta(cfg)),
+               reduced_temperature(cfg.separation, cfg.temperature)) for cfg in cfgs]
+    results = _reduced(points, ctrl, cfgs[0].zero_mode, _ENERGY)
+    return [_scaled(res, _unit_scales(cfg.separation, cfg.temperature)[0])
+            for res, cfg in zip(results, cfgs)]
+
+
 def physical_free_energy(cfg: CavityConfig, ctrl: SeriesControl | None = None) -> EvalResult:
     """Free energy per unit area in J/m^2 for the given physical scenario."""
-    ctrl = ctrl or SeriesControl()
-    theta = effective_theta(cfg)
-    if cfg.temperature == 0.0:
-        scale = HBAR * C_LIGHT / cfg.separation**3
-        value = reduced_free_energy_T0(theta)
-        err = 1e-15  # polynomial closed form, roundoff level in reduced units
-        return EvalResult(value * scale, err * scale, 0, _meets(err, ctrl.rel_tol, value))
-    tau = reduced_temperature(cfg.separation, cfg.temperature)
-    res = _reduced_free_energy(_canonical_theta(theta), tau, ctrl, cfg.zero_mode)
-    scale = K_BOLTZMANN * cfg.temperature / (4.0 * math.pi * cfg.separation**2)
-    return EvalResult(res.value * scale, res.error_estimate * scale, res.terms_used, res.converged)
+    return _physical_free_energies([cfg], ctrl or SeriesControl())[0]
 
 
 def physical_pressure(cfg: CavityConfig, ctrl: SeriesControl | None = None) -> EvalResult:
@@ -471,38 +614,31 @@ def physical_pressure(cfg: CavityConfig, ctrl: SeriesControl | None = None) -> E
     Fixed-angle and optically active media differentiate the series
     analytically.  In a Faraday medium the angle itself scales with the
     separation, so the derivative is taken by Richardson-extrapolated central
-    differences of the free energy with step l * 1e-5; its convergence is
-    certified against max(rel_tol, 1e-6), the honest noise floor of the
-    stencil.
+    differences of the free energy with step l * 1e-5, its four energies
+    summed in one batch; its convergence is certified against
+    max(rel_tol, 1e-6), the honest noise floor of the stencil.
     """
     ctrl = ctrl or SeriesControl()
     if cfg.kind is not MediumKind.FARADAY:
         theta = effective_theta(cfg)
+        scale = _unit_scales(cfg.separation, cfg.temperature)[1]
         if cfg.temperature == 0.0:
-            scale = HBAR * C_LIGHT / cfg.separation**4
             value = reduced_pressure_T0(theta)
             err = 3e-15
-            return EvalResult(value * scale, err * scale, 0, _meets(err, ctrl.rel_tol, value))
+            return _scaled(EvalResult(value, err, 0, _meets(err, ctrl.rel_tol, value)), scale)
         tau = reduced_temperature(cfg.separation, cfg.temperature)
-        res = _reduced_pressure(_canonical_theta(theta), tau, ctrl, cfg.zero_mode)
-        scale = K_BOLTZMANN * cfg.temperature / (4.0 * math.pi * cfg.separation**3)
-        return EvalResult(res.value * scale, res.error_estimate * scale,
-                          res.terms_used, res.converged)
+        return _scaled(_reduced([(_canonical_theta(theta), tau)], ctrl, cfg.zero_mode,
+                                _PRESSURE)[0], scale)
 
-    inner = SeriesControl(rel_tol=min(ctrl.rel_tol, 1e-12), max_m=ctrl.max_m,
-                          order=ctrl.order, max_n=ctrl.max_n)
-    terms = 0
-
-    def energy_at(sep: float) -> float:
-        nonlocal terms
-        res = physical_free_energy(replace(cfg, separation=sep), inner)
-        terms += res.terms_used
-        return res.value
-
+    inner = replace(ctrl, rel_tol=min(ctrl.rel_tol, 1e-12))
     l = cfg.separation
     h = 1e-5 * l
-    d_h = -(energy_at(l + h) - energy_at(l - h)) / (2.0 * h)
-    d_h2 = -(energy_at(l + 0.5 * h) - energy_at(l - 0.5 * h)) / h
+    stencil = _physical_free_energies(
+        [replace(cfg, separation=sep) for sep in (l + h, l - h, l + 0.5 * h, l - 0.5 * h)], inner)
+    e = [res.value for res in stencil]
+    terms = sum(res.terms_used for res in stencil)
+    d_h = -(e[0] - e[1]) / (2.0 * h)
+    d_h2 = -(e[2] - e[3]) / h
     value = (4.0 * d_h2 - d_h) / 3.0
     if not math.isfinite(value):
         return EvalResult(math.nan, math.inf, terms, False)

@@ -303,3 +303,31 @@ def test_empty_axis_rejected():
     with pytest.raises(ValueError):
         SweepSpec(theta=AxisSpec(0.0, 1.0, 2), separation=AxisSpec(1e-7, 1e-6, 2),
                   temperature=AxisSpec(1.0, 300.0, 2))
+
+
+def test_huge_angle_is_an_argument_error(capsys):
+    code, out, err = run_cli(capsys, "--mode", "point", "--theta", "1e300")
+    assert code == 1
+    assert "theta" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("medium, extra", [
+    ("fixed", ("--theta-range", "0:1.5:4")),
+    ("faraday", ("--verdet", "1e6", "--bfield-range", "0.1:0.6:4")),
+])
+def test_si_columns_are_the_reduced_columns_scaled(capsys, medium, extra):
+    k_b = 1.380649e-23
+    code, out, _ = run_cli(capsys, "--mode", "sweep", "--medium", medium, *extra,
+                           "--temperature-range", "10:1000:5:log")
+    assert code == 0
+    header, rows = parse_csv(out)
+    for cells in rows:
+        row = {k: float(v) for k, v in zip(header, cells) if k != "converged"}
+        l, T = row["separation_m"], row["temperature_K"]
+        e_scale = k_b * T / (4.0 * math.pi * l**2)
+        assert row["free_energy_J_per_m2"] == pytest.approx(
+            row["reduced_free_energy"] * e_scale, rel=1e-15)
+        if medium == "fixed":  # a Faraday row's reduced column is the fixed-angle pressure
+            assert row["pressure_Pa"] == pytest.approx(
+                row["reduced_pressure"] * e_scale / l, rel=1e-15)

@@ -6,7 +6,9 @@ finite differences of that quadrature for the pressure; they are pinned here
 so regressions surface without rerunning the slow path.
 """
 
+import contextlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -204,6 +206,19 @@ def test_tau_zero_raises():
         reduced_free_energy(ReducedPoint(0.3, 0.0))
     with pytest.raises(ValueError):
         reduced_pressure(ReducedPoint(0.3, 0.0))
+
+
+def test_extreme_tau_evaluates_or_fails_clearly():
+    # the weights stay finite from 1e-300 up to the largest float
+    for tau in (1e-300, 1e160, 1.7e308):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.filterwarnings("ignore", message="tau =")
+            for fn in (reduced_free_energy, reduced_pressure):
+                res = fn(ReducedPoint(0.3, tau))
+                assert res.converged and math.isfinite(res.value)
+    with pytest.raises(ValueError, match="1e-300"):
+        reduced_free_energy(ReducedPoint(0.3, 5e-324))
 
 
 # ------------------------------------------------------------------- symmetry
@@ -408,3 +423,122 @@ def test_eval_result_shape():
     assert isinstance(res, EvalResult)
     assert res.terms_used >= 1
     assert isinstance(res.converged, bool)
+
+
+# ------------------------------------------------------------ m-series kernel
+
+def mp_series(theta, tau, pressure=False):
+    """40-digit sum of the m-series with a rigorous bound on its own error.
+
+    Sums m = 1..M and bounds the rest by Abel summation: the magnitudes
+    f_m = weight(2 m tau)/m^3 decrease, and partial sums of cos(2 m theta)
+    are at most 1/|sin theta|, so |sum_{m>M}| <= f_{M+1}/|sin theta|.
+    Stops once that is below 1e-12 of the running sum, a hundredth of the
+    default rel_tol.
+    """
+    import mpmath
+
+    with mpmath.workdps(40):
+        th, t = mpmath.mpf(theta), mpmath.mpf(tau)
+        scale = 2 if pressure else 1
+        total = -scale * mpmath.clcos(3, 2 * th) / 2
+        c1 = mpmath.cos(2 * th)
+        c_prev, c = mpmath.mpf(1), c1
+        y1 = mpmath.exp(-2 * t)
+        y = y1
+        inv_sin = 1 / abs(mpmath.sin(th))
+
+        def magnitude(m, y):
+            a = 2 * m * t
+            q = y / (1 - y)
+            if pressure:
+                return (2 * q + 2 * a * q / (1 - y) + a * a * q * (1 + y) / (1 - y) ** 2) / m**3
+            return (q + a * q / (1 - y)) / m**3
+
+        m = 1
+        while True:
+            total -= c * magnitude(m, y)
+            y *= y1
+            c_prev, c = c, 2 * c1 * c - c_prev
+            m += 1
+            bound = magnitude(m, y) * inv_sin
+            if bound < 1e-12 * abs(total):
+                return float(total), float(bound + abs(total) * mpmath.mpf(2) ** -53)
+
+
+@pytest.mark.parametrize("theta, tau", [(0.7550, 1e-4), (0.7550, 1e-9), (0.3, 1e-9)])
+def test_kernel_within_its_estimate_of_mpmath(theta, tau):
+    with pytest.warns(RuntimeWarning) if tau < 1e-6 else contextlib.nullcontext():
+        e = reduced_free_energy(ReducedPoint(theta, tau))
+        p = reduced_pressure(ReducedPoint(theta, tau))
+    for res, pressure in ((e, False), (p, True)):
+        ref, ref_bound = mp_series(theta, tau, pressure)
+        assert res.converged
+        assert res.error_estimate <= 1e-10 * abs(res.value)
+        assert abs(res.value - ref) <= res.error_estimate + ref_bound
+
+
+def test_kernel_point_alone_equals_point_in_batch():
+    # the Faraday stencil's four separations go through the kernel together
+    from dataclasses import replace
+
+    from chiral_casimir.engine import _m_series, _canonical_theta, _ENERGY, _PRESSURE
+
+    cfg = make_config(kind=MediumKind.FARADAY, theta=0.0, verdet=1e5, bfield=3.0)
+    l, h = cfg.separation, 1e-5 * cfg.separation
+    cfgs = [replace(cfg, separation=s) for s in (l + h, l - h, l + 0.5 * h, l - 0.5 * h)]
+    points = [(_canonical_theta(effective_theta(c)), reduced_temperature(c.separation, c.temperature))
+              for c in cfgs]
+    ctrl = SeriesControl(rel_tol=1e-12)
+    for series in (_ENERGY, _PRESSURE):
+        batch = _m_series(points, ctrl, ZeroModePolicy.FULL, series)
+        alone = [_m_series([pt], ctrl, ZeroModePolicy.FULL, series)[0] for pt in points]
+        assert batch == alone
+    for c, res in zip(cfgs, _m_series(points, ctrl, ZeroModePolicy.FULL, _ENERGY)):
+        scale = K_BOLTZMANN * c.temperature / (4.0 * math.pi * c.separation**2)
+        assert physical_free_energy(c, ctrl) == EvalResult(
+            res.value * scale, res.error_estimate * scale, res.terms_used, res.converged)
+
+
+def test_kernel_certifies_below_the_old_clausen_floor():
+    # |E| = 1.38e-3 here; a 5e-13 zero-mode charge left it uncertified
+    res = reduced_free_energy(ReducedPoint(0.755, 0.05))
+    assert res.converged
+    assert res.error_estimate <= 1e-10 * abs(res.value)
+
+
+def test_kernel_stops_at_max_m():
+    res = reduced_pressure(ReducedPoint(0.3, 1e-3), SeriesControl(max_m=40))
+    assert res.terms_used == 40
+    assert not res.converged
+    assert res.error_estimate > 1e-10 * abs(res.value)
+
+
+# ------------------------------------------------------------ n-first cost bound
+
+def test_n_first_refuses_an_unreachable_target_at_once():
+    import time
+
+    t0 = time.perf_counter()
+    res = reduced_free_energy(ReducedPoint(0.3, 1e-5), N_FIRST)
+    assert time.perf_counter() - t0 < 1.0
+    assert not res.converged
+    assert res.terms_used == 1
+    exact = reduced_free_energy(ReducedPoint(0.3, 1e-5)).value
+    assert abs(res.value - exact) <= res.error_estimate  # an honest, if useless, bound
+    pres = reduced_pressure(ReducedPoint(0.3, 1e-5), N_FIRST)
+    assert not pres.converged and pres.terms_used == 1
+
+
+# ------------------------------------------------------------ huge angles
+
+def test_huge_angles_are_rejected_by_name():
+    for theta in (1e300, -1e16):
+        with pytest.raises(ValueError, match="theta"):
+            reduced_free_energy(ReducedPoint(theta, 1.0))
+        with pytest.raises(ValueError, match="theta"):
+            reduced_free_energy_T0(theta)
+    # the largest accepted angle folds like any other
+    big = 1e15
+    res = reduced_free_energy(ReducedPoint(big, 1.0))
+    assert res.converged and math.isfinite(res.value)

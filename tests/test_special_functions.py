@@ -110,6 +110,31 @@ def test_near_corner_small_angle():
     assert abs(clausen_sin(2, phi) - ref2) < abel_tail(2, phi, 2_000_000) + 1e-12
 
 
+def test_clausen_cos3_within_the_engine_budget_against_mpmath():
+    # dense grid of (0, 2 pi), 40-digit reference; the engine charges
+    # _CLAUSEN_ERR to every zero mode it evaluates
+    import mpmath
+
+    from chiral_casimir.engine import _CLAUSEN_ERR
+
+    n = 1001
+    with mpmath.workdps(40):
+        worst = max(abs(clausen_cos(3, phi) - mpmath.clcos(3, phi))
+                    for phi in (2.0 * math.pi * i / n for i in range(1, n)))
+    assert worst <= _CLAUSEN_ERR
+
+
+@pytest.mark.parametrize("s", [2, 4])
+def test_clausen_sin_log_expansions_against_mpmath(s):
+    import mpmath
+
+    n = 201
+    with mpmath.workdps(40):
+        worst = max(abs(clausen_sin(s, phi) - mpmath.clsin(s, phi))
+                    for phi in (2.0 * math.pi * i / n for i in range(1, n)))
+    assert worst <= 5e-15
+
+
 # ---------------------------------------------------------------- periodicity
 
 @given(
