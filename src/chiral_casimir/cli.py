@@ -5,7 +5,8 @@ Modes:
   sweep    evaluate a grid over up to two of {theta, separation, temperature,
            bfield}, emit CSV (outer axis slowest, in that listing order)
   certify  compare the series engine against the quadrature oracle on the
-           reference grid; exit 0 only if every comparison passes at 1e-6
+           reference grid; exit 0 only if every comparison passes at 1e-6.
+           Only this mode imports the oracle, and with it scipy.
 
 Exit codes: 0 success, 1 argument errors, 2 convergence or output failure,
 3 certification failure.  CHIRAL_CASIMIR_THREADS must be a positive integer
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine, oracle
+from . import engine
 from .engine import CavityConfig, ReducedPoint, SeriesControl, ZeroModePolicy
 from .kernel import MediumKind
 
@@ -55,6 +56,7 @@ REDUCED_COLUMNS = (
     "error_estimate",
     "converged",
 )
+_UNIT_COLUMNS = {"si": COLUMNS, "reduced": REDUCED_COLUMNS}
 
 _MEDIA = {
     "fixed": MediumKind.FIXED_ANGLE,
@@ -206,8 +208,13 @@ def _cell(v) -> str:
 
 
 def emit_csv(table: SweepTable, destination, units: str = "si") -> None:
-    """Write the table as RFC-4180 CSV (CRLF, 17 significant digits)."""
-    cols = COLUMNS if units == "si" else REDUCED_COLUMNS
+    """Write the table as RFC-4180 CSV (CRLF, 17 significant digits).
+
+    units is "si" (every column) or "reduced" (no dimensional columns).
+    """
+    cols = _UNIT_COLUMNS.get(units)
+    if cols is None:
+        raise ValueError(f"units must be one of {tuple(_UNIT_COLUMNS)}, got {units!r}")
     if hasattr(destination, "write"):
         _write_csv(table, destination, cols)
     else:
@@ -223,6 +230,8 @@ def _write_csv(table: SweepTable, stream, cols) -> None:
 
 
 def _certify(rel_tol: float, out) -> int:
+    from . import oracle  # the only user of scipy: load it for this mode alone
+
     ctrl = SeriesControl(rel_tol=rel_tol)
     qc = oracle.QuadControl()
     failures = 0
@@ -296,9 +305,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--medium", choices=tuple(_MEDIA), default="fixed")
     p.add_argument("--zero-mode", choices=tuple(_POLICIES), default="full")
     p.add_argument("--rel-tol", type=float, default=1e-10)
-    p.add_argument("--units", choices=("si", "reduced"), default="si")
+    p.add_argument("--units", choices=tuple(_UNIT_COLUMNS), default="si")
     p.add_argument("--output", default=None, metavar="PATH")
-    p.add_argument("--grid", default="default", help="certification grid name")
     return p
 
 
@@ -343,8 +351,6 @@ def run(argv) -> int:
 
     try:
         if ns.mode == "certify":
-            if ns.grid != "default":
-                raise _UsageError(f"unknown certification grid {ns.grid!r}")
             SeriesControl(rel_tol=ns.rel_tol)  # validate before the long run
             if ns.output is None:
                 return _certify(ns.rel_tol, sys.stdout)

@@ -46,7 +46,7 @@ from enum import Enum
 import numpy as np
 
 from .kernel import MediumKind, log_det_kernel
-from .special_functions import ZETA_2, ZETA_3, ZETA_4, clausen_cos, re_polylog_damped
+from .special_functions import ZETA_2, ZETA_3, ZETA_4, clausen_cos, fold_pi, re_polylog_damped
 
 __all__ = [
     "HBAR",
@@ -74,14 +74,8 @@ HBAR = 1.054571817e-34  # J s
 C_LIGHT = 299792458.0  # m / s
 K_BOLTZMANN = 1.380649e-23  # J / K
 
-PI_LO = 1.2246467991473532e-16  # float(pi) + PI_LO ~ pi to ~3e-33
 EIGHT_PI2 = 8.0 * math.pi**2
 _EPS = 2.0**-53  # unit roundoff
-
-# Beyond this |theta| the fold into [0, pi/2] loses accuracy: k = round(theta
-# / pi) would no longer be exact past about 2^51, and k * PI_LO would leave
-# [-pi/2, pi/2] past about 4e16.  Up to it the fold is within 1.9e-16.
-_MAX_ABS_THETA = 1e15
 
 # Absolute error of clausen_cos(3, 2 theta) as the zero mode uses it, with
 # theta folded into [0, pi/2], so phi = 2 theta lies in [0, pi] and is not
@@ -101,7 +95,8 @@ _MAX_ABS_THETA = 1e15
 #     1e-18 (1 + T); successive terms shrink by (phi/2pi)^2 <= 1/4, so the
 #     rest is below a third of that                            <= 1e-18
 #   * the 2 theta fold: theta is folded within 1.9e-16 of its value mod pi
-#     (above), phi within twice that, and |dC3/dphi| = |Sl2| <= 1.015:
+#     (special_functions.fold_pi), phi within twice that, and
+#     |dC3/dphi| = |Sl2| <= 1.015:
 #                                                              <= 3.9e-16
 # Sum: 3.9e-15.  A 40-digit mpmath check of a dense grid is in the tests.
 _CLAUSEN_ERR = 4e-15
@@ -198,22 +193,12 @@ def _meets(err: float, rel_tol: float, value: float) -> bool:
 def _canonical_theta(theta: float) -> float:
     """Fold theta into [0, pi/2]; cos(2 m theta) is even and pi-periodic.
 
-    Uses the extended-precision pi tail so that folding is bit-exact under
-    theta -> -theta and stays within ~1e-16 of exact under theta -> theta+pi.
-    Rejects |theta| > 1e15 rad, beyond which the fold is not accurate.
+    fold_pi is bit-exact under theta -> -theta and within ~1e-16 of exact
+    under theta -> theta+pi; it rejects |theta| > 1e15 rad.  Its PI_LO tail
+    can leave |fold| a hair above pi/2, which the last step maps back.
     """
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta!r}")
-    if abs(theta) > _MAX_ABS_THETA:
-        raise ValueError(f"|theta| must be at most {_MAX_ABS_THETA:g} rad, where folding "
-                         f"into [0, pi/2] is accurate, got {theta!r}")
-    r = math.remainder(theta, math.pi)
-    k = round((theta - r) / math.pi)
-    r -= k * PI_LO
-    t = abs(r)
-    if t > 0.5 * math.pi:
-        t = math.pi - t
-    return t
+    t = abs(fold_pi(theta, "theta"))
+    return math.pi - t if t > 0.5 * math.pi else t
 
 
 # m-series chunks: 32 terms, doubling up to 4096 per chunk.  The schedule is
@@ -586,26 +571,28 @@ def _scaled(res: EvalResult, scale: float) -> EvalResult:
     return EvalResult(res.value * scale, res.error_estimate * scale, res.terms_used, res.converged)
 
 
-def _physical_free_energies(cfgs, ctrl: SeriesControl) -> list[EvalResult]:
-    """Free energies in J/m^2 of configurations sharing temperature and zero-mode policy."""
+def _physical(cfgs, ctrl: SeriesControl, series: _MSeries) -> list[EvalResult]:
+    """Free energies in J/m^2 (_ENERGY) or fixed-angle pressures in Pa (_PRESSURE).
+
+    The configurations share temperature and zero-mode policy.
+    """
     if cfgs[0].temperature == 0.0:
-        out = []
-        for cfg in cfgs:
-            value = reduced_free_energy_T0(effective_theta(cfg))
-            err = 1e-15  # polynomial closed form, roundoff level in reduced units
-            out.append(_scaled(EvalResult(value, err, 0, _meets(err, ctrl.rel_tol, value)),
-                               _unit_scales(cfg.separation, 0.0)[0]))
-        return out
-    points = [(_canonical_theta(effective_theta(cfg)),
-               reduced_temperature(cfg.separation, cfg.temperature)) for cfg in cfgs]
-    results = _reduced(points, ctrl, cfgs[0].zero_mode, _ENERGY)
-    return [_scaled(res, _unit_scales(cfg.separation, cfg.temperature)[0])
+        closed_form = reduced_pressure_T0 if series.pressure else reduced_free_energy_T0
+        err = 3e-15 if series.pressure else 1e-15  # polynomial, roundoff level in reduced units
+        results = [EvalResult(value, err, 0, _meets(err, ctrl.rel_tol, value))
+                   for value in (closed_form(effective_theta(cfg)) for cfg in cfgs)]
+    else:
+        points = [(_canonical_theta(effective_theta(cfg)),
+                   reduced_temperature(cfg.separation, cfg.temperature)) for cfg in cfgs]
+        results = _reduced(points, ctrl, cfgs[0].zero_mode, series)
+    which = 1 if series.pressure else 0
+    return [_scaled(res, _unit_scales(cfg.separation, cfg.temperature)[which])
             for res, cfg in zip(results, cfgs)]
 
 
 def physical_free_energy(cfg: CavityConfig, ctrl: SeriesControl | None = None) -> EvalResult:
     """Free energy per unit area in J/m^2 for the given physical scenario."""
-    return _physical_free_energies([cfg], ctrl or SeriesControl())[0]
+    return _physical([cfg], ctrl or SeriesControl(), _ENERGY)[0]
 
 
 def physical_pressure(cfg: CavityConfig, ctrl: SeriesControl | None = None) -> EvalResult:
@@ -620,21 +607,14 @@ def physical_pressure(cfg: CavityConfig, ctrl: SeriesControl | None = None) -> E
     """
     ctrl = ctrl or SeriesControl()
     if cfg.kind is not MediumKind.FARADAY:
-        theta = effective_theta(cfg)
-        scale = _unit_scales(cfg.separation, cfg.temperature)[1]
-        if cfg.temperature == 0.0:
-            value = reduced_pressure_T0(theta)
-            err = 3e-15
-            return _scaled(EvalResult(value, err, 0, _meets(err, ctrl.rel_tol, value)), scale)
-        tau = reduced_temperature(cfg.separation, cfg.temperature)
-        return _scaled(_reduced([(_canonical_theta(theta), tau)], ctrl, cfg.zero_mode,
-                                _PRESSURE)[0], scale)
+        return _physical([cfg], ctrl, _PRESSURE)[0]
 
     inner = replace(ctrl, rel_tol=min(ctrl.rel_tol, 1e-12))
     l = cfg.separation
     h = 1e-5 * l
-    stencil = _physical_free_energies(
-        [replace(cfg, separation=sep) for sep in (l + h, l - h, l + 0.5 * h, l - 0.5 * h)], inner)
+    stencil = _physical(
+        [replace(cfg, separation=sep) for sep in (l + h, l - h, l + 0.5 * h, l - 0.5 * h)],
+        inner, _ENERGY)
     e = [res.value for res in stencil]
     terms = sum(res.terms_used for res in stencil)
     d_h = -(e[0] - e[1]) / (2.0 * h)

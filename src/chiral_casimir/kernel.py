@@ -1,87 +1,32 @@
-"""Rotation operators and the round-trip log-determinant integrand.
+"""The round-trip log-determinant integrand and the gap media.
 
 A single traversal of the gap rotates the polarization plane by theta; the
 round trip either doubles the angle (Faraday case, where the sense of
 rotation is tied to the magnetic field direction) or undoes it (optically
 active case).  The resulting mode-mixing enters the free energy only through
 
-    ln det(I - x A(2 theta)) = ln(1 + x^2 - 2 x cos 2 theta),   x = e^{-2 kappa l},
+    ln det(I - x R(2 theta)) = ln(1 + x^2 - 2 x cos 2 theta),   x = e^{-2 kappa l},
 
-which log_det_kernel evaluates in the cancellation-free form
-ln((1-x)^2 + 4 x sin^2 theta).
+with R the 2x2 rotation matrix, which log_det_kernel evaluates in the
+cancellation-free form ln((1-x)^2 + 4 x sin^2 theta).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
-__all__ = ["Matrix2", "MediumKind", "rotation_matrix", "round_trip_matrix", "log_det_kernel"]
+__all__ = ["MediumKind", "log_det_kernel"]
 
 # x may approach 1 only at kappa = 0, a measure-zero point of the integrals;
 # reject the ill-conditioned sliver next to the log-zero singularity.
 X_MAX = 1.0 - 1e-15
 
 
-@dataclass(frozen=True)
-class Matrix2:
-    """Real 2x2 matrix; entries must be finite."""
-
-    a11: float
-    a12: float
-    a21: float
-    a22: float
-
-    def __post_init__(self):
-        for v in (self.a11, self.a12, self.a21, self.a22):
-            if not math.isfinite(v):
-                raise ValueError(f"matrix entries must be finite, got {v!r}")
-
-    def __matmul__(self, other: "Matrix2") -> "Matrix2":
-        return Matrix2(
-            self.a11 * other.a11 + self.a12 * other.a21,
-            self.a11 * other.a12 + self.a12 * other.a22,
-            self.a21 * other.a11 + self.a22 * other.a21,
-            self.a21 * other.a12 + self.a22 * other.a22,
-        )
-
-    def det(self) -> float:
-        return self.a11 * self.a22 - self.a12 * self.a21
-
-    def transpose(self) -> "Matrix2":
-        return Matrix2(self.a11, self.a21, self.a12, self.a22)
-
-    @staticmethod
-    def identity() -> "Matrix2":
-        return Matrix2(1.0, 0.0, 0.0, 1.0)
-
-
 class MediumKind(Enum):
     FIXED_ANGLE = "fixed_angle"
     FARADAY = "faraday"
     OPTICALLY_ACTIVE = "optically_active"
-
-
-def rotation_matrix(theta: float) -> Matrix2:
-    """Rotation of the transverse field components by theta."""
-    if not math.isfinite(theta):
-        raise ValueError(f"angle must be finite, got {theta!r}")
-    c = math.cos(theta)
-    s = math.sin(theta)
-    return Matrix2(c, s, -s, c)
-
-
-def round_trip_matrix(theta: float, kind: MediumKind) -> Matrix2:
-    """Net rotation after one round trip across the gap.
-
-    Faraday (and the fixed-angle idealization): the two passes add, A(theta)
-    applied twice.  Optically active: the return pass undoes the rotation,
-    A(-theta) A(theta) = I up to roundoff.
-    """
-    if kind is MediumKind.OPTICALLY_ACTIVE:
-        return rotation_matrix(-theta) @ rotation_matrix(theta)
-    return rotation_matrix(theta) @ rotation_matrix(theta)
 
 
 def log_det_kernel(x: float, theta: float) -> float:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from scipy.integrate import IntegrationWarning, quad
 
@@ -92,9 +92,10 @@ def oracle_free_energy(p, q: QuadControl | None = None) -> float:
     Truncates the Matsubara sum once the per-term bound
     e^{-2 n tau} (1 + 2 n tau) pi^2/6 falls below abs_tol.
     """
-    q = q or QuadControl()
-    theta = float(p.theta)
-    tau = float(p.tau)
+    return _free_energy(float(p.theta), float(p.tau), q or QuadControl())
+
+
+def _free_energy(theta: float, tau: float, q: QuadControl) -> float:
     if tau <= 0.0:
         raise ValueError("oracle_free_energy needs tau > 0; use the T0 oracle instead")
     eps = min(1e-12, q.abs_tol / 100.0)
@@ -148,22 +149,16 @@ def oracle_pressure(theta: float, tau: float, q: QuadControl | None = None) -> f
     q = q or QuadControl()
     if tau < 0.0:
         raise ValueError(f"tau must be >= 0, got {tau!r}")
-    tight = QuadControl(abs_tol=min(q.abs_tol, 1e-12), kappa_cutoff_factor=q.kappa_cutoff_factor,
-                        max_n=q.max_n, fd_step_rel=q.fd_step_rel)
+    tight = replace(q, abs_tol=min(q.abs_tol, 1e-12))
 
     if tau == 0.0:
         # E(l) ~ E0_hat / l^3 at fixed angle, in units of the base separation
         def g(lam: float) -> float:
             return oracle_free_energy_T0(theta, tight) / lam**3
     else:
-        class _Pt:
-            def __init__(self, th, ta):
-                self.theta = th
-                self.tau = ta
-
         # E(l) ~ E_hat(theta, tau l / l0) / l^2 in units of the base point
         def g(lam: float) -> float:
-            return oracle_free_energy(_Pt(theta, tau * lam), tight) / lam**2
+            return _free_energy(theta, tau * lam, tight) / lam**2
 
     # P_hat = -(d/dlam) g(lam) at lam = 1, central stencil plus one Richardson level
     h = q.fd_step_rel

@@ -13,6 +13,12 @@ expansions whose coefficients are exact Bernoulli-number rationals rounded
 once, good to a few 1e-15 absolute.  The damped sums are summed directly with
 a geometric tail bound.
 
+Every angle goes through one fold, fold_pi, which subtracts the nearest
+multiple of pi with its PI_LO tail: phi is reduced as 2 fold_pi(phi/2), into
+[-pi, pi], and the even (cosine) and odd (sine) symmetries take it to
+[0, pi].  |phi| above 2 MAX_FOLD = 2e15 is a ValueError, as is a non-finite
+phi.  The engine folds theta with the same routine.
+
 All functions are pure; no shared mutable state.
 """
 
@@ -26,10 +32,13 @@ import numpy as np
 __all__ = ["PolylogOrder", "clausen_cos", "clausen_sin", "re_polylog_damped"]
 
 TWO_PI = 2.0 * math.pi
-# float(2*pi) = TWO_PI underestimates 2*pi by TAU_LO; carrying the tail keeps
-# argument-reduction error ~1e-16 out to |phi| ~ 1e3 (contract asks 1e-14).
-TAU_LO = 2.4492935982947064e-16
-PI_LO = 1.2246467991473532e-16
+PI_LO = 1.2246467991473532e-16  # float(pi) + PI_LO ~ pi to ~3e-33
+
+# Beyond this |x| fold_pi loses accuracy: k = round(x / pi) would no longer be
+# exact past about 2^51, and k * PI_LO would leave [-pi/2, pi/2] past about
+# 4e16.  Up to it the fold is within 1.9e-16 of x minus its nearest multiple
+# of the exact pi.
+MAX_FOLD = 1e15
 
 ZETA_2 = math.pi**2 / 6.0
 ZETA_3 = 1.2020569031595942854
@@ -55,18 +64,26 @@ def _order(s) -> int:
     return PolylogOrder(int(s)).s
 
 
-def _reduce_two_pi(phi: float) -> float:
-    """Map phi to [0, 2pi) with the extended-precision tail correction."""
-    if not math.isfinite(phi):
-        raise ValueError(f"angle must be finite, got {phi!r}")
-    r = math.remainder(phi, TWO_PI)  # r in [-pi, pi], correctly rounded
-    k = round((phi - r) / TWO_PI)
-    r -= k * TAU_LO  # account for TWO_PI != 2*pi exactly
-    if r < 0.0:
-        r += TWO_PI
-    if r >= TWO_PI:
-        r -= TWO_PI
-    return r
+def fold_pi(x: float, name: str, scale: float = 1.0) -> float:
+    """x minus its nearest multiple of pi, in [-pi/2, pi/2] up to the PI_LO tail.
+
+    Rejects non-finite x and |x| > MAX_FOLD.  The caller's argument is
+    scale * x; the errors name it and give its limit, MAX_FOLD * scale.
+    """
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x * scale!r}")
+    if abs(x) > MAX_FOLD:
+        raise ValueError(f"|{name}| must be at most {MAX_FOLD * scale:g} rad, where folding "
+                         f"is accurate, got {x * scale!r}")
+    r = math.remainder(x, math.pi)  # exact
+    k = round((x - r) / math.pi)
+    return r - k * PI_LO
+
+
+def _fold_phi(phi: float) -> float:
+    # phi minus its nearest multiple of 2 pi, in [-pi, pi]; halving and
+    # doubling are exact outside the subnormal range
+    return 2.0 * fold_pi(0.5 * phi, "phi", 2.0)
 
 
 # Coefficients of the log-accelerated expansions below, j = 1..40:
@@ -166,41 +183,39 @@ def _clausen_sin_4(phi: float) -> float:
 def clausen_cos(s, phi: float) -> float:
     """Sum_{m>=1} cos(m phi)/m^s.
 
-    s=2 and s=4 use the exact Bernoulli-polynomial closed forms on [0, 2pi],
-    wrong only by rounding: at most 2.0e-15 and 1.3e-14 absolute on a
-    2,001-point grid of (0, 2pi) against mpmath.  s=3 uses the accelerated
-    log expansion folded into [0, pi], with absolute error below 4e-15
-    (derived at engine._CLAUSEN_ERR; 8.7e-16 measured on 20,001 points).
+    phi is folded into [0, pi] (even).  s=2 and s=4 use the exact
+    Bernoulli-polynomial closed forms there, wrong only by rounding.  s=3 uses
+    the accelerated log expansion, with absolute error below 4e-15 (derived
+    at engine._CLAUSEN_ERR).  Worst absolute error on 4,001 points of
+    [-20, 20] against mpmath: 1.0e-15, 8.9e-16 and 2.1e-15 for s=2, 3, 4.
+    |phi| <= 2e15.
     """
     n = _order(s)
-    x = _reduce_two_pi(phi)
+    x = abs(_fold_phi(phi))  # even
     if n == 2:
         return ZETA_2 - math.pi * x / 2.0 + x * x / 4.0
     if n == 4:
         x2 = x * x
         return ZETA_4 - math.pi**2 * x2 / 12.0 + math.pi * x2 * x / 12.0 - x2 * x2 / 48.0
-    if x > math.pi:  # even about pi
-        x = TWO_PI - x
     return _clausen_cos_3(x)
 
 
 def clausen_sin(s, phi: float) -> float:
     """Sum_{m>=1} sin(m phi)/m^s.
 
-    s=3 is the exact Bernoulli polynomial (6.4e-16 absolute measured).  s=2
-    and s=4 use log expansions folded into [0, pi]: at most 2.0e-15 and
-    1.3e-15 absolute on a 20,001-point grid of (0, 2pi) against mpmath.
-    Within d of a multiple of 2pi the slope of s=2 is ln(1/d), so the
-    rounding of 2pi - phi costs up to 2.5e-16 ln(1/d) there.
+    phi is folded into [0, pi] (odd).  s=3 is the exact Bernoulli
+    polynomial; s=2 and s=4 use log expansions.  Worst absolute error on
+    4,001 points of [-20, 20] against mpmath: 5.8e-16, 4.4e-16 and 1.3e-15
+    for s=2, 3, 4.  Within d of a multiple of 2pi the slope of s=2 is
+    ln(1/d), so the fold's rounding costs up to 2.5e-16 ln(1/d) there.
+    |phi| <= 2e15.
     """
     n = _order(s)
-    x = _reduce_two_pi(phi)
+    r = _fold_phi(phi)
+    x = abs(r)
+    sign = math.copysign(1.0, r)  # odd
     if n == 3:
-        return x * (x - math.pi) * (x - TWO_PI) / 12.0
-    sign = 1.0
-    if x > math.pi:  # odd about pi
-        x = TWO_PI - x
-        sign = -1.0
+        return sign * x * (x - math.pi) * (x - TWO_PI) / 12.0
     if n == 2:
         return sign * _clausen_sin_2(x)
     return sign * _clausen_sin_4(x)
@@ -215,14 +230,14 @@ def re_polylog_damped(s, r: float, phi: float, with_bound: bool = False):
     Direct summation in geometrically growing chunks; stops once the tail
     bound r^{M+1}/((M+1)^s (1-r)) drops below 1e-13.  with_bound=True also
     returns the achieved bound (tail at the stopping point plus roundoff),
-    which is usually far below the 1e-13 contract.
+    which is usually far below the 1e-13 contract.  |phi| <= 2e15.
     """
     n = _order(s)
     if not (0.0 <= r < 1.0):
         raise ValueError(f"damping must satisfy 0 <= r < 1, got {r!r}")
     if r == 0.0:
         return (0.0, 0.0) if with_bound else 0.0
-    x = _reduce_two_pi(phi)
+    x = abs(_fold_phi(phi))  # even
     log_r = math.log(r)
     one_minus = 1.0 - r
     total = 0.0

@@ -210,10 +210,10 @@ def test_criterion_09_symmetry_suite(capsys):
            f"random points: worst deviation {worst:.2e} (budget 1e-12)")
 
 
-def test_criterion_10_cli_surface(capsys, tmp_path):
+def test_criterion_10_cli_surface(capsys, tmp_path, package_env):
     def cli(*argv):
         return subprocess.run([sys.executable, "-m", "chiral_casimir.cli", *argv],
-                              capture_output=True, timeout=300)
+                              env=package_env, capture_output=True, timeout=300)
 
     certify = cli("--mode", "certify")
 

@@ -3,6 +3,8 @@
 import csv
 import io
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -212,6 +214,7 @@ def test_optical_medium_zeroes_the_effective_angle(capsys):
     ("--mode", "point", "--separation", "-1e-6"),
     ("--mode", "point", "--rel-tol", "0"),
     ("--mode", "certify", "--grid", "unknown"),
+    ("--mode", "point", "--grid", "default"),           # the flag is gone
 ])
 def test_argument_errors_exit_1(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -293,6 +296,26 @@ def test_emit_csv_floats_roundtrip():
     assert float(row["reduced_free_energy"]) == table.rows[0].reduced_free_energy
     assert float(row["pressure_Pa"]) == table.rows[0].pressure_Pa
     assert int(row["terms_used"]) == table.rows[0].terms_used
+
+
+def test_emit_csv_rejects_unknown_units():
+    table = run_sweep(SweepSpec())
+    for units in ("SI", "Reduced", ""):
+        with pytest.raises(ValueError, match="units"):
+            emit_csv(table, io.StringIO(), units=units)
+
+
+def test_point_mode_loads_no_scipy(package_env):
+    # scipy serves only the oracle, which only certify uses
+    code = ("import contextlib, io, sys\n"
+            "import chiral_casimir.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.run(['--mode', 'point']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=package_env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_empty_axis_rejected():

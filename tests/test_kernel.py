@@ -1,4 +1,4 @@
-"""Round-trip reflection algebra: rotations, their products, log det."""
+"""The round-trip log determinant and the gap media."""
 
 import math
 
@@ -6,92 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chiral_casimir.kernel import (
-    Matrix2,
-    MediumKind,
-    log_det_kernel,
-    rotation_matrix,
-    round_trip_matrix,
-)
+from chiral_casimir.kernel import MediumKind, log_det_kernel
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
-
-
-def as_array(m: Matrix2) -> np.ndarray:
-    return np.array([[m.a11, m.a12], [m.a21, m.a22]])
-
-
-# -------------------------------------------------------------------- Matrix2
-
-def test_matmul_matches_numpy():
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        x, y = rng.normal(size=(2, 2, 2))
-        mx = Matrix2(*x.ravel())
-        my = Matrix2(*y.ravel())
-        np.testing.assert_allclose(as_array(mx @ my), x @ y, rtol=0, atol=1e-14)
-        assert mx.det() == pytest.approx(np.linalg.det(x), rel=1e-12)
-        np.testing.assert_array_equal(as_array(mx.transpose()), x.T)
-
-
-def test_identity():
-    eye = Matrix2.identity()
-    assert as_array(eye).tolist() == [[1.0, 0.0], [0.0, 1.0]]
-
-
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-def test_rejects_non_finite_entries(bad):
-    with pytest.raises(ValueError):
-        Matrix2(1.0, 0.0, bad, 1.0)
-
-
-# ------------------------------------------------------------------- rotation
-
-def test_rotation_examples():
-    np.testing.assert_array_equal(as_array(rotation_matrix(0.0)), np.eye(2))
-    q = as_array(rotation_matrix(math.pi / 2.0))
-    np.testing.assert_allclose(q, [[0.0, 1.0], [-1.0, 0.0]], rtol=0, atol=1e-15)
-
-
-@given(angles)
-@settings(max_examples=150, deadline=None)
-def test_rotation_orthogonal_unit_det(theta):
-    r = rotation_matrix(theta)
-    np.testing.assert_allclose(as_array(r.transpose() @ r), np.eye(2),
-                               rtol=0, atol=1e-14)
-    assert r.det() == pytest.approx(1.0, rel=0, abs=1e-14)
-
-
-@given(angles, angles)
-@settings(max_examples=150, deadline=None)
-def test_rotations_compose_additively(a, b):
-    lhs = as_array(rotation_matrix(a) @ rotation_matrix(b))
-    np.testing.assert_allclose(lhs, as_array(rotation_matrix(a + b)),
-                               rtol=0, atol=1e-13)
-
-
-# ----------------------------------------------------------------- round trip
-
-@given(angles)
-@settings(max_examples=150, deadline=None)
-def test_faraday_round_trip_doubles_the_angle(theta):
-    rt = round_trip_matrix(theta, MediumKind.FARADAY)
-    np.testing.assert_allclose(as_array(rt), as_array(rotation_matrix(2.0 * theta)),
-                               rtol=0, atol=1e-15)
-
-
-def test_fixed_angle_equals_faraday():
-    for theta in np.linspace(-3.0, 3.0, 17):
-        a = round_trip_matrix(theta, MediumKind.FIXED_ANGLE)
-        b = round_trip_matrix(theta, MediumKind.FARADAY)
-        assert as_array(a).tolist() == as_array(b).tolist()
-
-
-@given(angles)
-@settings(max_examples=150, deadline=None)
-def test_optically_active_round_trip_cancels(theta):
-    rt = round_trip_matrix(theta, MediumKind.OPTICALLY_ACTIVE)
-    np.testing.assert_allclose(as_array(rt), np.eye(2), rtol=0, atol=1e-15)
 
 
 # -------------------------------------------------------------------- log det
@@ -109,12 +26,11 @@ def test_log_det_examples(x, theta, expected):
 @given(st.floats(min_value=0.0, max_value=0.99), angles)
 @settings(max_examples=200, deadline=None)
 def test_log_det_equals_true_determinant(x, theta):
-    # det(I - x A) recomputed from the explicit 2x2 entries; the naive
-    # 1 - 2 x cos(2 theta) + x^2 form cancels near x -> 1, theta -> 0,
-    # hence the loose absolute tolerance
-    rt = round_trip_matrix(theta, MediumKind.FARADAY)
-    det = Matrix2(1.0 - x * rt.a11, -x * rt.a12,
-                  -x * rt.a21, 1.0 - x * rt.a22).det()
+    # det(I - x R(2 theta)) of the explicit 2x2 round-trip rotation; the
+    # naive determinant cancels near x -> 1, theta -> 0, hence the loose
+    # absolute tolerance
+    c, s = math.cos(2.0 * theta), math.sin(2.0 * theta)
+    det = np.linalg.det(np.eye(2) - x * np.array([[c, s], [-s, c]]))
     assert log_det_kernel(x, theta) == pytest.approx(math.log(det), rel=0, abs=1e-9)
 
 

@@ -3,6 +3,8 @@
 import inspect
 import math
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -42,6 +44,22 @@ def test_independence_from_series_code():
     assert "engine" not in joined
     assert "special_functions" not in joined
     assert "kernel" in joined
+
+
+def test_package_resolves_oracle_names_lazily(package_env):
+    # in a fresh interpreter: only the oracle's own names load the oracle
+    code = ("import sys\n"
+            "import chiral_casimir\n"
+            "import chiral_casimir.special_functions\n"
+            "assert not hasattr(chiral_casimir, 'Matrix2')\n"
+            "assert 'chiral_casimir.oracle' not in sys.modules\n"
+            "from chiral_casimir import QuadControl, oracle_free_energy\n"
+            "import chiral_casimir.oracle as oracle\n"
+            "assert oracle_free_energy is oracle.oracle_free_energy\n"
+            "assert QuadControl is oracle.QuadControl\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=package_env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ------------------------------------------------------------- zero temperature

@@ -23,6 +23,10 @@ from chiral_casimir.special_functions import (
 
 BRUTE_TERMS = 5_000_000
 
+# angles outside [0, 2 pi], which the fold brings back
+OUTSIDE = (-20.0, 20.0, -1.0, -2.0 * math.pi + 0.3, 2.0 * math.pi * 3 + 0.3,
+           2.0 * math.pi * 100 + 0.3)
+
 
 def brute_clausen(s: int, phi: float, kind: str, terms: int = BRUTE_TERMS) -> float:
     total = 0.0
@@ -111,16 +115,16 @@ def test_near_corner_small_angle():
 
 
 def test_clausen_cos3_within_the_engine_budget_against_mpmath():
-    # dense grid of (0, 2 pi), 40-digit reference; the engine charges
-    # _CLAUSEN_ERR to every zero mode it evaluates
+    # dense grid of (0, 2 pi) plus folded angles, 40-digit reference; the
+    # engine charges _CLAUSEN_ERR to every zero mode it evaluates
     import mpmath
 
     from chiral_casimir.engine import _CLAUSEN_ERR
 
     n = 1001
+    phis = [2.0 * math.pi * i / n for i in range(1, n)] + list(OUTSIDE)
     with mpmath.workdps(40):
-        worst = max(abs(clausen_cos(3, phi) - mpmath.clcos(3, phi))
-                    for phi in (2.0 * math.pi * i / n for i in range(1, n)))
+        worst = max(abs(clausen_cos(3, phi) - mpmath.clcos(3, phi)) for phi in phis)
     assert worst <= _CLAUSEN_ERR
 
 
@@ -129,9 +133,9 @@ def test_clausen_sin_log_expansions_against_mpmath(s):
     import mpmath
 
     n = 201
+    phis = [2.0 * math.pi * i / n for i in range(1, n)] + list(OUTSIDE)
     with mpmath.workdps(40):
-        worst = max(abs(clausen_sin(s, phi) - mpmath.clsin(s, phi))
-                    for phi in (2.0 * math.pi * i / n for i in range(1, n)))
+        worst = max(abs(clausen_sin(s, phi) - mpmath.clsin(s, phi)) for phi in phis)
     assert worst <= 5e-15
 
 
@@ -157,6 +161,21 @@ def test_sine_periodic_and_odd(phi, s):
     base = clausen_sin(s, phi)
     assert clausen_sin(s, phi + 2.0 * math.pi) == pytest.approx(base, rel=0, abs=1e-12)
     assert clausen_sin(s, -phi) == pytest.approx(-base, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("fn, args", [
+    (clausen_cos, (3, 1e300)),
+    (clausen_cos, (4, 1e20)),
+    (clausen_sin, (2, 1e300)),
+    (re_polylog_damped, (3, 0.5, 1e300)),
+])
+def test_huge_angles_are_rejected_by_name(fn, args):
+    # past 2e15 the fold into [-pi, pi] is no longer accurate
+    with pytest.raises(ValueError, match=r"\|phi\| must be at most 2e\+15"):
+        fn(*args)
+    with pytest.raises(ValueError, match="phi"):
+        fn(*args[:-1], math.inf)
+    assert math.isfinite(fn(*args[:-1], -2e15))  # the largest accepted angle
 
 
 def test_derivative_ladder():
