@@ -21,15 +21,22 @@ At tau = 0 the sum becomes an integral and both quantities have exact
 Bernoulli-polynomial closed forms (reduced_free_energy_T0 and
 reduced_pressure_T0, in units of hbar c / l^3 and hbar c / l^4).
 
+In a Faraday gap theta = V B l grows with the separation, so the pressure
+gains -theta dE/dtheta = -theta [Sl_2(2 theta) + 2 Sum sin(2 m theta) w(2 m tau)/m^2],
+summed in the same pass as the fixed-angle pressure (at tau = 0:
+-theta Sl_3(2 theta)/(4 pi^2)).  No finite difference is taken.
+
 Evaluation order is selectable: m_first is the production path described
 above; n_first evaluates one Matsubara frequency at a time through the damped
-polylogarithms and exists as an independent cross-check.
+polylogarithms and exists as an independent cross-check (the Faraday
+pressure is m_first only).
 
-The m_first terms are made by one numpy kernel (_m_series), in chunks of m
-that double from 32 to 4096.  A point stops at the first m where the closed
-tail bound of the remaining terms, plus the zero-mode error and a charge for
-rounding, is within rel_tol of the running sum; it gives up early where that
-error floor alone exceeds rel_tol, and at max_m.  No streak of small terms is
+The m_first terms are made by one numpy kernel (_m_series), one point per
+call, in chunks of m that double from 32 to 4096.  A point stops at the
+first m where the closed tail bound of the remaining terms, plus the
+zero-mode error and a charge for rounding, is within rel_tol of the running
+sum; it gives up early where that error floor alone exceeds rel_tol, and at
+max_m.  No streak of small terms is
 waited for.  Values are exact sums of the computed terms, rounded once.
 n_first refuses up front, unconverged, when its tail beyond max_n already
 exceeds rel_tol.
@@ -40,13 +47,14 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .kernel import MediumKind, log_det_kernel
-from .special_functions import ZETA_2, ZETA_3, ZETA_4, clausen_cos, fold_pi, re_polylog_damped
+from .special_functions import (ZETA_2, ZETA_3, ZETA_4, clausen_cos, clausen_sin, fold_pi,
+                                re_polylog_damped)
 
 __all__ = [
     "HBAR",
@@ -100,6 +108,23 @@ _EPS = 2.0**-53  # unit roundoff
 #                                                              <= 3.9e-16
 # Sum: 3.9e-15.  A 40-digit mpmath check of a dense grid is in the tests.
 _CLAUSEN_ERR = 4e-15
+
+# Absolute error of grad * clausen_sin(2, 2 theta) per unit |grad| (the
+# Faraday pressure), theta folded into [0, pi/2].  _clausen_sin_2 returns
+# fl(A + T), A = phi (1 - ln phi), T = sum_j c_j phi^{2j+1}; u = 2^-53:
+#   * A, from log (< 1 ulp), the subtraction and the product:
+#       phi (2u |ln phi| + 2u |1 - ln phi|) <= 8.1u at phi = pi   <= 9.0e-16
+#   * T: (2j + 2)u per term from c_j and the power, 4.1u weighted by the
+#     terms, and 25 additions: (4.1 + 25)u T(pi), T(pi) = 0.4547  <= 1.5e-15
+#   * the final addition and the product with grad, |Sl2| <= 1.015: <= 2.3e-16
+#   * the fold: fold_pi moves theta by at most u|t| + 4.3e-18 (|k| times
+#     the PI_LO error, |k| <= 1e15/pi), and pi - t adds 1.2e-16.  The slope
+#     of Sl2, -ln(2 sin(phi/2)), grows like ln(1/phi), but over a shift of
+#     d = 8.6e-18 near 0 Sl2 moves by at most d (1 + ln(1/d)) = 3.5e-16;
+#     near phi = pi (slope ln 2) the shift 2(1.2e-16 + u pi/2 + 4.3e-18)
+#     costs                                                       <= 4.2e-16
+# Sum: 3.05e-15 (truncation 1e-18).  An mpmath check is in the tests.
+_SL2_ERR = 3.1e-15
 
 
 class ZeroModePolicy(Enum):
@@ -190,29 +215,38 @@ def _meets(err: float, rel_tol: float, value: float) -> bool:
     return err <= rel_tol * abs(value)
 
 
-def _canonical_theta(theta: float) -> float:
-    """Fold theta into [0, pi/2]; cos(2 m theta) is even and pi-periodic.
+def _canonical_theta(theta: float) -> tuple[float, float]:
+    """Fold theta into [0, pi/2], and the sign the fold applied to odd functions.
 
-    fold_pi is bit-exact under theta -> -theta and within ~1e-16 of exact
-    under theta -> theta+pi; it rejects |theta| > 1e15 rad.  Its PI_LO tail
-    can leave |fold| a hair above pi/2, which the last step maps back.
+    cos(2 m theta) is even and pi-periodic; dE/dtheta is odd and
+    pi-periodic, so it is sign times its value at the folded angle.  fold_pi
+    is bit-exact under theta -> -theta and within ~1e-16 of exact under
+    theta -> theta+pi; it rejects |theta| > 1e15 rad.  Its PI_LO tail can
+    leave |fold| a hair above pi/2, which the last step reflects back.
     """
-    t = abs(fold_pi(theta, "theta"))
-    return math.pi - t if t > 0.5 * math.pi else t
+    t = fold_pi(theta, "theta")
+    sign = math.copysign(1.0, t)
+    t = abs(t)
+    if t > 0.5 * math.pi:
+        return math.pi - t, -sign
+    return t, sign
 
 
-# m-series chunks: 32 terms, doubling up to 4096 per chunk.  The schedule is
-# the same for every batch, so a point gives bit-identical results alone or
-# batched with others.
+# m-series chunks: 32 terms, doubling up to 4096 per chunk
 _FIRST_CHUNK = 32
 _LAST_CHUNK = 4096
 # Rounding charged per m-series term: EPS * weight/m^3 * (_TERM_ULPS + a + m phi).
-# _TERM_ULPS covers the at most 26 ulps of error of the pressure term (17 for
+# _TERM_ULPS covers the at most 27 ulps of error of the pressure term (18 for
 # the energy): 2 each from exp and expm1, 1 from each division, sum and
 # product in the weight, 2 from 1/m^3 and 1 from the product with it, 2 of
-# absolute error from the cosine, 1 from the product with it and 1 from the
-# exact per-chunk sum.  a = 2 m tau bounds the relative change of the weight
-# when a is rounded, and m phi the absolute change of cos(m phi) when m phi is.
+# absolute error from the cosine, 1 from the product with it, 1 from adding
+# the sine term of the Faraday pressure and 1 from the exact per-chunk sum.
+# A sine term 2 grad sin(m phi) w/m^2 carries at most 20: 10 from the energy
+# weight, 3 from 1/m^2 (taken as m/m^3), 1 from the product with it, 2 of
+# absolute error from the sine, 1 each from the products with it and with
+# -2 grad, 1 from the addition and 1 from the per-chunk sum.  a = 2 m tau
+# bounds the relative change of the weight when a is rounded, and m phi the
+# absolute change of cos(m phi) or sin(m phi) when m phi is.
 _TERM_ULPS = 32.0
 
 
@@ -238,6 +272,11 @@ class _MSeries:
         # w(a) = Sum_{n>=1} e^{-na} (1 + na); 2/a - O(a^3) as a -> 0
         return q * (1.0 + x)
 
+    def weight_at(self, a: float) -> float:
+        y = math.exp(-a)
+        dm = math.expm1(-a)
+        return self.weight(y, y / -dm, -a / dm)
+
     def floor(self, theta: float, tau: float, base_err: float) -> float:
         """Zero-mode error plus the rounding charge of every term the series can sum.
 
@@ -246,9 +285,7 @@ class _MSeries:
         EPS sum_m mag_m (_TERM_ULPS + a_m + m phi).
         """
         a1 = 2.0 * tau
-        y = math.exp(-a1)
-        dm = math.expm1(-a1)
-        w1 = self.weight(y, y / -dm, -a1 / dm)
+        w1 = self.weight_at(a1)
         s0 = min(ZETA_3 * w1, self.k * ZETA_4 / a1)  # >= sum mag_m
         s1 = min(ZETA_2 * w1, self.k * ZETA_3 / a1)  # >= sum m mag_m
         return base_err + _EPS * (_TERM_ULPS * s0 + (a1 + 2.0 * theta) * s1)
@@ -256,6 +293,20 @@ class _MSeries:
 
 _ENERGY = _MSeries(pressure=False, k=2.0)
 _PRESSURE = _MSeries(pressure=True, k=6.0)
+
+
+def _sine_floor(theta: float, tau: float) -> float:
+    """Rounding charge of the sine terms of dE/dtheta, like _MSeries.floor.
+
+    With g_m = 2 w(2 m tau)/m^2 <= min(2 w(2 tau)/m^2, 2/(tau m^3)),
+    sum g_m <= 2 min(zeta(2) w(2 tau), zeta(3)/tau) and sum m g_m <= 2 zeta(2)/tau.
+    """
+    a1 = 2.0 * tau
+    s0 = 2.0 * min(ZETA_2 * _ENERGY.weight_at(a1), ZETA_3 / tau)
+    s1 = 2.0 * ZETA_2 / tau
+    # per m: m phi from rounding m phi, and m (2 theta + 2.3) EPS from the
+    # fold, which leaves theta within EPS theta + 1.3e-16 of its value mod pi
+    return _EPS * (_TERM_ULPS * s0 + (a1 + 4.0 * theta + 2.3) * s1)
 
 
 @functools.lru_cache(maxsize=16)
@@ -274,70 +325,82 @@ def _chunks(max_m: int):
         size = min(2 * size, _LAST_CHUNK)
 
 
-def _m_series(points, ctrl: SeriesControl, zero_mode: ZeroModePolicy,
-              series: _MSeries) -> list[EvalResult]:
-    """base(theta) - sum_m cos(2 m theta) weight(2 m tau)/m^3 at folded (theta, tau) points.
+def _m_series(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePolicy,
+              series: _MSeries, grad: float = 0.0) -> EvalResult:
+    """base(theta) - sum_m cos(2 m theta) weight(2 m tau)/m^3 + grad dE/dtheta at a folded point.
 
-    base is the closed-form zero mode, doubled for the pressure.  Each point
+    base is the closed-form zero mode, doubled for the pressure.  grad is 0
+    except for the Faraday pressure, where it adds grad Sl2(2 theta) (the
+    zero mode's slope; none under TM_ONLY) and the sine terms
+    2 grad sin(2 m theta) w(2 m tau)/m^2, w the energy weight.  The point
     runs through the terms a chunk at a time and stops at its first m where
       * tail(m) + floor <= rel_tol |S_m|: certified;
       * tail(m) <= rel_tol |S_m| < floor: the error floor, which no number
         of further terms can get under;
       * m = max_m.
     tail(m) = min(k/(6 tau m^3), weight_{m+1}/(2 m^2), weight_{m+1}/((m+1)^3 sin theta))
-    bounds the terms beyond m, where weight_{m+1} = weight(2(m+1) tau), and
-    floor is _MSeries.floor.  The running sums S_m that decide
-    where to stop are float cumulative sums on top of the exact sum of the
-    earlier chunks.  The value is the exact sum (math.fsum) of the base and
-    the per-chunk exact sums, rounded once; that rounding is charged too.
-
-    Points run one after another, each vectorised over m, so a point's
-    result does not depend on the batch it came in.  For the one to four
-    points a call carries, broadcasting them together measured slower.
+    bounds the cosine terms beyond m, where weight_{m+1} = weight(2(m+1) tau),
+    plus |grad| min(1/(tau m^2), 2 w_{m+1}/m, 2 w_{m+1}/((m+1)^2 sin theta))
+    for the sine terms; floor is _MSeries.floor plus |grad| _sine_floor.  The
+    running sums S_m that decide where to stop are float cumulative sums on
+    top of the exact sum of the earlier chunks.  The value is the exact sum
+    (math.fsum) of the base and the per-chunk exact sums, rounded once; that
+    rounding is charged too.
     """
     scale = 2.0 if series.pressure else 1.0
-    results = []
-    for theta, tau in points:
-        # from tau = 400 on every weight underflows to exactly 0; capping tau
-        # changes no result and keeps a and a^2 finite in the weights
-        tau = min(tau, 1e3)
-        base, base_err = _zero_mode_base(theta, zero_mode)
-        parts = [scale * base]  # the base, then the exact sum of each finished chunk
-        head = parts[0]  # sum before the chunk
-        floor = series.floor(theta, tau, scale * base_err)
-        phi, neg_2tau, tail_alg = 2.0 * theta, -2.0 * tau, series.k / (6.0 * tau)
-        # Abel summation: partial sums of cos(2 m theta) are at most
-        # 1/sin(theta); below 1e-8 this bound only wins past m ~ 1e8
-        neg_abel = -1.0 / math.sin(theta) if theta >= 1e-8 else 0.0
-        for lo, hi in _chunks(ctrl.max_m):
-            m, inv_m3, neg_inv_2m2 = _chunk_m(lo, hi)
-            na = neg_2tau * m  # -a = -2 m tau, with one extra m for the tail
-            y = np.exp(na)
-            dm = np.expm1(na)  # -d
-            neg_weight = series.weight(y, y / dm, na / dm)  # q < 0 here: -weight
-            neg_mag = neg_weight * inv_m3
-            terms = np.cos(phi * m[:-1]) * neg_mag[:-1]
-            # bounds on the terms beyond m: algebraic, exponential and Abel
-            tail = np.minimum(tail_alg * inv_m3[:-1], neg_weight[1:] * neg_inv_2m2)
+    # from tau = 400 on every weight underflows to exactly 0; capping tau
+    # changes no result and keeps a and a^2 finite in the weights
+    tau = min(tau, 1e3)
+    base, base_err = _zero_mode_base(theta, zero_mode)
+    parts = [scale * base]  # the base, then the exact sum of each finished chunk
+    floor = series.floor(theta, tau, scale * base_err)
+    if grad:
+        floor += abs(grad) * _sine_floor(theta, tau)
+        if zero_mode is ZeroModePolicy.FULL:  # the TM_ONLY zero mode has no slope
+            parts.append(grad * clausen_sin(2, 2.0 * theta))
+            floor += abs(grad) * _SL2_ERR
+    head = math.fsum(parts)  # sum before the chunk
+    phi, neg_2tau, tail_alg = 2.0 * theta, -2.0 * tau, series.k / (6.0 * tau)
+    # Abel summation: partial sums of cos(2 m theta) and of sin(2 m theta) are
+    # at most 1/sin(theta); below 1e-8 this bound only wins past m ~ 1e8
+    neg_abel = -1.0 / math.sin(theta) if theta >= 1e-8 else 0.0
+    for lo, hi in _chunks(ctrl.max_m):
+        m, inv_m3, neg_inv_2m2 = _chunk_m(lo, hi)
+        na = neg_2tau * m  # -a = -2 m tau, with one extra m for the tail
+        y = np.exp(na)
+        dm = np.expm1(na)  # -d
+        q, x = y / dm, na / dm  # q < 0 here, so the weights below are negated
+        neg_weight = series.weight(y, q, x)
+        neg_mag = neg_weight * inv_m3
+        terms = np.cos(phi * m[:-1]) * neg_mag[:-1]
+        # bounds on the terms beyond m: algebraic, exponential and Abel
+        tail = np.minimum(tail_alg * inv_m3[:-1], neg_weight[1:] * neg_inv_2m2)
+        if neg_abel:
+            tail = np.minimum(tail, neg_mag[1:] * neg_abel)
+        if grad:
+            neg_w = _ENERGY.weight(y, q, x)
+            neg_g = neg_w * (inv_m3 * m)  # -w/m^2
+            terms = terms + (-2.0 * grad) * np.sin(phi * m[:-1]) * neg_g[:-1]
+            sine_tail = np.minimum(inv_m3[:-1] * m[:-1] / tau, -2.0 * neg_w[1:] / m[:-1])
             if neg_abel:
-                tail = np.minimum(tail, neg_mag[1:] * neg_abel)
-            target = ctrl.rel_tol * np.abs(head + np.add.accumulate(terms))
-            # slack >= floor certifies; slack >= 0 suffices where target < floor
-            stop = target - tail >= floor * (target >= floor)
-            if hi == ctrl.max_m:
-                stop[-1] = True
-            j = int(stop.argmax())
-            if stop[j]:
-                parts.append(math.fsum(terms[:j + 1].tolist()))
-                value = math.fsum(parts)
-                tail_j = float(tail[j])
-                err = tail_j + floor + _EPS * abs(value)
-                certified = tail_j + floor <= target[j] and _meets(err, ctrl.rel_tol, value)
-                results.append(EvalResult(value, err, lo + j, certified))
-                break
-            parts.append(math.fsum(terms.tolist()))
-            head = math.fsum(parts)
-    return results
+                sine_tail = np.minimum(sine_tail, 2.0 * neg_abel * neg_g[1:])
+            tail = tail + abs(grad) * sine_tail
+        target = ctrl.rel_tol * np.abs(head + np.add.accumulate(terms))
+        # slack >= floor certifies; slack >= 0 suffices where target < floor
+        stop = target - tail >= floor * (target >= floor)
+        if hi == ctrl.max_m:
+            stop[-1] = True
+        j = int(stop.argmax())
+        if stop[j]:
+            break
+        parts.append(math.fsum(terms.tolist()))
+        head = math.fsum(parts)
+    parts.append(math.fsum(terms[:j + 1].tolist()))
+    value = math.fsum(parts)
+    tail_j = float(tail[j])
+    err = tail_j + floor + _EPS * abs(value)
+    certified = tail_j + floor <= target[j] and _meets(err, ctrl.rel_tol, value)
+    return EvalResult(value, err, lo + j, certified)
 
 
 def _geometric_tails(tau: float, n: int) -> tuple[float, float, float]:
@@ -363,41 +426,6 @@ def _pressure_tail_n(n: int, tau: float) -> float:
     s0, s1, s2 = _geometric_tails(tau, n)
     z2 = math.pi**2 / 6.0
     return 2.0 * ZETA_3 * s0 + 4.0 * tau * z2 * s1 + 4.0 * tau * (tau / -math.expm1(-2.0 * tau)) * s2
-
-
-def _sum_n_first(theta: float, tau: float, ctrl: SeriesControl, base: float,
-                 base_err: float, per_n, tail) -> EvalResult:
-    whole = tail(0, tau)  # bounds all n >= 1 terms, so |value| <= |base| + whole
-    if not tail(ctrl.max_n, tau) + base_err <= ctrl.rel_tol * (abs(base) + whole) < math.inf:
-        # max_n terms cannot meet rel_tol however they cancel: refuse up front
-        return EvalResult(base, base_err + whole, 1, False)
-    total = base
-    acc_err = base_err
-    small = 0
-    n = 0
-    converged = False
-    err = math.inf
-    while n < ctrl.max_n:
-        n += 1
-        term, term_err = per_n(n)
-        total += term
-        acc_err += term_err
-        if abs(term) <= ctrl.rel_tol * abs(total):
-            small += 1
-            if small >= 3:
-                err = acc_err + tail(n, tau)
-                if err <= ctrl.rel_tol * abs(total):
-                    converged = True
-                    break
-                if acc_err > ctrl.rel_tol * abs(total):
-                    # accumulated roundoff alone exceeds the target; later
-                    # terms only add to it, so bail out honestly
-                    break
-        else:
-            small = 0
-    if not converged:
-        err = acc_err + tail(n, tau)
-    return EvalResult(total, err, n + 1, converged and _meets(err, ctrl.rel_tol, total))
 
 
 def _validate_point(p: ReducedPoint) -> None:
@@ -431,42 +459,85 @@ def reduced_free_energy(p: ReducedPoint, ctrl: SeriesControl | None = None,
 
     Requires tau > 0; zero temperature is a separate closed form.
     """
-    ctrl = ctrl or SeriesControl()
     _validate_point(p)
-    theta = _canonical_theta(p.theta)
-    return _reduced([(theta, p.tau)], ctrl, zero_mode, _ENERGY)[0]
+    return _reduced(p.theta, p.tau, ctrl or SeriesControl(), zero_mode, _ENERGY)
 
 
-def _reduced(points, ctrl: SeriesControl, zero_mode: ZeroModePolicy,
-             series: _MSeries) -> list[EvalResult]:
-    """Reduced free energies or pressures at folded (theta, tau) points."""
+def _reduced(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePolicy,
+             series: _MSeries, grad: float = 0.0) -> EvalResult:
+    """Reduced free energy or pressure, plus grad dE/dtheta (m_first only), at any theta."""
+    t, sign = _canonical_theta(theta)
     if ctrl.order == "m_first":
-        return _m_series(points, ctrl, zero_mode, series)
-    n_first = _pressure_n_first if series.pressure else _free_energy_n_first
-    return [n_first(theta, tau, ctrl, zero_mode) for theta, tau in points]
+        return _m_series(t, tau, ctrl, zero_mode, series, grad * sign)
+    return _n_first(t, tau, ctrl, zero_mode, series)
 
 
-def _free_energy_n_first(theta: float, tau: float, ctrl: SeriesControl,
-                         zero_mode: ZeroModePolicy) -> EvalResult:
-    base, base_err = _zero_mode_base(theta, zero_mode)
+def _matsubara_n(n: int, theta: float, tau: float, pressure: bool) -> tuple[float, float]:
+    """Term n >= 1 of the Matsubara sum of the reduced free energy or pressure, and its error."""
+    a = 2.0 * n * tau
+    if a > 745.0:  # e^{-a} underflows; term is identically zero at double precision
+        return 0.0, 0.0
+    r = math.exp(-a)
     phi = 2.0 * theta
-
-    def per_n(n: int) -> tuple[float, float]:
-        a = 2.0 * n * tau
-        if a > 745.0:  # e^{-a} underflows; term is identically zero at double precision
-            return 0.0, 0.0
-        r = math.exp(-a)
-        li3, b3 = re_polylog_damped(3, r, phi, with_bound=True)
-        li2, b2 = re_polylog_damped(2, r, phi, with_bound=True)
+    # Li_2 first: where r is so near 1 that the sums cannot meet their bound,
+    # its tail is the larger and it fails before any summing
+    li2, b2 = re_polylog_damped(2, r, phi, with_bound=True)
+    li3, b3 = re_polylog_damped(3, r, phi, with_bound=True)
+    if not pressure:
         term = -(li3 + a * li2)
         return term, b3 + a * b2 + 2e-16 * abs(term)
+    li1 = -0.5 * log_det_kernel(r, theta)  # Re Li_1(r e^{2 i theta}), closed form
+    # the kernel's log argument carries up to 7 ulps, an absolute error
+    # that dominates li1 when r is tiny; there |exact li1| <= r/(1-r)
+    li1_err = min(3.9e-16 + 2.3e-16 * abs(li1), r / (1.0 - r) + abs(li1))
+    term = -(2.0 * li3 + 2.0 * a * li2 + a * a * li1)
+    return term, 2.0 * b3 + 2.0 * a * b2 + a * a * li1_err + 2e-16 * abs(term)
 
-    return _sum_n_first(theta, tau, ctrl, base, base_err, per_n, _energy_tail_n)
+
+def _n_first(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePolicy,
+             series: _MSeries) -> EvalResult:
+    """Reduced free energy or fixed-angle pressure, one Matsubara term at a time."""
+    # the tau-independent n=0 part of the pressure is twice its free-energy value
+    scale = 2.0 if series.pressure else 1.0
+    base, base_err = _zero_mode_base(theta, zero_mode)
+    base, base_err = scale * base, scale * base_err
+    tail = _pressure_tail_n if series.pressure else _energy_tail_n
+    whole = tail(0, tau)  # bounds all n >= 1 terms, so |value| <= |base| + whole
+    if not tail(ctrl.max_n, tau) + base_err <= ctrl.rel_tol * (abs(base) + whole) < math.inf:
+        # max_n terms cannot meet rel_tol however they cancel: refuse up front
+        return EvalResult(base, base_err + whole, 1, False)
+    total = base
+    acc_err = base_err
+    small = 0
+    n = 0
+    converged = False
+    err = math.inf
+    while n < ctrl.max_n:
+        n += 1
+        term, term_err = _matsubara_n(n, theta, tau, series.pressure)
+        total += term
+        acc_err += term_err
+        if abs(term) <= ctrl.rel_tol * abs(total):
+            small += 1
+            if small >= 3:
+                err = acc_err + tail(n, tau)
+                if err <= ctrl.rel_tol * abs(total):
+                    converged = True
+                    break
+                if acc_err > ctrl.rel_tol * abs(total):
+                    # accumulated roundoff alone exceeds the target; later
+                    # terms only add to it, so bail out honestly
+                    break
+        else:
+            small = 0
+    if not converged:
+        err = acc_err + tail(n, tau)
+    return EvalResult(total, err, n + 1, converged and _meets(err, ctrl.rel_tol, total))
 
 
 def reduced_free_energy_T0(theta: float) -> float:
     """Zero-temperature reduced free energy E_c l^3 / (hbar c), exact closed form."""
-    t = _canonical_theta(theta)
+    t, _ = _canonical_theta(theta)
     return -clausen_cos(4, 2.0 * t) / EIGHT_PI2
 
 
@@ -477,34 +548,8 @@ def reduced_pressure(p: ReducedPoint, ctrl: SeriesControl | None = None,
     Term-wise l-derivative of the free-energy series: P_hat = 2 E_hat -
     tau dE_hat/dtau.  Negative means attraction.
     """
-    ctrl = ctrl or SeriesControl()
     _validate_point(p)
-    theta = _canonical_theta(p.theta)
-    return _reduced([(theta, p.tau)], ctrl, zero_mode, _PRESSURE)[0]
-
-
-def _pressure_n_first(theta: float, tau: float, ctrl: SeriesControl,
-                      zero_mode: ZeroModePolicy) -> EvalResult:
-    # the tau-independent n=0 part contributes twice its free-energy value
-    base, base_err = _zero_mode_base(theta, zero_mode)
-    base, base_err = 2.0 * base, 2.0 * base_err
-    phi = 2.0 * theta
-
-    def per_n(n: int) -> tuple[float, float]:
-        a = 2.0 * n * tau
-        if a > 745.0:
-            return 0.0, 0.0
-        r = math.exp(-a)
-        li3, b3 = re_polylog_damped(3, r, phi, with_bound=True)
-        li2, b2 = re_polylog_damped(2, r, phi, with_bound=True)
-        li1 = -0.5 * log_det_kernel(r, theta)  # Re Li_1(r e^{2 i theta}), closed form
-        # the kernel's log argument carries up to 7 ulps, an absolute error
-        # that dominates li1 when r is tiny; there |exact li1| <= r/(1-r)
-        li1_err = min(3.9e-16 + 2.3e-16 * abs(li1), r / (1.0 - r) + abs(li1))
-        term = -(2.0 * li3 + 2.0 * a * li2 + a * a * li1)
-        err = 2.0 * b3 + 2.0 * a * b2 + a * a * li1_err + 2e-16 * abs(term)
-        return term, err
-    return _sum_n_first(theta, tau, ctrl, base, base_err, per_n, _pressure_tail_n)
+    return _reduced(p.theta, p.tau, ctrl or SeriesControl(), zero_mode, _PRESSURE)
 
 
 def reduced_pressure_T0(theta: float) -> float:
@@ -514,7 +559,7 @@ def reduced_pressure_T0(theta: float) -> float:
 
 def classical_limit_reduced(theta: float) -> float:
     """tau -> infinity limit of the reduced free energy (full zero-mode policy)."""
-    return -0.5 * clausen_cos(3, 2.0 * _canonical_theta(theta))
+    return -0.5 * clausen_cos(3, 2.0 * _canonical_theta(theta)[0])
 
 
 def matsubara_term(n: int, p: ReducedPoint) -> float:
@@ -524,16 +569,12 @@ def matsubara_term(n: int, p: ReducedPoint) -> float:
     """
     if n < 0:
         raise ValueError(f"Matsubara index must be >= 0, got {n!r}")
-    theta = _canonical_theta(p.theta)
+    theta, _ = _canonical_theta(p.theta)
     if n == 0:
         return -clausen_cos(3, 2.0 * theta)
     if p.tau <= 0.0:
         raise ValueError("positive tau required for n >= 1 Matsubara terms")
-    a = 2.0 * n * p.tau
-    if a > 745.0:
-        return 0.0
-    r = math.exp(-a)
-    return -(re_polylog_damped(3, r, 2.0 * theta) + a * re_polylog_damped(2, r, 2.0 * theta))
+    return _matsubara_n(n, theta, p.tau, pressure=False)[0]
 
 
 def effective_theta(cfg: CavityConfig) -> float:
@@ -567,61 +608,53 @@ def _unit_scales(separation: float, temperature: float) -> tuple[float, float]:
             K_BOLTZMANN * temperature / (4.0 * math.pi * separation**3))
 
 
-def _scaled(res: EvalResult, scale: float) -> EvalResult:
-    return EvalResult(res.value * scale, res.error_estimate * scale, res.terms_used, res.converged)
+def _physical(cfg: CavityConfig, ctrl: SeriesControl, series: _MSeries) -> EvalResult:
+    """Free energy in J/m^2 (_ENERGY) or pressure in Pa (_PRESSURE).
 
-
-def _physical(cfgs, ctrl: SeriesControl, series: _MSeries) -> list[EvalResult]:
-    """Free energies in J/m^2 (_ENERGY) or fixed-angle pressures in Pa (_PRESSURE).
-
-    The configurations share temperature and zero-mode policy.
+    In a Faraday gap theta = V B l, so l d/dl = tau d/dtau + theta d/dtheta
+    and the pressure gains grad dE/dtheta with grad = -theta.
     """
-    if cfgs[0].temperature == 0.0:
+    theta = effective_theta(cfg)
+    grad = -theta if series.pressure and cfg.kind is MediumKind.FARADAY else 0.0
+    if cfg.temperature == 0.0:
         closed_form = reduced_pressure_T0 if series.pressure else reduced_free_energy_T0
+        value = closed_form(theta)
         err = 3e-15 if series.pressure else 1e-15  # polynomial, roundoff level in reduced units
-        results = [EvalResult(value, err, 0, _meets(err, ctrl.rel_tol, value))
-                   for value in (closed_form(effective_theta(cfg)) for cfg in cfgs)]
+        if grad:
+            # dE_0/dtheta = Sl3(2 theta)/(4 pi^2).  Sl3 is good to 1.6e-15:
+            # 6.3e-16 from the fold (3.8e-16 in 2 theta, |Cl2| <= zeta(2)) and
+            # 9.7e-16 from rounding x (x - pi)(x - 2 pi)/12, float(pi) included.
+            # The product and the division by the rounded 4 pi^2 add 3.7u of
+            # |Sl3| <= 0.995: (1.6e-15 + 4.1e-16)/(4 pi^2) = 5.1e-17 per unit |grad|.
+            value += grad * clausen_sin(3, 2.0 * theta) / (4.0 * math.pi**2)
+            err += abs(grad) * 5.1e-17 + _EPS * abs(value)
+        res = EvalResult(value, err, 0, _meets(err, ctrl.rel_tol, value))
     else:
-        points = [(_canonical_theta(effective_theta(cfg)),
-                   reduced_temperature(cfg.separation, cfg.temperature)) for cfg in cfgs]
-        results = _reduced(points, ctrl, cfgs[0].zero_mode, series)
-    which = 1 if series.pressure else 0
-    return [_scaled(res, _unit_scales(cfg.separation, cfg.temperature)[which])
-            for res, cfg in zip(results, cfgs)]
+        tau = reduced_temperature(cfg.separation, cfg.temperature)
+        if abs(grad) > 1e307 * tau:  # |grad dE/dtheta| <= |grad| (1.02 + 2 zeta(3)/tau)
+            raise ValueError(f"the Faraday pressure overflows its reduced units where "
+                             f"|theta|/tau > 1e307; got theta = {theta!r}, tau = {tau!r}")
+        res = _reduced(theta, tau, ctrl, cfg.zero_mode, series, grad)
+    scale = _unit_scales(cfg.separation, cfg.temperature)[1 if series.pressure else 0]
+    return EvalResult(res.value * scale, res.error_estimate * scale, res.terms_used, res.converged)
 
 
 def physical_free_energy(cfg: CavityConfig, ctrl: SeriesControl | None = None) -> EvalResult:
     """Free energy per unit area in J/m^2 for the given physical scenario."""
-    return _physical([cfg], ctrl or SeriesControl(), _ENERGY)[0]
+    return _physical(cfg, ctrl or SeriesControl(), _ENERGY)
 
 
 def physical_pressure(cfg: CavityConfig, ctrl: SeriesControl | None = None) -> EvalResult:
     """Pressure in Pa; negative means the plates attract.
 
-    Fixed-angle and optically active media differentiate the series
-    analytically.  In a Faraday medium the angle itself scales with the
-    separation, so the derivative is taken by Richardson-extrapolated central
-    differences of the free energy with step l * 1e-5, its four energies
-    summed in one batch; its convergence is certified against
-    max(rel_tol, 1e-6), the honest noise floor of the stencil.
+    Every medium differentiates the series analytically.  In a Faraday
+    medium the angle scales with the separation, theta = V B l, so the
+    pressure is P_hat(theta, tau) - theta dE_hat/dtheta, both summed in one
+    m-series pass and certified at rel_tol.  Only order="m_first" has it: a
+    Faraday config with order="n_first" is a ValueError.
     """
     ctrl = ctrl or SeriesControl()
-    if cfg.kind is not MediumKind.FARADAY:
-        return _physical([cfg], ctrl, _PRESSURE)[0]
-
-    inner = replace(ctrl, rel_tol=min(ctrl.rel_tol, 1e-12))
-    l = cfg.separation
-    h = 1e-5 * l
-    stencil = _physical(
-        [replace(cfg, separation=sep) for sep in (l + h, l - h, l + 0.5 * h, l - 0.5 * h)],
-        inner, _ENERGY)
-    e = [res.value for res in stencil]
-    terms = sum(res.terms_used for res in stencil)
-    d_h = -(e[0] - e[1]) / (2.0 * h)
-    d_h2 = -(e[2] - e[3]) / h
-    value = (4.0 * d_h2 - d_h) / 3.0
-    if not math.isfinite(value):
-        return EvalResult(math.nan, math.inf, terms, False)
-    err = abs(value - d_h2)  # Richardson defect dominates the stencil error
-    fd_tol = max(ctrl.rel_tol, 1e-6)
-    return EvalResult(value, err, terms, _meets(err, fd_tol, value))
+    if cfg.kind is MediumKind.FARADAY and ctrl.order != "m_first":
+        raise ValueError("the Faraday pressure is evaluated by order='m_first' only, "
+                         f"got order={ctrl.order!r}")
+    return _physical(cfg, ctrl, _PRESSURE)

@@ -130,13 +130,12 @@ def _coeffs():
 _C3_COEF, _S2_COEF, _S4_COEF = _coeffs()
 
 
-def _bern_tail(coefs, phi: float, odd: bool) -> float:
-    # Sum c_j phi^{2j} (or phi^{2j+1}); phi <= pi so ratio < (pi/2pi)^2 ~ 1/4.
-    phi2 = phi * phi
-    p = phi2 * phi2 if not odd else phi2 * phi2 * phi  # j starts at 2
+def _bern_tail(coefs, phi2: float, p: float, j: int) -> float:
+    # Sum_{k>=j} coefs[k] p phi2^{k-j}, with p the power of phi that
+    # multiplies coefs[j]; phi <= pi so the ratio < (pi/2pi)^2 ~ 1/4.
     total = 0.0
-    for j in range(2, _NBERN + 1):
-        term = coefs[j] * p
+    for k in range(j, _NBERN + 1):
+        term = coefs[k] * p
         total += term
         if term < 1e-18 * (1.0 + total):
             break
@@ -150,7 +149,9 @@ def _clausen_cos_3(phi: float) -> float:
     # ln(2 sin(phi/2)) = ln phi - Sum |B_2j| phi^{2j}/(2j (2j)!) twice.
     if phi == 0.0:
         return ZETA_3
-    return ZETA_3 + 0.5 * phi * phi * (math.log(phi) - 1.5) - _bern_tail(_C3_COEF, phi, odd=False)
+    phi2 = phi * phi
+    tail = _bern_tail(_C3_COEF, phi2, phi2 * phi2, 2)
+    return ZETA_3 + 0.5 * phi * phi * (math.log(phi) - 1.5) - tail
 
 
 def _clausen_sin_2(phi: float) -> float:
@@ -158,25 +159,18 @@ def _clausen_sin_2(phi: float) -> float:
     if phi == 0.0:
         return 0.0
     phi2 = phi * phi
-    p = phi2 * phi
-    total = 0.0
-    for j in range(1, _NBERN + 1):
-        term = _S2_COEF[j] * p
-        total += term
-        if term < 1e-18 * (1.0 + total):
-            break
-        p *= phi2
-    return phi * (1.0 - math.log(phi)) + total
+    return phi * (1.0 - math.log(phi)) + _bern_tail(_S2_COEF, phi2, phi2 * phi, 1)
 
 
 def _clausen_sin_4(phi: float) -> float:
     # Sl4(phi) = zeta(3) phi + (phi^3/6)(ln phi - 11/6) - Sum_{j>=2} c_j phi^{2j+1}
     if phi == 0.0:
         return 0.0
+    phi2 = phi * phi
     return (
         ZETA_3 * phi
         + phi**3 / 6.0 * (math.log(phi) - 11.0 / 6.0)
-        - _bern_tail(_S4_COEF, phi, odd=True)
+        - _bern_tail(_S4_COEF, phi2, phi2 * phi2 * phi, 2)
     )
 
 
@@ -224,13 +218,33 @@ def clausen_sin(s, phi: float) -> float:
 _MAX_TERMS = 1 << 28  # enough for r = 1 - 1e-6 at s = 2
 
 
+def _damped_chunks():
+    """(first m, last m) of each chunk that re_polylog_damped sums."""
+    lo, chunk = 1, 256
+    while lo <= _MAX_TERMS:
+        yield lo, lo + chunk - 1
+        lo += chunk
+        chunk = min(2 * chunk, 1 << 22)
+
+
+_LAST_M = max(hi for _, hi in _damped_chunks())  # 272,629,504
+
+
+def _tail(n: int, log_r: float, one_minus: float, hi: int) -> tuple[float, bool]:
+    """log of the bound r^{hi+1}/((hi+1)^s (1-r)) on the terms beyond hi, and whether it is met."""
+    log_tail = (hi + 1) * log_r - n * math.log(hi + 1) - math.log(one_minus)
+    return log_tail, log_tail < -30.0 or math.exp(log_tail) <= 1e-13
+
+
 def re_polylog_damped(s, r: float, phi: float, with_bound: bool = False):
     """Sum_{m>=1} r^m cos(m phi)/m^s for 0 <= r < 1, abs error <= 1e-13.
 
     Direct summation in geometrically growing chunks; stops once the tail
     bound r^{M+1}/((M+1)^s (1-r)) drops below 1e-13.  with_bound=True also
     returns the achieved bound (tail at the stopping point plus roundoff),
-    which is usually far below the 1e-13 contract.  |phi| <= 2e15.
+    which is usually far below the 1e-13 contract.  |phi| <= 2e15.  Where
+    the last chunk, past 2^28 terms, would not meet the bound (r within
+    about 1e-8 of 1), raises RuntimeError at once.
     """
     n = _order(s)
     if not (0.0 <= r < 1.0):
@@ -240,19 +254,17 @@ def re_polylog_damped(s, r: float, phi: float, with_bound: bool = False):
     x = abs(_fold_phi(phi))  # even
     log_r = math.log(r)
     one_minus = 1.0 - r
+    # the bound falls with m, so some chunk end meets it iff the last one does
+    if not _tail(n, log_r, one_minus, _LAST_M)[1]:
+        raise RuntimeError(f"series for r={r} did not meet the 1e-13 tail bound")
     total = 0.0
-    lo = 1
-    chunk = 256
-    while lo <= _MAX_TERMS:
-        m = np.arange(lo, lo + chunk, dtype=np.float64)
+    for lo, hi in _damped_chunks():
+        m = np.arange(lo, hi + 1, dtype=np.float64)
         total += float(np.sum(np.exp(m * log_r) * np.cos(m * x) / m**n))
-        hi = lo + chunk - 1
-        log_tail = (hi + 1) * log_r - n * math.log(hi + 1) - math.log(one_minus)
-        if log_tail < -30.0 or math.exp(log_tail) <= 1e-13:
-            if not with_bound:
-                return total
-            tail = 0.0 if log_tail < -700.0 else math.exp(log_tail)
-            return total, tail + 3e-16 * min(r / one_minus, float(hi))
-        lo += chunk
-        chunk = min(2 * chunk, 1 << 22)
-    raise RuntimeError(f"series for r={r} did not meet the 1e-13 tail bound")
+        log_tail, met = _tail(n, log_r, one_minus, hi)
+        if met:
+            break
+    if not with_bound:
+        return total
+    tail = 0.0 if log_tail < -700.0 else math.exp(log_tail)
+    return total, tail + 3e-16 * min(r / one_minus, float(hi))

@@ -19,17 +19,20 @@ from chiral_casimir.engine import (
     ReducedPoint,
     SeriesControl,
     classical_limit_reduced,
+    effective_theta,
     physical_free_energy,
     physical_pressure,
     reduced_free_energy,
     reduced_free_energy_T0,
     reduced_pressure,
     reduced_pressure_T0,
+    reduced_temperature,
 )
 from chiral_casimir.kernel import MediumKind
 from chiral_casimir.oracle import (
     CERTIFY_TAUS,
     CERTIFY_THETAS,
+    QuadControl,
     oracle_free_energy,
     oracle_free_energy_T0,
 )
@@ -185,11 +188,31 @@ def test_criterion_08_derivative_consistency(capsys):
               - reduced_free_energy_T0(theta - hh)) / (2.0 * hh)
         grad = clausen_sin(3, 2.0 * theta) / (4.0 * math.pi**2)
         worst_grad = max(worst_grad, abs(fd - grad))
-    ok = worst_fd <= 1e-6 and worst_grad <= 1e-8
+    # Faraday gap: theta = V B l moves with l; the engine's analytic pressure
+    # against a Richardson difference of the quadrature oracle along that line
+    tight = QuadControl(abs_tol=1e-12)
+    worst_far = 0.0
+    for theta_eff, tau in ((0.3, 1.0), (-1.1, 0.5), (2.4, 2.0), (7.0, 0.7)):
+        T = tau * HBAR * C_LIGHT / (2.0 * math.pi * l * K_BOLTZMANN)
+        cfg = CavityConfig(separation=l, temperature=T, kind=MediumKind.FARADAY,
+                           verdet=theta_eff / l, bfield=1.0)
+        theta, tau = effective_theta(cfg), reduced_temperature(l, T)
+
+        def g(lam):  # E(lam l) in units of the energy scale at l
+            return oracle_free_energy(ReducedPoint(theta * lam, tau * lam), tight) / lam**2
+
+        h = 1e-5
+        d1 = (g(1.0 + h) - g(1.0 - h)) / (2.0 * h)
+        d2 = (g(1.0 + h / 2) - g(1.0 - h / 2)) / h
+        fd = -(4.0 * d2 - d1) / 3.0
+        p = physical_pressure(cfg).value / (K_BOLTZMANN * T / (4.0 * math.pi * l**3))
+        worst_far = max(worst_far, abs(p - fd) / abs(p))
+    ok = worst_fd <= 1e-6 and worst_grad <= 1e-8 and worst_far <= 1e-6
     report(capsys, 8, ok,
            f"pressure vs Richardson dE/dl on 9 points: {worst_fd:.2e} "
            f"(budget 1e-6); T=0 angle gradient vs closed form: "
-           f"{worst_grad:.2e} (budget 1e-8)")
+           f"{worst_grad:.2e} (budget 1e-8); Faraday pressure vs Richardson "
+           f"oracle dE/dl on 4 points: {worst_far:.2e} (budget 1e-6)")
 
 
 def test_criterion_09_symmetry_suite(capsys):

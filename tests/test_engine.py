@@ -387,16 +387,46 @@ def test_faraday_energy_equals_fixed_angle_at_same_rotation():
 
 def test_faraday_pressure_picks_up_the_angle_gradient():
     # at T=0: P = hbar c (3 E0/l^4 - V B Sl3(2 theta)/(4 pi^2 l^3))
+    import mpmath
+
     v, b, l = 3.0e4, 2.0, 1e-6
-    cfg = make_config(kind=MediumKind.FARADAY, theta=0.0, verdet=v, bfield=b,
-                      separation=l, temperature=0.0)
-    theta = v * b * l
-    expected = HBAR * C_LIGHT * (
-        3.0 * reduced_free_energy_T0(theta) / l**4
-        - v * b * clausen_sin(3, 2.0 * theta) / (4.0 * math.pi**2 * l**3))
-    res = physical_pressure(cfg)
-    assert res.converged
-    assert res.value == pytest.approx(expected, rel=1e-6)
+    for bfield in (b, -b, 40.0 * b):  # theta = 0.06, -0.06 and 2.4 (past pi/2)
+        cfg = make_config(kind=MediumKind.FARADAY, theta=0.0, verdet=v, bfield=bfield,
+                          separation=l, temperature=0.0)
+        theta = effective_theta(cfg)
+        expected = HBAR * C_LIGHT * (
+            3.0 * reduced_free_energy_T0(theta) / l**4
+            - theta * clausen_sin(3, 2.0 * theta) / (4.0 * math.pi**2 * l**4))
+        with mpmath.workdps(40):
+            x = mpmath.mpf(theta)
+            exact = float((-3 * mpmath.clcos(4, 2 * x) / (8 * mpmath.pi**2)
+                           - x * mpmath.clsin(3, 2 * x) / (4 * mpmath.pi**2))
+                          * (HBAR * C_LIGHT / l**4))
+        res = physical_pressure(cfg)
+        assert res.converged and res.terms_used == 0
+        assert res.error_estimate <= 1e-10 * abs(res.value)
+        assert abs(res.value - expected) <= res.error_estimate
+        assert abs(res.value - exact) <= res.error_estimate
+
+
+def test_faraday_pressure_is_m_first_only():
+    for temperature in (300.0, 0.0):
+        cfg = make_config(kind=MediumKind.FARADAY, theta=0.0, verdet=1e5, bfield=2.0,
+                          temperature=temperature)
+        with pytest.raises(ValueError, match="m_first"):
+            physical_pressure(cfg, N_FIRST)
+        assert physical_free_energy(cfg, N_FIRST).converged  # the energy keeps both orders
+
+
+def test_faraday_pressure_refuses_to_overflow_by_name():
+    # theta dE/dtheta ~ 2 theta Sl3(2 theta)/tau overflows a float here (tau = 2.7e-294)
+    cfg = make_config(kind=MediumKind.FARADAY, theta=0.0, verdet=1e15, bfield=1.0,
+                      separation=1.0, temperature=1e-297)
+    with pytest.raises(ValueError, match="overflows"):
+        physical_pressure(cfg)
+    # a thousand times warmer it evaluates
+    assert physical_pressure(make_config(kind=MediumKind.FARADAY, theta=0.0, verdet=1e15,
+                                         bfield=1.0, separation=1.0, temperature=1e-294)).converged
 
 
 def test_faraday_pressure_differs_from_fixed_angle():
@@ -427,43 +457,61 @@ def test_eval_result_shape():
 
 # ------------------------------------------------------------ m-series kernel
 
-def mp_series(theta, tau, pressure=False):
+def mp_series(theta, tau, pressure=False, faraday=False, tm_only=False):
     """40-digit sum of the m-series with a rigorous bound on its own error.
 
     Sums m = 1..M and bounds the rest by Abel summation: the magnitudes
     f_m = weight(2 m tau)/m^3 decrease, and partial sums of cos(2 m theta)
     are at most 1/|sin theta|, so |sum_{m>M}| <= f_{M+1}/|sin theta|.
-    Stops once that is below 1e-12 of the running sum, a hundredth of the
-    default rel_tol.
+    faraday=True gives the Faraday pressure, the pressure minus
+    theta dE/dtheta = theta [Sl2(2 theta) + 2 sum sin(2 m theta) w(2 m tau)/m^2],
+    whose sine terms take the same bound (partial sums of sin(2 m theta) are
+    at most 1/|sin theta| too); tm_only=True takes the TM_ONLY zero mode,
+    -zeta(3)/4, which has no angle slope.  Stops once the bound is below
+    1e-12 of the running sum, a hundredth of the default rel_tol.
     """
     import mpmath
 
     with mpmath.workdps(40):
         th, t = mpmath.mpf(theta), mpmath.mpf(tau)
-        scale = 2 if pressure else 1
-        total = -scale * mpmath.clcos(3, 2 * th) / 2
-        c1 = mpmath.cos(2 * th)
+        scale = 2 if pressure or faraday else 1
+        if tm_only:
+            total = -scale * mpmath.zeta(3) / 4
+        else:
+            total = -scale * mpmath.clcos(3, 2 * th) / 2
+            if faraday:
+                total -= th * mpmath.clsin(2, 2 * th)
+        c1, s1 = mpmath.cos(2 * th), mpmath.sin(2 * th)
         c_prev, c = mpmath.mpf(1), c1
+        s_prev, s = mpmath.mpf(0), s1
         y1 = mpmath.exp(-2 * t)
         y = y1
         inv_sin = 1 / abs(mpmath.sin(th))
 
-        def magnitude(m, y):
+        def weight(m, y, pressure):
             a = 2 * m * t
             q = y / (1 - y)
             if pressure:
-                return (2 * q + 2 * a * q / (1 - y) + a * a * q * (1 + y) / (1 - y) ** 2) / m**3
-            return (q + a * q / (1 - y)) / m**3
+                return 2 * q + 2 * a * q / (1 - y) + a * a * q * (1 + y) / (1 - y) ** 2
+            return q + a * q / (1 - y)
+
+        def bound(m, y):
+            b = weight(m, y, pressure or faraday) / m**3
+            if faraday:
+                b += abs(th) * 2 * weight(m, y, False) / m**2
+            return b * inv_sin
 
         m = 1
         while True:
-            total -= c * magnitude(m, y)
+            total -= c * weight(m, y, pressure or faraday) / m**3
+            if faraday:
+                total -= th * 2 * s * weight(m, y, False) / m**2
             y *= y1
             c_prev, c = c, 2 * c1 * c - c_prev
+            s_prev, s = s, 2 * c1 * s - s_prev
             m += 1
-            bound = magnitude(m, y) * inv_sin
-            if bound < 1e-12 * abs(total):
-                return float(total), float(bound + abs(total) * mpmath.mpf(2) ** -53)
+            if bound(m, y) < 1e-12 * abs(total):
+                return float(total), float(bound(m, y) + abs(total) * mpmath.mpf(2) ** -53)
 
 
 @pytest.mark.parametrize("theta, tau", [(0.7550, 1e-4), (0.7550, 1e-9), (0.3, 1e-9)])
@@ -478,26 +526,31 @@ def test_kernel_within_its_estimate_of_mpmath(theta, tau):
         assert abs(res.value - ref) <= res.error_estimate + ref_bound
 
 
-def test_kernel_point_alone_equals_point_in_batch():
-    # the Faraday stencil's four separations go through the kernel together
-    from dataclasses import replace
-
-    from chiral_casimir.engine import _m_series, _canonical_theta, _ENERGY, _PRESSURE
-
-    cfg = make_config(kind=MediumKind.FARADAY, theta=0.0, verdet=1e5, bfield=3.0)
-    l, h = cfg.separation, 1e-5 * cfg.separation
-    cfgs = [replace(cfg, separation=s) for s in (l + h, l - h, l + 0.5 * h, l - 0.5 * h)]
-    points = [(_canonical_theta(effective_theta(c)), reduced_temperature(c.separation, c.temperature))
-              for c in cfgs]
-    ctrl = SeriesControl(rel_tol=1e-12)
-    for series in (_ENERGY, _PRESSURE):
-        batch = _m_series(points, ctrl, ZeroModePolicy.FULL, series)
-        alone = [_m_series([pt], ctrl, ZeroModePolicy.FULL, series)[0] for pt in points]
-        assert batch == alone
-    for c, res in zip(cfgs, _m_series(points, ctrl, ZeroModePolicy.FULL, _ENERGY)):
-        scale = K_BOLTZMANN * c.temperature / (4.0 * math.pi * c.separation**2)
-        assert physical_free_energy(c, ctrl) == EvalResult(
-            res.value * scale, res.error_estimate * scale, res.terms_used, res.converged)
+@pytest.mark.parametrize("theta, tau, zero_mode", [
+    (0.4, 1.0, ZeroModePolicy.FULL),
+    (-0.9, 0.3, ZeroModePolicy.FULL),  # negative B
+    (2.3, 0.05, ZeroModePolicy.FULL),  # past pi/2
+    (7.7, 2.0, ZeroModePolicy.FULL),  # several periods
+    (-11.0, 1e-3, ZeroModePolicy.FULL),
+    (0.755, 1e-4, ZeroModePolicy.FULL),
+    (1.2, 0.01, ZeroModePolicy.TM_ONLY),
+    (-4.0, 1e-4, ZeroModePolicy.TM_ONLY),
+])
+def test_faraday_pressure_within_its_estimate_of_mpmath(theta, tau, zero_mode):
+    l = 1e-6
+    temperature = tau * HBAR * C_LIGHT / (2.0 * math.pi * l * K_BOLTZMANN)
+    bfield = math.copysign(1.0, theta)
+    cfg = make_config(kind=MediumKind.FARADAY, theta=0.0, verdet=abs(theta) / l, bfield=bfield,
+                      separation=l, temperature=temperature, zero_mode=zero_mode)
+    res = physical_pressure(cfg)
+    scale = K_BOLTZMANN * temperature / (4.0 * math.pi * l**3)
+    value, estimate = res.value / scale, res.error_estimate / scale
+    ref, ref_bound = mp_series(effective_theta(cfg), reduced_temperature(l, temperature),
+                               faraday=True, tm_only=zero_mode is ZeroModePolicy.TM_ONLY)
+    assert res.converged
+    assert estimate <= 1e-10 * abs(value) * (1.0 + 1e-15)
+    # 4 ulps for the unit conversion, here and in the engine
+    assert abs(value - ref) <= estimate + ref_bound + 4.0 * 2.0**-53 * abs(value)
 
 
 def test_kernel_certifies_below_the_old_clausen_floor():

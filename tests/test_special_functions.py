@@ -128,6 +128,29 @@ def test_clausen_cos3_within_the_engine_budget_against_mpmath():
     assert worst <= _CLAUSEN_ERR
 
 
+def test_clausen_sin2_within_the_engine_budget_against_mpmath():
+    # the Faraday pressure charges _SL2_ERR per unit angle to sign Sl2(2 t),
+    # with (t, sign) the engine's fold of theta; 40-digit reference at the
+    # unfolded theta, over a grid of [0, pi], folded angles and angles
+    # just off multiples of pi/2 (there the slope of Sl2 grows like ln(1/t))
+    import mpmath
+
+    from chiral_casimir.engine import _SL2_ERR, _canonical_theta
+
+    n = 401
+    thetas = [math.pi * i / n for i in range(n + 1)] + [0.5 * phi for phi in OUTSIDE]
+    for k in (1, 2, 7, 10**6, 3 * 10**14):
+        for d in (0.0, 1e-17, 1e-12, 1e-6, -1e-9):
+            thetas += [k * math.pi / 2 + d, -k * math.pi + d]
+    worst = 0.0
+    with mpmath.workdps(40):
+        for theta in thetas:
+            t, sign = _canonical_theta(theta)
+            ref = mpmath.clsin(2, 2 * mpmath.mpf(theta))
+            worst = max(worst, abs(sign * clausen_sin(2, 2.0 * t) - ref))
+    assert worst <= _SL2_ERR
+
+
 @pytest.mark.parametrize("s", [2, 4])
 def test_clausen_sin_log_expansions_against_mpmath(s):
     import mpmath
@@ -222,6 +245,22 @@ def test_polylog_continuity_to_circle():
     gap = abs(re_polylog_damped(2, 1.0 - 1e-6, 1.0) - clausen_cos(2, 1.0))
     assert gap < 1e-4
     assert gap > 0.0
+
+
+def test_polylog_fails_at_once_where_the_bound_is_out_of_reach():
+    # r within ~1e-8 of 1: 2^28 terms cannot meet the 1e-13 tail bound, and
+    # the bound at the last chunk end tells so before any summing
+    import time
+
+    from chiral_casimir.engine import ReducedPoint, matsubara_term
+
+    t0 = time.perf_counter()
+    with pytest.raises(RuntimeError, match="tail bound"):
+        matsubara_term(3, ReducedPoint(0.8, 1.3e-9))
+    for s, r in ((2, 1.0 - 1e-9), (3, 1.0 - 1e-14)):
+        with pytest.raises(RuntimeError, match="tail bound"):
+            re_polylog_damped(s, r, 0.5)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_polylog_zero_damping():
