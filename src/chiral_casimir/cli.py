@@ -9,9 +9,7 @@ Modes:
            Only this mode imports the oracle, and with it scipy.
 
 Exit codes: 0 success, 1 argument errors, 2 convergence or output failure,
-3 certification failure.  CHIRAL_CASIMIR_THREADS must be a positive integer
-when set (otherwise exit 1); sweeps run on one thread whatever its value, so
-output is byte-identical regardless of the setting.
+3 certification failure.
 """
 
 from __future__ import annotations
@@ -19,9 +17,8 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,20 +28,24 @@ from .kernel import MediumKind
 
 __all__ = ["AxisSpec", "SweepSpec", "SweepRow", "SweepTable", "run", "run_sweep", "emit_csv", "main"]
 
-COLUMNS = (
-    "theta_rad",
-    "theta_eff_rad",
-    "separation_m",
-    "temperature_K",
-    "tau",
-    "reduced_free_energy",
-    "reduced_pressure",
-    "free_energy_J_per_m2",
-    "pressure_Pa",
-    "terms_used",
-    "error_estimate",
-    "converged",
-)
+
+@dataclass(frozen=True)
+class SweepRow:
+    theta_rad: float
+    theta_eff_rad: float
+    separation_m: float
+    temperature_K: float
+    tau: float
+    reduced_free_energy: float
+    reduced_pressure: float
+    free_energy_J_per_m2: float
+    pressure_Pa: float
+    terms_used: int
+    error_estimate: float
+    converged: bool
+
+
+COLUMNS = tuple(f.name for f in fields(SweepRow))
 # --units reduced drops the dimensional columns
 REDUCED_COLUMNS = (
     "theta_rad",
@@ -121,38 +122,8 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    theta_rad: float
-    theta_eff_rad: float
-    separation_m: float
-    temperature_K: float
-    tau: float
-    reduced_free_energy: float
-    reduced_pressure: float
-    free_energy_J_per_m2: float
-    pressure_Pa: float
-    terms_used: int
-    error_estimate: float
-    converged: bool
-
-
-@dataclass(frozen=True)
 class SweepTable:
     rows: tuple[SweepRow, ...]
-
-
-def _check_thread_setting() -> None:
-    # Still validated, though unused: sweep rows are interpreter-bound, and
-    # worker threads only slowed them down.
-    raw = os.environ.get("CHIRAL_CASIMIR_THREADS")
-    if raw is None:
-        return
-    try:
-        v = int(raw)
-    except ValueError:
-        v = 0
-    if v < 1:
-        raise ValueError(f"CHIRAL_CASIMIR_THREADS must be a positive integer, got {raw!r}")
 
 
 def _evaluate_point(theta: float, separation: float, temperature: float,
@@ -188,7 +159,6 @@ def _evaluate_point(theta: float, separation: float, temperature: float,
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate the grid; row order follows the axis listing, outer first."""
-    _check_thread_setting()
     rows = [
         _evaluate_point(th, l, T, B, spec)
         for th in spec.theta.values()
@@ -200,7 +170,7 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
 
 
 def _cell(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
+    if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
         return str(v)
@@ -234,29 +204,25 @@ def _certify(rel_tol: float, out) -> int:
 
     ctrl = SeriesControl(rel_tol=rel_tol)
     qc = oracle.QuadControl()
+    points = [(theta, tau) for theta in oracle.CERTIFY_THETAS for tau in oracle.CERTIFY_TAUS]
+    points += [(theta, 0.0) for theta in _CERTIFY_T0_THETAS]
     failures = 0
-    checks = 0
-    for theta in oracle.CERTIFY_THETAS:
-        for tau in oracle.CERTIFY_TAUS:
+    for theta, tau in points:
+        if tau:
             point = ReducedPoint(theta, tau)
             e = engine.reduced_free_energy(point, ctrl).value
             o = oracle.oracle_free_energy(point, qc)
-            rep = oracle.compare(e, o, _CERTIFY_TOL)
-            checks += 1
-            failures += not rep.passed
-            print(f"theta={theta:.10f} tau={tau:.3f} engine={e:+.12e} "
-                  f"oracle={o:+.12e} rel_gap={rep.rel_gap:.3e} "
-                  f"{'PASS' if rep.passed else 'FAIL'}", file=out)
-    for theta in _CERTIFY_T0_THETAS:
-        e = engine.reduced_free_energy_T0(theta)
-        o = oracle.oracle_free_energy_T0(theta, qc)
+            tau_text = f"{tau:.3f}"
+        else:
+            e = engine.reduced_free_energy_T0(theta)
+            o = oracle.oracle_free_energy_T0(theta, qc)
+            tau_text = "0"
         rep = oracle.compare(e, o, _CERTIFY_TOL)
-        checks += 1
         failures += not rep.passed
-        print(f"theta={theta:.10f} tau=0     engine={e:+.12e} "
+        print(f"theta={theta:.10f} tau={tau_text:<5} engine={e:+.12e} "
               f"oracle={o:+.12e} rel_gap={rep.rel_gap:.3e} "
               f"{'PASS' if rep.passed else 'FAIL'}", file=out)
-    print(f"certify: {checks - failures}/{checks} comparisons passed", file=out)
+    print(f"certify: {len(points) - failures}/{len(points)} comparisons passed", file=out)
     return 3 if failures else 0
 
 
@@ -368,11 +334,7 @@ def run(argv) -> int:
                   "tolerance", file=sys.stderr)
             return 2
         return 0
-    except _UsageError as exc:
-        parser.print_usage(sys.stderr)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:
         parser.print_usage(sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return 1

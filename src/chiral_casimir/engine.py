@@ -32,20 +32,22 @@ polylogarithms and exists as an independent cross-check (the Faraday
 pressure is m_first only).
 
 The m_first terms are made by one numpy kernel (_m_series), one point per
-call, in chunks of m that double from 32 to 4096.  A point stops at the
-first m where the closed tail bound of the remaining terms, plus the
-zero-mode error and a charge for rounding, is within rel_tol of the running
-sum; it gives up early where that error floor alone exceeds rel_tol, and at
-max_m.  No streak of small terms is
-waited for.  Values are exact sums of the computed terms, rounded once.
-n_first refuses up front, unconverged, when its tail beyond max_n already
-exceeds rel_tol.
+call, in chunks of m that double from 32 to 4096; n_first adds one Matsubara
+term at a time.  Both stop by one rule (_stops): at the first index where
+the closed tail bound of the remaining terms plus an error floor is within
+rel_tol of the running sum (certified), where the tail alone is but the
+floor is not (the error floor), or at the term cap, max_m or _MAX_N.  The
+floor is the zero-mode error plus a charge for rounding every term for
+m_first, and the error accumulated so far for n_first.  m_first values are
+exact sums of the computed terms, rounded once.  n_first refuses up front,
+unconverged, when its tail beyond _MAX_N already exceeds rel_tol.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -178,18 +180,22 @@ class ReducedPoint:
 
 @dataclass(frozen=True)
 class SeriesControl:
-    """Convergence policy for the reduced series."""
+    """Convergence policy for the reduced series.
+
+    rel_tol is the relative error a converged result certifies.  max_m caps
+    the m_first terms; n_first has the fixed cap _MAX_N and refuses up front,
+    unconverged, where that many terms cannot reach rel_tol.
+    """
 
     rel_tol: float = 1e-10
     max_m: int = 10**6
     order: str = "m_first"  # or "n_first"
-    max_n: int = 10**6
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < 1.0):
             raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol!r}")
-        if self.max_m < 1 or self.max_n < 1:
-            raise ValueError("max_m and max_n must be >= 1")
+        if self.max_m < 1:
+            raise ValueError("max_m must be >= 1")
         if self.order not in ("m_first", "n_first"):
             raise ValueError(f"order must be 'm_first' or 'n_first', got {self.order!r}")
 
@@ -213,6 +219,22 @@ def _meets(err: float, rel_tol: float, value: float) -> bool:
     if value == 0.0:
         return err <= 1e-300
     return err <= rel_tol * abs(value)
+
+
+def _stops(tail, floor, target):
+    """Whether a sum stops here, on floats or numpy arrays alike.
+
+    target is rel_tol |S| for the running sum S.  A sum stops where
+    tail + floor <= target (certified) or tail <= target < floor (the error
+    floor, which no number of further terms can get under).
+    """
+    return target - tail >= floor * (target >= floor)
+
+
+def _verdict(tail: float, floor: float, target: float, err: float, rel_tol: float,
+             value: float) -> bool:
+    """converged for a sum stopped at tail, floor and target, as a Python bool."""
+    return bool(tail + floor <= target) and _meets(err, rel_tol, value)
 
 
 def _canonical_theta(theta: float) -> tuple[float, float]:
@@ -333,11 +355,8 @@ def _m_series(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroMode
     except for the Faraday pressure, where it adds grad Sl2(2 theta) (the
     zero mode's slope; none under TM_ONLY) and the sine terms
     2 grad sin(2 m theta) w(2 m tau)/m^2, w the energy weight.  The point
-    runs through the terms a chunk at a time and stops at its first m where
-      * tail(m) + floor <= rel_tol |S_m|: certified;
-      * tail(m) <= rel_tol |S_m| < floor: the error floor, which no number
-        of further terms can get under;
-      * m = max_m.
+    runs through the terms a chunk at a time and stops by _stops at its
+    first m, or at m = max_m.
     tail(m) = min(k/(6 tau m^3), weight_{m+1}/(2 m^2), weight_{m+1}/((m+1)^3 sin theta))
     bounds the cosine terms beyond m, where weight_{m+1} = weight(2(m+1) tau),
     plus |grad| min(1/(tau m^2), 2 w_{m+1}/m, 2 w_{m+1}/((m+1)^2 sin theta))
@@ -386,8 +405,7 @@ def _m_series(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroMode
                 sine_tail = np.minimum(sine_tail, 2.0 * neg_abel * neg_g[1:])
             tail = tail + abs(grad) * sine_tail
         target = ctrl.rel_tol * np.abs(head + np.add.accumulate(terms))
-        # slack >= floor certifies; slack >= 0 suffices where target < floor
-        stop = target - tail >= floor * (target >= floor)
+        stop = _stops(tail, floor, target)
         if hi == ctrl.max_m:
             stop[-1] = True
         j = int(stop.argmax())
@@ -399,8 +417,13 @@ def _m_series(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroMode
     value = math.fsum(parts)
     tail_j = float(tail[j])
     err = tail_j + floor + _EPS * abs(value)
-    certified = tail_j + floor <= target[j] and _meets(err, ctrl.rel_tol, value)
-    return EvalResult(value, err, lo + j, certified)
+    return EvalResult(value, err, lo + j, _verdict(tail_j, floor, target[j], err, ctrl.rel_tol, value))
+
+
+# The n_first term cap.  At rel_tol 1e-10 the up-front refusal starts near
+# tau = 7e-4, and 20k terms (each a damped-polylog sum) take about 1.5 s on
+# a 2-CPU host.
+_MAX_N = 20_000
 
 
 def _geometric_tails(tau: float, n: int) -> tuple[float, float, float]:
@@ -428,15 +451,19 @@ def _pressure_tail_n(n: int, tau: float) -> float:
     return 2.0 * ZETA_3 * s0 + 4.0 * tau * z2 * s1 + 4.0 * tau * (tau / -math.expm1(-2.0 * tau)) * s2
 
 
+def _check_tau(tau: float) -> None:
+    if tau < 1e-300:
+        raise ValueError(f"tau must be at least 1e-300, below which the series, which "
+                         f"grows like 1/tau, overflows; got {tau!r}")
+
+
 def _validate_point(p: ReducedPoint) -> None:
     if p.tau <= 0.0:
         raise ValueError(
             "tau must be positive for the thermal series; use the *_T0 "
             "closed forms at zero temperature"
         )
-    if p.tau < 1e-300:
-        raise ValueError(f"tau must be at least 1e-300, below which the series, which "
-                         f"grows like 1/tau, overflows; got {p.tau!r}")
+    _check_tau(p.tau)
     if p.tau < 1e-6:
         warnings.warn(
             f"tau = {p.tau:g} is deep in the quantum regime; the T=0 closed "
@@ -496,43 +523,31 @@ def _matsubara_n(n: int, theta: float, tau: float, pressure: bool) -> tuple[floa
 
 def _n_first(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePolicy,
              series: _MSeries) -> EvalResult:
-    """Reduced free energy or fixed-angle pressure, one Matsubara term at a time."""
+    """Reduced free energy or fixed-angle pressure, one Matsubara term at a time.
+
+    Stops by _stops at its first n >= 1, with the floor the error of the
+    terms so far, or at n = _MAX_N.
+    """
     # the tau-independent n=0 part of the pressure is twice its free-energy value
     scale = 2.0 if series.pressure else 1.0
     base, base_err = _zero_mode_base(theta, zero_mode)
     base, base_err = scale * base, scale * base_err
     tail = _pressure_tail_n if series.pressure else _energy_tail_n
     whole = tail(0, tau)  # bounds all n >= 1 terms, so |value| <= |base| + whole
-    if not tail(ctrl.max_n, tau) + base_err <= ctrl.rel_tol * (abs(base) + whole) < math.inf:
-        # max_n terms cannot meet rel_tol however they cancel: refuse up front
+    if not tail(_MAX_N, tau) + base_err <= ctrl.rel_tol * (abs(base) + whole) < math.inf:
+        # _MAX_N terms cannot meet rel_tol however they cancel: refuse up front
         return EvalResult(base, base_err + whole, 1, False)
-    total = base
-    acc_err = base_err
-    small = 0
-    n = 0
-    converged = False
-    err = math.inf
-    while n < ctrl.max_n:
-        n += 1
+    total, acc_err = base, base_err
+    for n in range(1, _MAX_N + 1):
         term, term_err = _matsubara_n(n, theta, tau, series.pressure)
         total += term
         acc_err += term_err
-        if abs(term) <= ctrl.rel_tol * abs(total):
-            small += 1
-            if small >= 3:
-                err = acc_err + tail(n, tau)
-                if err <= ctrl.rel_tol * abs(total):
-                    converged = True
-                    break
-                if acc_err > ctrl.rel_tol * abs(total):
-                    # accumulated roundoff alone exceeds the target; later
-                    # terms only add to it, so bail out honestly
-                    break
-        else:
-            small = 0
-    if not converged:
-        err = acc_err + tail(n, tau)
-    return EvalResult(total, err, n + 1, converged and _meets(err, ctrl.rel_tol, total))
+        tail_n = tail(n, tau)
+        target = ctrl.rel_tol * abs(total)
+        if _stops(tail_n, acc_err, target):
+            break
+    err = acc_err + tail_n
+    return EvalResult(total, err, n + 1, _verdict(tail_n, acc_err, target, err, ctrl.rel_tol, total))
 
 
 def reduced_free_energy_T0(theta: float) -> float:
@@ -593,7 +608,11 @@ def effective_theta(cfg: CavityConfig) -> float:
 
 def reduced_temperature(separation: float, temperature: float) -> float:
     """tau = 2 pi l k_B T / (hbar c)."""
-    return 2.0 * math.pi * separation * K_BOLTZMANN * temperature / (HBAR * C_LIGHT)
+    product = 2.0 * math.pi * separation * K_BOLTZMANN * temperature
+    if product >= sys.float_info.min:
+        return product / (HBAR * C_LIGHT)
+    # a subnormal product has lost digits; k_B/(hbar c) = 437 keeps them
+    return 2.0 * math.pi * separation * (K_BOLTZMANN / (HBAR * C_LIGHT)) * temperature
 
 
 def _unit_scales(separation: float, temperature: float) -> tuple[float, float]:
@@ -631,6 +650,7 @@ def _physical(cfg: CavityConfig, ctrl: SeriesControl, series: _MSeries) -> EvalR
         res = EvalResult(value, err, 0, _meets(err, ctrl.rel_tol, value))
     else:
         tau = reduced_temperature(cfg.separation, cfg.temperature)
+        _check_tau(tau)
         if abs(grad) > 1e307 * tau:  # |grad dE/dtheta| <= |grad| (1.02 + 2 zeta(3)/tau)
             raise ValueError(f"the Faraday pressure overflows its reduced units where "
                              f"|theta|/tau > 1e307; got theta = {theta!r}, tau = {tau!r}")

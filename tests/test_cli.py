@@ -148,25 +148,6 @@ def test_sweep_determinism(capsys):
     assert first == second
 
 
-def test_thread_cap_does_not_change_bytes(capsys, monkeypatch):
-    argv = ("--mode", "sweep", "--theta-range", "0:1.5:6", "--temperature", "300")
-    _, baseline, _ = run_cli(capsys, *argv)
-    monkeypatch.setenv("CHIRAL_CASIMIR_THREADS", "2")
-    _, threaded, _ = run_cli(capsys, *argv)
-    assert threaded == baseline
-    monkeypatch.setenv("CHIRAL_CASIMIR_THREADS", "1")
-    _, serial, _ = run_cli(capsys, *argv)
-    assert serial == baseline
-
-
-def test_invalid_thread_cap_is_an_argument_error(capsys, monkeypatch):
-    monkeypatch.setenv("CHIRAL_CASIMIR_THREADS", "zero")
-    code, _, err = run_cli(capsys, "--mode", "sweep",
-                           "--theta-range", "0:1:2", "--temperature", "300")
-    assert code == 1
-    assert "CHIRAL_CASIMIR_THREADS" in err
-
-
 def test_zero_mode_flag_changes_the_result(capsys):
     base = ("--mode", "point", "--theta", "0.5", "--temperature", "300",
             "--units", "reduced")
@@ -215,6 +196,7 @@ def test_optical_medium_zeroes_the_effective_angle(capsys):
     ("--mode", "point", "--rel-tol", "0"),
     ("--mode", "certify", "--grid", "unknown"),
     ("--mode", "point", "--grid", "default"),           # the flag is gone
+    ("--mode", "point", "--temperature", "1e-300"),     # tau below 1e-300
 ])
 def test_argument_errors_exit_1(capsys, argv):
     code, _, err = run_cli(capsys, *argv)

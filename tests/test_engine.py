@@ -138,7 +138,7 @@ def test_pressure_matches_frozen_quadrature(point, expected):
 
 def test_dual_order_agreement_on_grid():
     thetas = np.linspace(0.0, math.pi / 2, 10)
-    taus = np.geomspace(0.3, 8.0, 10)
+    taus = [*np.geomspace(0.3, 8.0, 10), 30.0, 100.0]
     for theta in thetas:
         for tau in taus:
             p = ReducedPoint(theta, tau)
@@ -278,6 +278,21 @@ def test_series_control_validation():
         SeriesControl(order="sideways")
     with pytest.raises(ValueError):
         SeriesControl(max_m=0)
+    with pytest.raises(TypeError):
+        SeriesControl(max_n=10)  # n_first has a fixed term cap
+
+
+@pytest.mark.parametrize("fn, point, ctrl, converged", [
+    (reduced_free_energy, (0.3, 1.0), None, True),  # certified
+    (reduced_free_energy, (0.7251727334628189, 40.0), None, False),  # error floor
+    (reduced_free_energy, (0.3, 1.0), SeriesControl(max_m=3), False),  # max_m
+    (reduced_pressure, (0.3, 1.0), N_FIRST, True),  # n_first certified
+    (reduced_free_energy, (0.3, 1e-4), N_FIRST, False),  # n_first refusal
+])
+def test_converged_is_a_python_bool(fn, point, ctrl, converged):
+    res = fn(ReducedPoint(*point), ctrl)
+    assert type(res.converged) is bool
+    assert res.converged is converged
 
 
 # ------------------------------------------------------------ zero-mode policy
@@ -316,6 +331,25 @@ def test_reduced_temperature_formula():
     l, T = 2e-6, 150.0
     expected = 2.0 * math.pi * l * K_BOLTZMANN * T / (HBAR * C_LIGHT)
     assert reduced_temperature(l, T) == pytest.approx(expected, rel=1e-15)
+
+
+def test_reduced_temperature_keeps_its_digits_below_the_normal_range():
+    # 2 pi l k_B T is subnormal at 1e-290 K and 1 um; tau itself is not
+    tau = reduced_temperature(1e-6, 1e-290)
+    assert tau == pytest.approx(reduced_temperature(1e-6, 1.0) * 1e-290, rel=1e-15)
+    # bit for bit the left-to-right formula wherever its product is normal
+    for l, T in ((1e-6, 1e-270), (1e-9, 1e-260), (1.0, 1e6)):
+        assert reduced_temperature(l, T) == 2.0 * math.pi * l * K_BOLTZMANN * T / (HBAR * C_LIGHT)
+
+
+def test_tiny_temperatures_approach_T0_or_fail_by_name():
+    for fn in (physical_free_energy, physical_pressure):
+        cold = fn(make_config(theta=1.0, temperature=1e-290))
+        zero = fn(make_config(theta=1.0, temperature=0.0))
+        assert cold.converged
+        assert abs(cold.value - zero.value) <= cold.error_estimate + zero.error_estimate
+        with pytest.raises(ValueError, match="tau"):
+            fn(make_config(theta=1.0, temperature=1e-300))
 
 
 def test_physical_energy_scaling_finite_T():
@@ -572,15 +606,31 @@ def test_kernel_stops_at_max_m():
 def test_n_first_refuses_an_unreachable_target_at_once():
     import time
 
-    t0 = time.perf_counter()
-    res = reduced_free_energy(ReducedPoint(0.3, 1e-5), N_FIRST)
-    assert time.perf_counter() - t0 < 1.0
-    assert not res.converged
-    assert res.terms_used == 1
-    exact = reduced_free_energy(ReducedPoint(0.3, 1e-5)).value
-    assert abs(res.value - exact) <= res.error_estimate  # an honest, if useless, bound
-    pres = reduced_pressure(ReducedPoint(0.3, 1e-5), N_FIRST)
-    assert not pres.converged and pres.terms_used == 1
+    for tau in (1e-5, 1e-4):
+        t0 = time.perf_counter()
+        res = reduced_free_energy(ReducedPoint(0.3, tau), N_FIRST)
+        assert time.perf_counter() - t0 < 1.0
+        assert not res.converged
+        assert res.terms_used == 1
+        exact = reduced_free_energy(ReducedPoint(0.3, tau)).value
+        assert abs(res.value - exact) <= res.error_estimate  # an honest, if useless, bound
+        pres = reduced_pressure(ReducedPoint(0.3, tau), N_FIRST)
+        assert not pres.converged and pres.terms_used == 1
+
+
+def test_n_first_within_its_estimate_of_mpmath():
+    rng = np.random.default_rng(17)
+    for i in range(8):
+        theta = float(rng.uniform(-4.0, 4.0))
+        tau = float(10.0 ** rng.uniform(-3.0, 2.0))
+        zero_mode = (ZeroModePolicy.FULL, ZeroModePolicy.TM_ONLY)[i % 2]
+        tm_only = zero_mode is ZeroModePolicy.TM_ONLY
+        for fn, pressure in ((reduced_free_energy, False), (reduced_pressure, True)):
+            res = fn(ReducedPoint(theta, tau), N_FIRST, zero_mode)
+            ref, ref_bound = mp_series(theta, tau, pressure, tm_only=tm_only)
+            assert res.converged, (theta, tau, pressure)
+            assert abs(res.value - ref) <= res.error_estimate + ref_bound
+            assert res.error_estimate <= 1e-10 * abs(res.value)
 
 
 # ------------------------------------------------------------ huge angles
