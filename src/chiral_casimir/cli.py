@@ -140,7 +140,7 @@ def _evaluate_point(theta: float, separation: float, temperature: float,
     # divided back to reduced units
     e_res = engine.physical_free_energy(cfg, ctrl)
     p_res = engine.physical_pressure(cfg, ctrl)
-    e_scale, p_scale = engine._unit_scales(separation, temperature)
+    e_scale, p_scale, lift = engine._unit_scales(separation, temperature)
     if spec.medium is MediumKind.FARADAY:
         # the column holds the fixed-angle pressure; physical_pressure adds
         # the angle's dependence on the separation
@@ -150,11 +150,11 @@ def _evaluate_point(theta: float, separation: float, temperature: float,
             red_p = engine.reduced_pressure(ReducedPoint(theta_eff, tau), ctrl,
                                             zero_mode=spec.zero_mode).value
     else:
-        red_p = p_res.value / p_scale
+        red_p = p_res.value / p_scale * lift
 
-    return SweepRow(theta, theta_eff, separation, temperature, tau, e_res.value / e_scale,
+    return SweepRow(theta, theta_eff, separation, temperature, tau, e_res.value / e_scale * lift,
                     red_p, e_res.value, p_res.value, e_res.terms_used,
-                    e_res.error_estimate / e_scale, e_res.converged and p_res.converged)
+                    e_res.error_estimate / e_scale * lift, e_res.converged and p_res.converged)
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
@@ -204,25 +204,20 @@ def _certify(rel_tol: float, out) -> int:
 
     ctrl = SeriesControl(rel_tol=rel_tol)
     qc = oracle.QuadControl()
-    points = [(theta, tau) for theta in oracle.CERTIFY_THETAS for tau in oracle.CERTIFY_TAUS]
-    points += [(theta, 0.0) for theta in _CERTIFY_T0_THETAS]
+    # (theta, tau as printed, engine value, oracle value)
+    pairs = [(theta, f"{tau:.3f}", engine.reduced_free_energy(ReducedPoint(theta, tau), ctrl).value,
+              oracle.oracle_free_energy(ReducedPoint(theta, tau), qc))
+             for theta in oracle.CERTIFY_THETAS for tau in oracle.CERTIFY_TAUS]
+    pairs += [(theta, "0    ", engine.reduced_free_energy_T0(theta),
+               oracle.oracle_free_energy_T0(theta, qc)) for theta in _CERTIFY_T0_THETAS]
     failures = 0
-    for theta, tau in points:
-        if tau:
-            point = ReducedPoint(theta, tau)
-            e = engine.reduced_free_energy(point, ctrl).value
-            o = oracle.oracle_free_energy(point, qc)
-            tau_text = f"{tau:.3f}"
-        else:
-            e = engine.reduced_free_energy_T0(theta)
-            o = oracle.oracle_free_energy_T0(theta, qc)
-            tau_text = "0"
+    for theta, tau_text, e, o in pairs:
         rep = oracle.compare(e, o, _CERTIFY_TOL)
         failures += not rep.passed
-        print(f"theta={theta:.10f} tau={tau_text:<5} engine={e:+.12e} "
+        print(f"theta={theta:.10f} tau={tau_text} engine={e:+.12e} "
               f"oracle={o:+.12e} rel_gap={rep.rel_gap:.3e} "
               f"{'PASS' if rep.passed else 'FAIL'}", file=out)
-    print(f"certify: {len(points) - failures}/{len(points)} comparisons passed", file=out)
+    print(f"certify: {len(pairs) - failures}/{len(pairs)} comparisons passed", file=out)
     return 3 if failures else 0
 
 

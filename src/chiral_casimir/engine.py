@@ -231,12 +231,6 @@ def _stops(tail, floor, target):
     return target - tail >= floor * (target >= floor)
 
 
-def _verdict(tail: float, floor: float, target: float, err: float, rel_tol: float,
-             value: float) -> bool:
-    """converged for a sum stopped at tail, floor and target, as a Python bool."""
-    return bool(tail + floor <= target) and _meets(err, rel_tol, value)
-
-
 def _canonical_theta(theta: float) -> tuple[float, float]:
     """Fold theta into [0, pi/2], and the sign the fold applied to odd functions.
 
@@ -417,7 +411,8 @@ def _m_series(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroMode
     value = math.fsum(parts)
     tail_j = float(tail[j])
     err = tail_j + floor + _EPS * abs(value)
-    return EvalResult(value, err, lo + j, _verdict(tail_j, floor, target[j], err, ctrl.rel_tol, value))
+    return EvalResult(value, err, lo + j,
+                      bool(tail_j + floor <= target[j]) and _meets(err, ctrl.rel_tol, value))
 
 
 # The n_first term cap.  At rel_tol 1e-10 the up-front refusal starts near
@@ -547,7 +542,7 @@ def _n_first(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModeP
         if _stops(tail_n, acc_err, target):
             break
     err = acc_err + tail_n
-    return EvalResult(total, err, n + 1, _verdict(tail_n, acc_err, target, err, ctrl.rel_tol, total))
+    return EvalResult(total, err, n + 1, bool(tail_n + acc_err <= target))
 
 
 def reduced_free_energy_T0(theta: float) -> float:
@@ -615,16 +610,25 @@ def reduced_temperature(separation: float, temperature: float) -> float:
     return 2.0 * math.pi * separation * (K_BOLTZMANN / (HBAR * C_LIGHT)) * temperature
 
 
-def _unit_scales(separation: float, temperature: float) -> tuple[float, float]:
+_LIFT = 2.0**600  # a power of two: scaling by it is exact
+
+
+def _unit_scales(separation: float, temperature: float) -> tuple[float, float, float]:
     """Factors taking the reduced free energy and pressure to J/m^2 and Pa.
 
     At T = 0 the reduced quantities are E l^3/(hbar c) and P l^4/(hbar c);
-    otherwise E 4 pi beta l^2 and P 4 pi beta l^3.
+    otherwise E 4 pi beta l^2 and P 4 pi beta l^3.  Returns (e, p, lift) for
+    the factors e/lift and p/lift.  lift is 1 unless k_B T is subnormal; then
+    it is _LIFT, and e and p keep the digits that k_B T would lose.
     """
     if temperature == 0.0:
-        return HBAR * C_LIGHT / separation**3, HBAR * C_LIGHT / separation**4
-    return (K_BOLTZMANN * temperature / (4.0 * math.pi * separation**2),
-            K_BOLTZMANN * temperature / (4.0 * math.pi * separation**3))
+        return HBAR * C_LIGHT / separation**3, HBAR * C_LIGHT / separation**4, 1.0
+    kt = K_BOLTZMANN * temperature
+    if kt >= sys.float_info.min:
+        return kt / (4.0 * math.pi * separation**2), kt / (4.0 * math.pi * separation**3), 1.0
+    lifted = temperature * _LIFT
+    return (lifted * (K_BOLTZMANN / (4.0 * math.pi * separation**2)),
+            lifted * (K_BOLTZMANN / (4.0 * math.pi * separation**3)), _LIFT)
 
 
 def _physical(cfg: CavityConfig, ctrl: SeriesControl, series: _MSeries) -> EvalResult:
@@ -655,8 +659,14 @@ def _physical(cfg: CavityConfig, ctrl: SeriesControl, series: _MSeries) -> EvalR
             raise ValueError(f"the Faraday pressure overflows its reduced units where "
                              f"|theta|/tau > 1e307; got theta = {theta!r}, tau = {tau!r}")
         res = _reduced(theta, tau, ctrl, cfg.zero_mode, series, grad)
-    scale = _unit_scales(cfg.separation, cfg.temperature)[1 if series.pressure else 0]
-    return EvalResult(res.value * scale, res.error_estimate * scale, res.terms_used, res.converged)
+    e_scale, p_scale, lift = _unit_scales(cfg.separation, cfg.temperature)
+    scale = p_scale if series.pressure else e_scale
+    if scale < sys.float_info.min:
+        raise ValueError(f"the factor to physical units underflows, and a subnormal float keeps "
+                         f"too few digits; got separation = {cfg.separation!r} m, "
+                         f"temperature = {cfg.temperature!r} K")
+    return EvalResult(res.value * scale / lift, res.error_estimate * scale / lift,
+                      res.terms_used, res.converged)
 
 
 def physical_free_energy(cfg: CavityConfig, ctrl: SeriesControl | None = None) -> EvalResult:

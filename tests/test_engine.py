@@ -8,6 +8,7 @@ so regressions surface without rerunning the slow path.
 
 import contextlib
 import math
+from fractions import Fraction
 import warnings
 
 import numpy as np
@@ -32,6 +33,7 @@ from chiral_casimir.engine import (
     reduced_free_energy_T0,
     reduced_pressure,
     reduced_pressure_T0,
+    _unit_scales,
     reduced_temperature,
 )
 from chiral_casimir.kernel import MediumKind
@@ -350,6 +352,24 @@ def test_tiny_temperatures_approach_T0_or_fail_by_name():
         assert abs(cold.value - zero.value) <= cold.error_estimate + zero.error_estimate
         with pytest.raises(ValueError, match="tau"):
             fn(make_config(theta=1.0, temperature=1e-300))
+        # k_B T / (4 pi l^k) is subnormal at 1 mm and 1e-300 K, and 0.0 in floats at 1 m and
+        # 1e-303 K, yet tau is not
+        for l, T in ((1e-3, 1e-300), (1.0, 1e-303)):
+            cold = fn(make_config(theta=1.0, separation=l, temperature=T))
+            zero = fn(make_config(theta=1.0, separation=l, temperature=0.0))
+            assert cold.converged
+            assert abs(cold.value - zero.value) <= cold.error_estimate + zero.error_estimate
+    # hbar c / l^4 is subnormal at 1e71 m
+    with pytest.raises(ValueError, match="separation"):
+        physical_pressure(make_config(separation=1e71, temperature=0.0))
+
+
+def test_unit_scales_keep_their_digits_where_kT_is_subnormal():
+    for l, T in ((1e-6, 1e-290), (1e-3, 1e-300), (1.0, 1e-303)):  # k_B T <= 1.4e-313
+        e, p, lift = _unit_scales(l, T)
+        for k, scale in ((2, e), (3, p)):
+            exact = Fraction(K_BOLTZMANN) * Fraction(T) / (4 * Fraction(math.pi) * Fraction(l) ** k)
+            assert abs(Fraction(scale) / Fraction(lift) / exact - 1) < 5 * 2.0**-53
 
 
 def test_physical_energy_scaling_finite_T():
