@@ -36,7 +36,7 @@ from .engine import (
     reduced_temperature,
 )
 from .kernel import MediumKind, log_det_kernel
-from .special_functions import PolylogOrder, clausen_cos, clausen_sin, re_polylog_damped
+from .special_functions import clausen_cos, clausen_sin, re_polylog_damped
 
 __version__ = "0.1.0"
 
@@ -68,7 +68,6 @@ __all__ = [
     "CompareReport",
     "EvalResult",
     "MediumKind",
-    "PolylogOrder",
     "QuadControl",
     "ReducedPoint",
     "SeriesControl",

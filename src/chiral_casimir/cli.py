@@ -112,7 +112,7 @@ class SweepSpec:
     verdet: float = 0.0
     medium: MediumKind = MediumKind.FIXED_ANGLE
     zero_mode: ZeroModePolicy = ZeroModePolicy.FULL
-    rel_tol: float = 1e-10
+    rel_tol: float = SeriesControl.rel_tol
 
     def __post_init__(self):
         swept = sum(ax.count > 1 for ax in (self.theta, self.separation,
@@ -140,7 +140,7 @@ def _evaluate_point(theta: float, separation: float, temperature: float,
     # divided back to reduced units
     e_res = engine.physical_free_energy(cfg, ctrl)
     p_res = engine.physical_pressure(cfg, ctrl)
-    e_scale, p_scale, lift = engine._unit_scales(separation, temperature)
+    e_scale, lift = engine._unit_scale(separation, temperature, pressure=False)
     if spec.medium is MediumKind.FARADAY:
         # the column holds the fixed-angle pressure; physical_pressure adds
         # the angle's dependence on the separation
@@ -150,6 +150,7 @@ def _evaluate_point(theta: float, separation: float, temperature: float,
             red_p = engine.reduced_pressure(ReducedPoint(theta_eff, tau), ctrl,
                                             zero_mode=spec.zero_mode).value
     else:
+        p_scale, _ = engine._unit_scale(separation, temperature, pressure=True)
         red_p = p_res.value / p_scale * lift
 
     return SweepRow(theta, theta_eff, separation, temperature, tau, e_res.value / e_scale * lift,
@@ -177,22 +178,15 @@ def _cell(v) -> str:
     return format(v, ".17g")
 
 
-def emit_csv(table: SweepTable, destination, units: str = "si") -> None:
-    """Write the table as RFC-4180 CSV (CRLF, 17 significant digits).
+def emit_csv(table: SweepTable, stream, units: str = "si") -> None:
+    """Write the table to a text stream as RFC-4180 CSV (CRLF, 17 significant digits).
 
-    units is "si" (every column) or "reduced" (no dimensional columns).
+    units is "si" (every column) or "reduced" (no dimensional columns).  A
+    file should be opened with newline="", so that the CRLF stays as written.
     """
     cols = _UNIT_COLUMNS.get(units)
     if cols is None:
         raise ValueError(f"units must be one of {tuple(_UNIT_COLUMNS)}, got {units!r}")
-    if hasattr(destination, "write"):
-        _write_csv(table, destination, cols)
-    else:
-        with open(destination, "w", newline="") as f:
-            _write_csv(table, f, cols)
-
-
-def _write_csv(table: SweepTable, stream, cols) -> None:
     writer = csv.writer(stream)
     writer.writerow(cols)
     for row in table.rows:
@@ -236,15 +230,11 @@ def _parse_axis(text: str, flag: str) -> AxisSpec:
     parts = text.split(":")
     if len(parts) not in (3, 4):
         raise _UsageError(f"{flag} expects start:stop:count[:log], got {text!r}")
-    log = False
-    if len(parts) == 4:
-        if parts[3] == "log":
-            log = True
-        elif parts[3] not in ("lin", "linear"):
-            raise _UsageError(f"{flag} spacing tag must be 'log', got {parts[3]!r}")
+    if len(parts) == 4 and parts[3] != "log":
+        raise _UsageError(f"{flag} spacing tag must be 'log', got {parts[3]!r}")
     try:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        return AxisSpec(start, stop, count, log)
+        return AxisSpec(start, stop, count, log=len(parts) == 4)
     except ValueError as exc:
         raise _UsageError(f"{flag}: {exc}") from exc
 
@@ -265,14 +255,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--verdet", type=float, default=0.0, help="Verdet constant [rad/(T m)]")
     p.add_argument("--medium", choices=tuple(_MEDIA), default="fixed")
     p.add_argument("--zero-mode", choices=tuple(_POLICIES), default="full")
-    p.add_argument("--rel-tol", type=float, default=1e-10)
+    p.add_argument("--rel-tol", type=float, default=SeriesControl.rel_tol)
     p.add_argument("--units", choices=tuple(_UNIT_COLUMNS), default="si")
     p.add_argument("--output", default=None, metavar="PATH")
     return p
 
 
 _AXES = ("theta", "separation", "temperature", "bfield")
-_DEFAULTS = {"theta": 0.0, "separation": 1e-6, "temperature": 0.0, "bfield": 0.0}
+_DEFAULTS = SweepSpec()
 
 
 def _axis_from_flags(ns, name: str, allow_range: bool) -> AxisSpec:
@@ -284,7 +274,7 @@ def _axis_from_flags(ns, name: str, allow_range: bool) -> AxisSpec:
         if scalar is not None:
             raise _UsageError(f"give either --{name} or --{name}-range, not both")
         return _parse_axis(rng, f"--{name}-range")
-    return _fixed_axis(_DEFAULTS[name] if scalar is None else scalar)
+    return getattr(_DEFAULTS, name) if scalar is None else _fixed_axis(scalar)
 
 
 def _spec_from_flags(ns) -> SweepSpec:
@@ -323,7 +313,8 @@ def run(argv) -> int:
         if ns.output is None:
             emit_csv(table, sys.stdout, units=ns.units)
         else:
-            emit_csv(table, ns.output, units=ns.units)
+            with open(ns.output, "w", newline="") as f:
+                emit_csv(table, f, units=ns.units)
         if not all(row.converged for row in table.rows):
             print("warning: some rows did not converge at the requested "
                   "tolerance", file=sys.stderr)

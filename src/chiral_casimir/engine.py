@@ -36,7 +36,7 @@ call, in chunks of m that double from 32 to 4096; n_first adds one Matsubara
 term at a time.  Both stop by one rule (_stops): at the first index where
 the closed tail bound of the remaining terms plus an error floor is within
 rel_tol of the running sum (certified), where the tail alone is but the
-floor is not (the error floor), or at the term cap, max_m or _MAX_N.  The
+floor is not (the error floor), or at the term cap, _MAX_M or _MAX_N.  The
 floor is the zero-mode error plus a charge for rounding every term for
 m_first, and the error accumulated so far for n_first.  m_first values are
 exact sums of the computed terms, rounded once.  n_first refuses up front,
@@ -149,7 +149,7 @@ class CavityConfig:
     separation: float  # meters
     temperature: float  # kelvin
     kind: MediumKind = MediumKind.FIXED_ANGLE
-    theta: float = 0.0  # radians, consulted for FIXED_ANGLE / OPTICALLY_ACTIVE
+    theta: float = 0.0  # radians, consulted for FIXED_ANGLE only
     verdet: float = 0.0  # rad / (T m), consulted for FARADAY
     bfield: float = 0.0  # tesla, consulted for FARADAY
     zero_mode: ZeroModePolicy = ZeroModePolicy.FULL
@@ -182,20 +182,18 @@ class ReducedPoint:
 class SeriesControl:
     """Convergence policy for the reduced series.
 
-    rel_tol is the relative error a converged result certifies.  max_m caps
-    the m_first terms; n_first has the fixed cap _MAX_N and refuses up front,
-    unconverged, where that many terms cannot reach rel_tol.
+    rel_tol is the relative error a converged result certifies; order picks
+    the summation order.  m_first sums at most _MAX_M terms; n_first at most
+    _MAX_N, and refuses up front, unconverged, where that many terms cannot
+    reach rel_tol.
     """
 
     rel_tol: float = 1e-10
-    max_m: int = 10**6
     order: str = "m_first"  # or "n_first"
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < 1.0):
             raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol!r}")
-        if self.max_m < 1:
-            raise ValueError("max_m must be >= 1")
         if self.order not in ("m_first", "n_first"):
             raise ValueError(f"order must be 'm_first' or 'n_first', got {self.order!r}")
 
@@ -248,9 +246,10 @@ def _canonical_theta(theta: float) -> tuple[float, float]:
     return t, sign
 
 
-# m-series chunks: 32 terms, doubling up to 4096 per chunk
+# m-series chunks: 32 terms, doubling up to 4096 per chunk, and the term cap
 _FIRST_CHUNK = 32
 _LAST_CHUNK = 4096
+_MAX_M = 10**6
 # Rounding charged per m-series term: EPS * weight/m^3 * (_TERM_ULPS + a + m phi).
 # _TERM_ULPS covers the at most 27 ulps of error of the pressure term (18 for
 # the energy): 2 each from exp and expm1, 1 from each division, sum and
@@ -332,10 +331,10 @@ def _chunk_m(lo: int, hi: int):
     return m, 1.0 / (m * m * m), -0.5 / (m[:-1] * m[:-1])
 
 
-def _chunks(max_m: int):
+def _chunks():
     lo, size = 1, _FIRST_CHUNK
-    while lo <= max_m:
-        hi = min(lo + size - 1, max_m)
+    while lo <= _MAX_M:
+        hi = min(lo + size - 1, _MAX_M)
         yield lo, hi
         lo = hi + 1
         size = min(2 * size, _LAST_CHUNK)
@@ -350,7 +349,7 @@ def _m_series(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroMode
     zero mode's slope; none under TM_ONLY) and the sine terms
     2 grad sin(2 m theta) w(2 m tau)/m^2, w the energy weight.  The point
     runs through the terms a chunk at a time and stops by _stops at its
-    first m, or at m = max_m.
+    first m, or at m = _MAX_M.
     tail(m) = min(k/(6 tau m^3), weight_{m+1}/(2 m^2), weight_{m+1}/((m+1)^3 sin theta))
     bounds the cosine terms beyond m, where weight_{m+1} = weight(2(m+1) tau),
     plus |grad| min(1/(tau m^2), 2 w_{m+1}/m, 2 w_{m+1}/((m+1)^2 sin theta))
@@ -377,7 +376,7 @@ def _m_series(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroMode
     # Abel summation: partial sums of cos(2 m theta) and of sin(2 m theta) are
     # at most 1/sin(theta); below 1e-8 this bound only wins past m ~ 1e8
     neg_abel = -1.0 / math.sin(theta) if theta >= 1e-8 else 0.0
-    for lo, hi in _chunks(ctrl.max_m):
+    for lo, hi in _chunks():
         m, inv_m3, neg_inv_2m2 = _chunk_m(lo, hi)
         na = neg_2tau * m  # -a = -2 m tau, with one extra m for the tail
         y = np.exp(na)
@@ -400,7 +399,7 @@ def _m_series(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroMode
             tail = tail + abs(grad) * sine_tail
         target = ctrl.rel_tol * np.abs(head + np.add.accumulate(terms))
         stop = _stops(tail, floor, target)
-        if hi == ctrl.max_m:
+        if hi == _MAX_M:
             stop[-1] = True
         j = int(stop.argmax())
         if stop[j]:
@@ -419,6 +418,19 @@ def _m_series(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroMode
 # tau = 7e-4, and 20k terms (each a damped-polylog sum) take about 1.5 s on
 # a 2-CPU host.
 _MAX_N = 20_000
+
+# Absolute error of li1 = -log1p(r (r - 2c))/2, c = cos 2 theta, against
+# Re Li_1(r e^{2 i theta}) at the same r and theta, for 0 < r <= 1/2; u = 2^-53:
+#   * cos within 1 ulp (2u|c|), then r - 2c and its product with r, u each:
+#       the log1p argument z is off by at most u r (8|c| + 2r)
+#   * 1 + z = (1 - r)^2 + 4 r sin^2 theta >= (1 - r)^2, so log1p moves by at
+#     most u r (8|c| + 2r)/(1 + z), and its own ulp adds 2u |ln(1 + z)|
+#   * halved, the sum over r is largest at r = 1/2, c = 1:
+#       (18u + 2u ln 4)/2 = 10.4u, that is 20.8u r
+# Below the normal range (a > 708) the product with r and the halving each add
+# at most 2^-1075 instead, which the 5e-324 beside the charge covers.  The
+# charge shrinks with r, so a^2 li1 adds no floor that grows with n.
+_LI1_ULPS = 21.0
 
 
 def _geometric_tails(tau: float, n: int) -> tuple[float, float, float]:
@@ -508,10 +520,14 @@ def _matsubara_n(n: int, theta: float, tau: float, pressure: bool) -> tuple[floa
     if not pressure:
         term = -(li3 + a * li2)
         return term, b3 + a * b2 + 2e-16 * abs(term)
-    li1 = -0.5 * log_det_kernel(r, theta)  # Re Li_1(r e^{2 i theta}), closed form
-    # the kernel's log argument carries up to 7 ulps, an absolute error
-    # that dominates li1 when r is tiny; there |exact li1| <= r/(1-r)
-    li1_err = min(3.9e-16 + 2.3e-16 * abs(li1), r / (1.0 - r) + abs(li1))
+    # Re Li_1(r e^{2 i theta}) = -ln(1 + r^2 - 2 r cos 2 theta)/2, closed form
+    if r <= 0.5:
+        li1 = -0.5 * math.log1p(r * (r - 2.0 * math.cos(2.0 * theta)))
+        li1_err = _LI1_ULPS * _EPS * r + 5e-324
+    else:
+        li1 = -0.5 * log_det_kernel(r, theta)
+        # the kernel's log argument carries up to 7 ulps
+        li1_err = 3.9e-16 + 2.3e-16 * abs(li1)
     term = -(2.0 * li3 + 2.0 * a * li2 + a * a * li1)
     return term, 2.0 * b3 + 2.0 * a * b2 + a * a * li1_err + 2e-16 * abs(term)
 
@@ -613,22 +629,29 @@ def reduced_temperature(separation: float, temperature: float) -> float:
 _LIFT = 2.0**600  # a power of two: scaling by it is exact
 
 
-def _unit_scales(separation: float, temperature: float) -> tuple[float, float, float]:
-    """Factors taking the reduced free energy and pressure to J/m^2 and Pa.
+def _unit_scale(separation: float, temperature: float, pressure: bool) -> tuple[float, float]:
+    """Factor taking the reduced free energy, or the pressure, to J/m^2 or Pa.
 
     At T = 0 the reduced quantities are E l^3/(hbar c) and P l^4/(hbar c);
-    otherwise E 4 pi beta l^2 and P 4 pi beta l^3.  Returns (e, p, lift) for
-    the factors e/lift and p/lift.  lift is 1 unless k_B T is subnormal; then
-    it is _LIFT, and e and p keep the digits that k_B T would lose.
+    otherwise E 4 pi beta l^2 and P 4 pi beta l^3.  Returns (scale, lift) for
+    the factor scale/lift.  lift is 1 unless k_B T is subnormal; then it is
+    _LIFT, and scale keeps the digits that k_B T would lose.  Raises a
+    ValueError naming the separation where its power l^k is not a normal float.
     """
+    k = (3 if temperature == 0.0 else 2) + pressure
+    try:
+        power = separation**k
+    except OverflowError:
+        power = math.inf
+    if not sys.float_info.min <= power <= sys.float_info.max:
+        raise ValueError(f"separation**{k} must be a normal float, or the factor to physical "
+                         f"units loses its digits; got separation = {separation!r} m")
     if temperature == 0.0:
-        return HBAR * C_LIGHT / separation**3, HBAR * C_LIGHT / separation**4, 1.0
+        return HBAR * C_LIGHT / power, 1.0
     kt = K_BOLTZMANN * temperature
     if kt >= sys.float_info.min:
-        return kt / (4.0 * math.pi * separation**2), kt / (4.0 * math.pi * separation**3), 1.0
-    lifted = temperature * _LIFT
-    return (lifted * (K_BOLTZMANN / (4.0 * math.pi * separation**2)),
-            lifted * (K_BOLTZMANN / (4.0 * math.pi * separation**3)), _LIFT)
+        return kt / (4.0 * math.pi * power), 1.0
+    return temperature * _LIFT * (K_BOLTZMANN / (4.0 * math.pi * power)), _LIFT
 
 
 def _physical(cfg: CavityConfig, ctrl: SeriesControl, series: _MSeries) -> EvalResult:
@@ -637,6 +660,11 @@ def _physical(cfg: CavityConfig, ctrl: SeriesControl, series: _MSeries) -> EvalR
     In a Faraday gap theta = V B l, so l d/dl = tau d/dtau + theta d/dtheta
     and the pressure gains grad dE/dtheta with grad = -theta.
     """
+    scale, lift = _unit_scale(cfg.separation, cfg.temperature, series.pressure)
+    if scale < sys.float_info.min:
+        raise ValueError(f"the factor to physical units underflows, and a subnormal float keeps "
+                         f"too few digits; got separation = {cfg.separation!r} m, "
+                         f"temperature = {cfg.temperature!r} K")
     theta = effective_theta(cfg)
     grad = -theta if series.pressure and cfg.kind is MediumKind.FARADAY else 0.0
     if cfg.temperature == 0.0:
@@ -659,14 +687,11 @@ def _physical(cfg: CavityConfig, ctrl: SeriesControl, series: _MSeries) -> EvalR
             raise ValueError(f"the Faraday pressure overflows its reduced units where "
                              f"|theta|/tau > 1e307; got theta = {theta!r}, tau = {tau!r}")
         res = _reduced(theta, tau, ctrl, cfg.zero_mode, series, grad)
-    e_scale, p_scale, lift = _unit_scales(cfg.separation, cfg.temperature)
-    scale = p_scale if series.pressure else e_scale
-    if scale < sys.float_info.min:
-        raise ValueError(f"the factor to physical units underflows, and a subnormal float keeps "
-                         f"too few digits; got separation = {cfg.separation!r} m, "
-                         f"temperature = {cfg.temperature!r} K")
-    return EvalResult(res.value * scale / lift, res.error_estimate * scale / lift,
-                      res.terms_used, res.converged)
+    value = res.value * scale / lift
+    if math.isinf(value):
+        raise ValueError(f"the result overflows a float in physical units; got separation = "
+                         f"{cfg.separation!r} m, temperature = {cfg.temperature!r} K")
+    return EvalResult(value, res.error_estimate * scale / lift, res.terms_used, res.converged)
 
 
 def physical_free_energy(cfg: CavityConfig, ctrl: SeriesControl | None = None) -> EvalResult:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from scipy.integrate import IntegrationWarning, quad
 
@@ -41,25 +41,20 @@ __all__ = [
 CERTIFY_THETAS = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
 CERTIFY_TAUS = (0.3, 0.7, 1.0, 2.0, 5.0)
 
+_CUTOFF = 40.0  # integration window length in u = 2 kappa l
+_MAX_N = 10**5  # Matsubara terms
+_FD_STEP = 1e-5  # relative step for the finite-difference pressure
+
 
 @dataclass(frozen=True)
 class QuadControl:
-    """Truncation and tolerance policy for the quadrature oracle."""
+    """Tolerance of the quadrature oracle; the window, term cap and step are fixed."""
 
     abs_tol: float = 1e-10  # reduced units
-    kappa_cutoff_factor: float = 40.0  # integration window length in u = 2 kappa l
-    max_n: int = 10**5
-    fd_step_rel: float = 1e-5  # relative step for finite-difference pressure
 
     def __post_init__(self):
         if not (self.abs_tol > 0.0):
             raise ValueError(f"abs_tol must be positive, got {self.abs_tol!r}")
-        if self.kappa_cutoff_factor < 10.0:
-            raise ValueError("cutoff must be >= 10 integration widths")
-        if self.max_n < 1:
-            raise ValueError("max_n must be >= 1")
-        if not (self.fd_step_rel > 0.0):
-            raise ValueError("fd_step_rel must be positive")
 
 
 def _integrand(u: float, theta: float) -> float:
@@ -99,13 +94,13 @@ def _free_energy(theta: float, tau: float, q: QuadControl) -> float:
     if tau <= 0.0:
         raise ValueError("oracle_free_energy needs tau > 0; use the T0 oracle instead")
     eps = min(1e-12, q.abs_tol / 100.0)
-    total = 0.5 * _segment(theta, 0.0, q.kappa_cutoff_factor, eps)
-    for n in range(1, q.max_n + 1):
+    total = 0.5 * _segment(theta, 0.0, _CUTOFF, eps)
+    for n in range(1, _MAX_N + 1):
         a = 2.0 * n * tau
         if math.exp(-a) * (1.0 + a) * (math.pi**2 / 6.0) < q.abs_tol:
             return 0.5 * total
-        total += _segment(theta, a, q.kappa_cutoff_factor, eps)
-    raise RuntimeError(f"Matsubara truncation bound not reached within {q.max_n} terms")
+        total += _segment(theta, a, _CUTOFF, eps)
+    raise RuntimeError(f"Matsubara truncation bound not reached within {_MAX_N} terms")
 
 
 def oracle_matsubara_term(n: int, p, q: QuadControl | None = None) -> float:
@@ -114,7 +109,7 @@ def oracle_matsubara_term(n: int, p, q: QuadControl | None = None) -> float:
     if n < 0:
         raise ValueError(f"Matsubara index must be >= 0, got {n!r}")
     lo = 2.0 * n * float(p.tau)
-    return 0.5 * _segment(float(p.theta), lo, q.kappa_cutoff_factor, min(1e-12, q.abs_tol))
+    return 0.5 * _segment(float(p.theta), lo, _CUTOFF, min(1e-12, q.abs_tol))
 
 
 def oracle_free_energy_T0(theta: float, q: QuadControl | None = None,
@@ -125,17 +120,16 @@ def oracle_free_energy_T0(theta: float, q: QuadControl | None = None,
     over u in [z, z + cutoff]; absolute error <= 1e-8 at the default control.
     """
     q = q or QuadControl()
-    cutoff = q.kappa_cutoff_factor
     eps_inner = min(1e-12, q.abs_tol / 100.0)
 
     def outer(z: float) -> float:
-        val, _ = _quad(_integrand, z, z + cutoff, (theta,), eps_inner)
+        val, _ = _quad(_integrand, z, z + _CUTOFF, (theta,), eps_inner)
         return val
 
-    val, err = _quad(outer, 0.0, cutoff, (), q.abs_tol / 10.0, epsrel=1e-11)
+    val, err = _quad(outer, 0.0, _CUTOFF, (), q.abs_tol / 10.0, epsrel=1e-11)
     scale = 1.0 / (32.0 * math.pi**2)
     if return_error:
-        return val * scale, (err + eps_inner * cutoff) * scale
+        return val * scale, (err + eps_inner * _CUTOFF) * scale
     return val * scale
 
 
@@ -149,7 +143,7 @@ def oracle_pressure(theta: float, tau: float, q: QuadControl | None = None) -> f
     q = q or QuadControl()
     if tau < 0.0:
         raise ValueError(f"tau must be >= 0, got {tau!r}")
-    tight = replace(q, abs_tol=min(q.abs_tol, 1e-12))
+    tight = QuadControl(min(q.abs_tol, 1e-12))
 
     if tau == 0.0:
         # E(l) ~ E0_hat / l^3 at fixed angle, in units of the base separation
@@ -161,7 +155,7 @@ def oracle_pressure(theta: float, tau: float, q: QuadControl | None = None) -> f
             return _free_energy(theta, tau * lam, tight) / lam**2
 
     # P_hat = -(d/dlam) g(lam) at lam = 1, central stencil plus one Richardson level
-    h = q.fd_step_rel
+    h = _FD_STEP
     d_h = (g(1.0 + h) - g(1.0 - h)) / (2.0 * h)
     d_h2 = (g(1.0 + 0.5 * h) - g(1.0 - 0.5 * h)) / h
     return -(4.0 * d_h2 - d_h) / 3.0

@@ -25,11 +25,10 @@ All functions are pure; no shared mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PolylogOrder", "clausen_cos", "clausen_sin", "re_polylog_damped"]
+__all__ = ["clausen_cos", "clausen_sin", "re_polylog_damped"]
 
 TWO_PI = 2.0 * math.pi
 PI_LO = 1.2246467991473532e-16  # float(pi) + PI_LO ~ pi to ~3e-33
@@ -44,24 +43,12 @@ ZETA_2 = math.pi**2 / 6.0
 ZETA_3 = 1.2020569031595942854
 ZETA_4 = math.pi**4 / 90.0
 
-_ZETA = {2: ZETA_2, 3: ZETA_3, 4: ZETA_4}
 
-
-@dataclass(frozen=True)
-class PolylogOrder:
-    """Series index power; only s in {2, 3, 4} arises in the reduced series."""
-
-    s: int
-
-    def __post_init__(self):
-        if self.s not in (2, 3, 4):
-            raise ValueError(f"polylog order must be 2, 3 or 4, got {self.s!r}")
-
-
-def _order(s) -> int:
-    if isinstance(s, PolylogOrder):
-        return s.s
-    return PolylogOrder(int(s)).s
+def _order(s: int) -> int:
+    """The series order s, checked: only s in {2, 3, 4} arises in the reduced series."""
+    if s not in (2, 3, 4):
+        raise ValueError(f"polylog order must be 2, 3 or 4, got {s!r}")
+    return s
 
 
 def fold_pi(x: float, name: str, scale: float = 1.0) -> float:

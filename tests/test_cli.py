@@ -197,6 +197,8 @@ def test_optical_medium_zeroes_the_effective_angle(capsys):
     ("--mode", "certify", "--grid", "unknown"),
     ("--mode", "point", "--grid", "default"),           # the flag is gone
     ("--mode", "point", "--temperature", "1e-300"),     # tau below 1e-300
+    ("--mode", "point", "--separation", "1e-200", "--temperature", "300"),  # l^3 underflows
+    ("--mode", "sweep", "--theta-range", "0:1:4:lin"),   # log is the only tag
 ])
 def test_argument_errors_exit_1(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -257,13 +259,15 @@ def test_certify_detects_a_broken_engine(capsys, monkeypatch):
 
 # ------------------------------------------------------------------ emit_csv
 
-def test_emit_csv_stringio_matches_file(tmp_path):
+def test_emit_csv_stringio_matches_file(capsys, tmp_path):
     table = run_sweep(SweepSpec(theta=AxisSpec(0.0, 1.0, 3),
                                 temperature=AxisSpec(250.0, 250.0, 1)))
     buf = io.StringIO()
     emit_csv(table, buf)
     target = tmp_path / "t.csv"
-    emit_csv(table, str(target))
+    code, _, _ = run_cli(capsys, "--mode", "sweep", "--theta-range", "0:1:3",
+                         "--temperature", "250", "--output", str(target))
+    assert code == 0
     with open(target, newline="") as f:
         assert f.read() == buf.getvalue()
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chiral_casimir import engine
 from chiral_casimir.engine import (
     C_LIGHT,
     HBAR,
@@ -33,13 +34,14 @@ from chiral_casimir.engine import (
     reduced_free_energy_T0,
     reduced_pressure,
     reduced_pressure_T0,
-    _unit_scales,
+    _unit_scale,
     reduced_temperature,
 )
 from chiral_casimir.kernel import MediumKind
 from chiral_casimir.special_functions import ZETA_3, clausen_cos, clausen_sin
 
 N_FIRST = SeriesControl(order="n_first")
+CAPPED = SeriesControl()  # run with the term cap engine._MAX_M lowered
 
 # engine outputs cross-checked against the independent quadrature oracle,
 # frozen at more digits than the oracle's 1e-10 budget
@@ -198,9 +200,8 @@ def test_low_temperature_continuity(theta):
 
 
 def test_deep_quantum_regime_warns():
-    ctrl = SeriesControl(max_m=100)
     with pytest.warns(RuntimeWarning):
-        reduced_free_energy(ReducedPoint(0.3, 1e-7), ctrl)
+        reduced_free_energy(ReducedPoint(0.3, 1e-7))
 
 
 def test_tau_zero_raises():
@@ -249,9 +250,9 @@ def test_eval_result_invariant_on_grid():
                 assert res.error_estimate <= 1e-10 * max(abs(res.value), 1e-300)
 
 
-def test_truncation_reports_non_convergence():
-    ctrl = SeriesControl(max_m=5)
-    res = reduced_free_energy(ReducedPoint(0.3, 0.4), ctrl)
+def test_truncation_reports_non_convergence(monkeypatch):
+    monkeypatch.setattr(engine, "_MAX_M", 5)
+    res = reduced_free_energy(ReducedPoint(0.3, 0.4))
     assert not res.converged
     assert math.isfinite(res.value)
     assert res.error_estimate > 0.0
@@ -259,7 +260,7 @@ def test_truncation_reports_non_convergence():
 
 def test_error_floor_exits_early():
     # at the classical root the target is below the zero-mode error floor;
-    # the loop must give up quickly instead of burning max_m terms
+    # the loop must give up quickly instead of burning _MAX_M terms
     res = reduced_free_energy(ReducedPoint(0.7251727334628189, 40.0))
     assert not res.converged
     assert res.terms_used < 10
@@ -278,20 +279,23 @@ def test_series_control_validation():
         SeriesControl(rel_tol=0.0)
     with pytest.raises(ValueError):
         SeriesControl(order="sideways")
-    with pytest.raises(ValueError):
-        SeriesControl(max_m=0)
+    # both orders have fixed term caps
     with pytest.raises(TypeError):
-        SeriesControl(max_n=10)  # n_first has a fixed term cap
+        SeriesControl(max_m=100)
+    with pytest.raises(TypeError):
+        SeriesControl(max_n=10)
 
 
 @pytest.mark.parametrize("fn, point, ctrl, converged", [
     (reduced_free_energy, (0.3, 1.0), None, True),  # certified
     (reduced_free_energy, (0.7251727334628189, 40.0), None, False),  # error floor
-    (reduced_free_energy, (0.3, 1.0), SeriesControl(max_m=3), False),  # max_m
+    (reduced_free_energy, (0.3, 1.0), CAPPED, False),  # term cap
     (reduced_pressure, (0.3, 1.0), N_FIRST, True),  # n_first certified
     (reduced_free_energy, (0.3, 1e-4), N_FIRST, False),  # n_first refusal
 ])
-def test_converged_is_a_python_bool(fn, point, ctrl, converged):
+def test_converged_is_a_python_bool(fn, point, ctrl, converged, monkeypatch):
+    if ctrl is CAPPED:
+        monkeypatch.setattr(engine, "_MAX_M", 3)
     res = fn(ReducedPoint(*point), ctrl)
     assert type(res.converged) is bool
     assert res.converged is converged
@@ -366,10 +370,30 @@ def test_tiny_temperatures_approach_T0_or_fail_by_name():
 
 def test_unit_scales_keep_their_digits_where_kT_is_subnormal():
     for l, T in ((1e-6, 1e-290), (1e-3, 1e-300), (1.0, 1e-303)):  # k_B T <= 1.4e-313
-        e, p, lift = _unit_scales(l, T)
-        for k, scale in ((2, e), (3, p)):
+        for k in (2, 3):
+            scale, lift = _unit_scale(l, T, pressure=k == 3)
             exact = Fraction(K_BOLTZMANN) * Fraction(T) / (4 * Fraction(math.pi) * Fraction(l) ** k)
             assert abs(Fraction(scale) / Fraction(lift) / exact - 1) < 5 * 2.0**-53
+
+
+def test_separations_whose_powers_leave_the_normal_range_fail_by_name():
+    # l^4 is 0.0 and l^3 subnormal at 1e-104 m; l^3 is 0.0 at 1e-120 m, where
+    # at 300 K the energy overflows a float instead
+    for l, T in ((1e-104, 0.0), (1e-120, 300.0)):
+        for fn in (physical_free_energy, physical_pressure):
+            with pytest.raises(ValueError, match="separation"):
+                fn(make_config(separation=l, temperature=T))
+    # l^4 overflows at 1e80 m and is subnormal at 1e-80 m; l^3 is normal at
+    # both, and the energy keeps its digits there
+    for l in (1e80, 1e-80):
+        with pytest.raises(ValueError, match="separation"):
+            physical_pressure(make_config(separation=l, temperature=0.0))
+        res = physical_free_energy(make_config(separation=l, temperature=0.0))
+        assert res.converged
+        assert res.value == reduced_free_energy_T0(0.3) * (HBAR * C_LIGHT / l**3)
+    # the pressure at 1e-90 m and 300 K is about -1e333 Pa
+    with pytest.raises(ValueError, match="separation"):
+        physical_pressure(make_config(separation=1e-90))
 
 
 def test_physical_energy_scaling_finite_T():
@@ -614,8 +638,9 @@ def test_kernel_certifies_below_the_old_clausen_floor():
     assert res.error_estimate <= 1e-10 * abs(res.value)
 
 
-def test_kernel_stops_at_max_m():
-    res = reduced_pressure(ReducedPoint(0.3, 1e-3), SeriesControl(max_m=40))
+def test_kernel_stops_at_max_m(monkeypatch):
+    monkeypatch.setattr(engine, "_MAX_M", 40)
+    res = reduced_pressure(ReducedPoint(0.3, 1e-3))
     assert res.terms_used == 40
     assert not res.converged
     assert res.error_estimate > 1e-10 * abs(res.value)
@@ -640,9 +665,11 @@ def test_n_first_refuses_an_unreachable_target_at_once():
 
 def test_n_first_within_its_estimate_of_mpmath():
     rng = np.random.default_rng(17)
-    for i in range(8):
-        theta = float(rng.uniform(-4.0, 4.0))
-        tau = float(10.0 ** rng.uniform(-3.0, 2.0))
+    points = [(float(rng.uniform(-4.0, 4.0)), float(10.0 ** rng.uniform(-3.0, 2.0)))
+              for _ in range(8)]
+    # a pressure that stopped at its error floor while li1 was charged a^2 3.9e-16 per term
+    points.append((-2.3917076921924316, 0.03689621103896396))
+    for i, (theta, tau) in enumerate(points):
         zero_mode = (ZeroModePolicy.FULL, ZeroModePolicy.TM_ONLY)[i % 2]
         tm_only = zero_mode is ZeroModePolicy.TM_ONLY
         for fn, pressure in ((reduced_free_energy, False), (reduced_pressure, True)):

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chiral_casimir.special_functions import (
-    PolylogOrder,
     ZETA_2,
     ZETA_3,
     ZETA_4,
@@ -270,16 +269,8 @@ def test_polylog_zero_damping():
 
 # ------------------------------------------------------------------ validation
 
-def test_order_object_roundtrip():
-    order = PolylogOrder(3)
-    assert order.s == 3
-    assert clausen_cos(order, 1.0) == clausen_cos(3, 1.0)
-
-
 @pytest.mark.parametrize("bad", [0, 1, 5, -2])
 def test_order_out_of_range(bad):
-    with pytest.raises(ValueError):
-        PolylogOrder(bad)
     with pytest.raises(ValueError):
         clausen_cos(bad, 1.0)
 
