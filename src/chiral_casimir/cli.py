@@ -262,7 +262,23 @@ def _build_parser() -> _Parser:
 
 
 _AXES = ("theta", "separation", "temperature", "bfield")
+_RANGE_FLAGS = tuple(f"--{name}-range" for name in _AXES)
 _DEFAULTS = SweepSpec()
+
+
+def _attach_ranges(argv: list[str]) -> list[str]:
+    """Join each range flag to a value that starts with '-'.
+
+    argparse would take "--theta-range -1:1:5" for two options and report
+    the flag as missing its argument; "--theta-range=-1:1:5" it reads.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _RANGE_FLAGS and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def _axis_from_flags(ns, name: str, allow_range: bool) -> AxisSpec:
@@ -292,7 +308,7 @@ def run(argv) -> int:
     """Entry point; returns the process exit code instead of raising."""
     parser = _build_parser()
     try:
-        ns = parser.parse_args(list(argv))
+        ns = parser.parse_args(_attach_ranges(list(argv)))
     except _UsageError as exc:
         parser.print_usage(sys.stderr)
         print(f"error: {exc}", file=sys.stderr)

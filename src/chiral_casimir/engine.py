@@ -31,16 +31,31 @@ above; n_first evaluates one Matsubara frequency at a time through the damped
 polylogarithms and exists as an independent cross-check (the Faraday
 pressure is m_first only).
 
-The m_first terms are made by one numpy kernel (_m_series), one point per
-call, in chunks of m that double from 32 to 4096; n_first adds one Matsubara
-term at a time.  Both stop by one rule (_stops): at the first index where
-the closed tail bound of the remaining terms plus an error floor is within
-rel_tol of the running sum (certified), where the tail alone is but the
-floor is not (the error floor), or at the term cap, _MAX_M or _MAX_N.  The
-floor is the zero-mode error plus a charge for rounding every term for
-m_first, and the error accumulated so far for n_first.  m_first values are
-exact sums of the computed terms, rounded once.  n_first refuses up front,
-unconverged, when its tail beyond _MAX_N already exceeds rel_tol.
+m_first sums the same series in one of two ways.  At low temperature the
+m-series needs thousands of terms (its 1/m^4 tail falls at a rate set by
+tau only once 2 m tau > 1).  Its dual (_dual), from the Mittag-Leffler
+expansion 1/2 + w(2 m tau) = 1/(m tau) + sum_k 2 m^3 tau^3/(m^2 tau^2 + pi^2 k^2)^2
+and the sum over m in closed form (temperature inversion), is
+    E = -Cl4(2 theta)/tau + tau^3/90 + R(theta, tau),
+with R a sum over k whose k-th term is O(e^{-2 pi k theta/tau}); P and
+dE/dtheta follow in the same way.  A point goes to the dual when
+rho = e^{-2 pi theta/tau} lets its geometric tail bound meet rel_tol within
+_MAX_K terms, and to the m-series otherwise (small theta/tau, theta = 0 and
+most of tau >~ 1).  At theta = 0, where rho = 1, R is the algebraic
+-zeta(3) tau^2/(2 pi^2) of Brown and Maclay, and the m-series sums it.
+
+The m-series terms are made by one numpy kernel (_m_series), one point per
+call, in chunks of m that double from 32 to 4096; the dual and n_first add
+one term at a time.  All three stop by one rule (_stops): at the first index
+where the closed tail bound of the remaining terms plus an error floor is
+within rel_tol of the running sum (certified), where the tail alone is but
+the floor is not (the error floor), or at the term cap, _MAX_M, _MAX_K or
+_MAX_N.  The floor is the zero-mode error plus a charge for rounding every
+term for the m-series, the error of the closed forms plus a charge for every
+term so far for the dual, and the error accumulated so far for n_first.
+m_first values are exact sums of the computed terms, rounded once.  n_first
+refuses up front, unconverged, when its tail beyond _MAX_N already exceeds
+rel_tol.
 """
 
 from __future__ import annotations
@@ -48,15 +63,14 @@ from __future__ import annotations
 import functools
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .kernel import MediumKind, log_det_kernel
-from .special_functions import (ZETA_2, ZETA_3, ZETA_4, clausen_cos, clausen_sin, fold_pi,
-                                re_polylog_damped)
+from .special_functions import (TWO_PI, ZETA_2, ZETA_3, ZETA_4, clausen_cos, clausen_sin,
+                                fold_pi, re_polylog_damped)
 
 __all__ = [
     "HBAR",
@@ -128,6 +142,27 @@ _CLAUSEN_ERR = 4e-15
 # Sum: 3.05e-15 (truncation 1e-18).  An mpmath check is in the tests.
 _SL2_ERR = 3.1e-15
 
+# Absolute error of clausen_cos(4, 2 theta) as the dual series uses it,
+# theta folded into [0, pi/2], so x = 2 theta lies in [0, pi], is exact and
+# is not reduced again.  special_functions returns fl(Z - fl(fl(v v)/48))
+# with v = fl(x fl(TWO_PI - x)), V = v^2/48 <= pi^4/48; u = 2^-53:
+#   * Z = ZETA_4 = fl(fl(pi^4)/90) is off zeta(4) by                 <= 2.7e-16
+#   * v: TWO_PI is off 2 pi by 2.45e-16, at most 0.70u of 2 pi - x >= pi,
+#     and the subtraction and the product add u each: 2.70u of v; v v
+#     carries 6.40u and the division by 48 one more: 7.40u of V
+#   * the final subtraction: u |Cl4| <= 0.947u at x = pi
+#     7.40u V + u |Cl4| is largest at x = pi:                           <= 1.78e-15
+#   * the fold: theta within 1.9e-16 of its value mod pi, so x within
+#     3.8e-16, and |dCl4/dx| = |Sl3| <= 0.995:                          <= 3.8e-16
+# Sum: 2.42e-15.  At theta* = 0.755, |Cl4(1.51)| = 6.9e-5, so the dual
+# certifies rel_tol 1e-10 there with room.  A 40-digit mpmath check is in the tests.
+_CL4_ERR = 2.5e-15
+
+# Absolute error of clausen_sin(3, 2 theta), theta folded into [0, pi/2]:
+# 6.3e-16 from the fold (3.8e-16 in 2 theta, |Cl2| <= zeta(2)) and 9.7e-16
+# from rounding x (x - pi)(x - 2 pi)/12, float(pi) included.
+_SL3_ERR = 1.6e-15
+
 
 class ZeroModePolicy(Enum):
     """Treatment of the n=0 Matsubara term.
@@ -183,9 +218,9 @@ class SeriesControl:
     """Convergence policy for the reduced series.
 
     rel_tol is the relative error a converged result certifies; order picks
-    the summation order.  m_first sums at most _MAX_M terms; n_first at most
-    _MAX_N, and refuses up front, unconverged, where that many terms cannot
-    reach rel_tol.
+    the summation order.  m_first sums at most _MAX_K terms of the dual or
+    _MAX_M of the m-series; n_first at most _MAX_N, and refuses up front,
+    unconverged, where that many terms cannot reach rel_tol.
     """
 
     rel_tol: float = 1e-10
@@ -202,8 +237,9 @@ class SeriesControl:
 class EvalResult:
     """Scalar result with truncation diagnostics.
 
-    terms_used counts series terms in the active summation order (m terms for
-    m_first, Matsubara terms including n=0 for n_first, 0 for closed forms).
+    terms_used counts series terms in the active summation order (m or, for
+    the low-temperature dual, k terms for m_first, Matsubara terms including
+    n=0 for n_first, 0 for closed forms).
     When converged is set, error_estimate <= rel_tol * |value|.
     """
 
@@ -350,12 +386,12 @@ def _m_series(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroMode
     2 grad sin(2 m theta) w(2 m tau)/m^2, w the energy weight.  The point
     runs through the terms a chunk at a time and stops by _stops at its
     first m, or at m = _MAX_M.
-    tail(m) = min(k/(6 tau m^3), weight_{m+1}/(2 m^2), weight_{m+1}/((m+1)^3 sin theta))
-    bounds the cosine terms beyond m, where weight_{m+1} = weight(2(m+1) tau),
-    plus |grad| min(1/(tau m^2), 2 w_{m+1}/m, 2 w_{m+1}/((m+1)^2 sin theta))
-    for the sine terms; floor is _MSeries.floor plus |grad| _sine_floor.  The
-    running sums S_m that decide where to stop are float cumulative sums on
-    top of the exact sum of the earlier chunks.  The value is the exact sum
+    tail(m) = min(k/(6 tau m^3), weight_{m+1}/(2 m^2)) bounds the cosine
+    terms beyond m, where weight_{m+1} = weight(2(m+1) tau), plus
+    |grad| min(1/(tau m^2), 2 w_{m+1}/m) for the sine terms; floor is
+    _MSeries.floor plus |grad| _sine_floor.  The running sums S_m that
+    decide where to stop are float cumulative sums on top of the exact sum
+    of the earlier chunks.  The value is the exact sum
     (math.fsum) of the base and the per-chunk exact sums, rounded once; that
     rounding is charged too.
     """
@@ -373,9 +409,6 @@ def _m_series(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroMode
             floor += abs(grad) * _SL2_ERR
     head = math.fsum(parts)  # sum before the chunk
     phi, neg_2tau, tail_alg = 2.0 * theta, -2.0 * tau, series.k / (6.0 * tau)
-    # Abel summation: partial sums of cos(2 m theta) and of sin(2 m theta) are
-    # at most 1/sin(theta); below 1e-8 this bound only wins past m ~ 1e8
-    neg_abel = -1.0 / math.sin(theta) if theta >= 1e-8 else 0.0
     for lo, hi in _chunks():
         m, inv_m3, neg_inv_2m2 = _chunk_m(lo, hi)
         na = neg_2tau * m  # -a = -2 m tau, with one extra m for the tail
@@ -385,17 +418,13 @@ def _m_series(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroMode
         neg_weight = series.weight(y, q, x)
         neg_mag = neg_weight * inv_m3
         terms = np.cos(phi * m[:-1]) * neg_mag[:-1]
-        # bounds on the terms beyond m: algebraic, exponential and Abel
+        # bounds on the terms beyond m: algebraic and exponential
         tail = np.minimum(tail_alg * inv_m3[:-1], neg_weight[1:] * neg_inv_2m2)
-        if neg_abel:
-            tail = np.minimum(tail, neg_mag[1:] * neg_abel)
         if grad:
             neg_w = _ENERGY.weight(y, q, x)
             neg_g = neg_w * (inv_m3 * m)  # -w/m^2
             terms = terms + (-2.0 * grad) * np.sin(phi * m[:-1]) * neg_g[:-1]
             sine_tail = np.minimum(inv_m3[:-1] * m[:-1] / tau, -2.0 * neg_w[1:] / m[:-1])
-            if neg_abel:
-                sine_tail = np.minimum(sine_tail, 2.0 * neg_abel * neg_g[1:])
             tail = tail + abs(grad) * sine_tail
         target = ctrl.rel_tol * np.abs(head + np.add.accumulate(terms))
         stop = _stops(tail, floor, target)
@@ -412,6 +441,124 @@ def _m_series(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroMode
     err = tail_j + floor + _EPS * abs(value)
     return EvalResult(value, err, lo + j,
                       bool(tail_j + floor <= target[j]) and _meets(err, ctrl.rel_tol, value))
+
+
+# The dual's term cap.  On a 2-CPU host a dual call costs about 6 us plus
+# 1.2 us per term, and the m-series' cheapest call (one 32-term chunk)
+# 25-30 us: at 16 terms the two cost the same.
+_MAX_K = 16
+# Rounding charged per dual term, in ulps of its magnitude: at most 23 for
+# a pressure term with its Faraday slope (21.7 for Hpp/(2k) from the three
+# exponentials, expm1 and the 18 products, sums and divisions that build
+# H, |H'| and H''; 14.4 for the slope and the sum), 17.7 for an energy term.
+_DUAL_ULPS = 32.0
+_FOUR_PI2 = 4.0 * math.pi**2
+
+
+def _dual(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePolicy,
+          series: _MSeries, grad: float = 0.0) -> EvalResult | None:
+    """The m-series of _m_series summed by its dual over k, at a folded point.
+
+    Returns None where the geometric tail bound cannot meet the target
+    within _MAX_K terms; the caller then sums the m-series.  With
+    b = pi k/tau and H(b) = cosh(b (pi - 2 theta))/sinh(pi b),
+        E = -Cl4(2 theta)/tau + tau^3/90 + (pi/2 tau) sum_k [H'/b^2 - H/b^3],
+        P = -3 Cl4(2 theta)/tau - tau^3/90 + (pi/2 tau) sum_k H''/b,
+        dE/dtheta = 2 Sl3(2 theta)/tau - (pi/tau) sum_k K'/b,
+    K(b) = sinh(b (pi - 2 theta))/sinh(pi b).  H is the sum of e^{-alpha b}
+    over alpha in {2 theta, 2 pi - 2 theta} + 2 pi j, j >= 0, so each term
+    is a sum of such exponentials with weights that fall with k; every
+    alpha >= 2 theta, so each term is at most rho = e^{-2 pi theta/tau} times
+    the one before, and the terms beyond k are at most rho/(1 - rho) times
+    term k (|K'| <= |H'| bounds the slope terms).  The floor is the error of
+    the closed forms (_CL4_ERR, _SL3_ERR and, under TM_ONLY, the two zero
+    modes) plus the rounding of every term.  Stops by _stops, or at
+    k = _MAX_K; the value is the exact sum of the parts, rounded once.
+    """
+    rho = math.exp(-2.0 * math.pi * theta / tau)
+    # A screen that needs no closed form: the first term is at least rho m_lo
+    # (its alpha = 2 theta exponential) and the sum is of the order of lead;
+    # where the tail after _MAX_K terms would still be too large, the m-series
+    # takes the point at once (so does an overflow to inf or nan at huge tau)
+    c4 = 3.0 if series.pressure else 1.0
+    cube = tau * tau * tau / 90.0
+    if series.pressure:
+        m_lo = 2.0 * theta * theta
+    else:
+        m_lo = tau * (theta / math.pi + tau / (2.0 * math.pi**2))
+    lead = (c4 * ZETA_4 + 2.0 * abs(grad)) / tau + cube
+    if not rho**(_MAX_K + 1) * m_lo < 0.5 * ctrl.rel_tol * lead * (1.0 - rho):
+        return None
+    b1 = math.pi / tau
+    # Relative error of every term, and of rho, bounded at b = b1 _MAX_K
+    # since it grows with b.  Each exponent x = alpha b (x <= 2 pi b) carries
+    # at most 5.05u of its own rounding, which moves e^{-x} by 5.05u x where
+    # e^{-x} has not underflown (x <= 745), and the fold, which leaves theta
+    # within u theta + 1.3e-16 of its value mod pi, moves alpha = 2 theta or
+    # 2 pi - 2 theta by at most u (2 theta + 2.4).  e^d - 1 bounds the
+    # relative change of e^{-x} when x moves by d, and (1 + a) <= e^a folds
+    # in the arithmetic; the cap keeps expm1 finite where every term has
+    # underflown.
+    b = b1 * _MAX_K
+    r = math.expm1(min(_EPS * (_DUAL_ULPS + 6.0 * min(TWO_PI * b, 745.0)
+                               + b * (2.0 * theta + 2.4)), 700.0))
+    # rho rounded up, the error doubled to cover the rounding of rho/(1 - rho)
+    rho *= 1.0 + 2.0 * r
+    if not rho < 1.0:
+        return None
+    ratio = rho / (1.0 - rho)
+    phi = 2.0 * theta
+    a2 = 2.0 * (math.pi - theta)
+    # -Cl4/tau + tau^3/90 for E, three times the first minus the second for P
+    c4_term = -(c4 * clausen_cos(4, phi)) / tau
+    if series.pressure:
+        cube = -cube
+    parts = [c4_term, cube]
+    floor = c4 * _CL4_ERR / tau + 2.0 * _EPS * abs(c4_term) + 3.0 * _EPS * abs(cube)
+    if grad:
+        slope = grad * (2.0 * clausen_sin(3, phi) / tau)
+        parts.append(slope)
+        floor += abs(grad) * 2.0 * _SL3_ERR / tau + 2.0 * _EPS * abs(slope)
+    if zero_mode is ZeroModePolicy.TM_ONLY:
+        # the TM_ONLY zero mode in place of the full one, as the m-series has it
+        scale = 2.0 if series.pressure else 1.0
+        tm, tm_err = _zero_mode_base(theta, zero_mode)
+        full, full_err = _zero_mode_base(theta, ZeroModePolicy.FULL)
+        parts += [scale * tm, -scale * full]
+        floor += scale * (tm_err + full_err)
+        if grad:  # nor has it the zero mode's slope
+            parts.append(-grad * clausen_sin(2, phi))
+            floor += abs(grad) * _SL2_ERR
+    s = math.fsum(parts)
+    for k in range(1, _MAX_K + 1):
+        b = b1 * k
+        inv_b = tau / (math.pi * k)
+        e1, e2, e3 = math.exp(-phi * b), math.exp(-a2 * b), math.exp(-TWO_PI * b)
+        d = -math.expm1(-TWO_PI * b)
+        h = (e1 + e2) / d  # H
+        hp = (phi * e1 + a2 * e2 + TWO_PI * e3 * h) / d  # -H'
+        if series.pressure:
+            hpp = (phi * phi * e1 + a2 * a2 * e2 + e3 * (_FOUR_PI2 * h + 2.0 * TWO_PI * hp)) / d
+            term = mag = hpp / (2 * k)
+        else:
+            mag = (inv_b * hp + inv_b * inv_b * h) / (2 * k)
+            term = -mag
+        if grad:
+            kk = (e1 - e2) / d  # K
+            term += grad * ((phi * e1 - a2 * e2 + TWO_PI * e3 * kk) / (d * k))
+            mag += abs(grad) * hp / k
+        parts.append(term)
+        floor += mag * r
+        tail = ratio * mag * (1.0 + r)
+        s += term
+        target = ctrl.rel_tol * abs(s)
+        if k == 1 and tail * rho ** (_MAX_K - 1) > 0.5 * ctrl.rel_tol * (abs(s) - tail):
+            return None  # the m-series gets there sooner
+        if _stops(tail, floor, target):
+            break
+    value = math.fsum(parts)
+    err = tail + floor + _EPS * abs(value)
+    return EvalResult(value, err, k, tail + floor <= target and _meets(err, ctrl.rel_tol, value))
 
 
 # The n_first term cap.  At rel_tol 1e-10 the up-front refusal starts near
@@ -471,13 +618,6 @@ def _validate_point(p: ReducedPoint) -> None:
             "closed forms at zero temperature"
         )
     _check_tau(p.tau)
-    if p.tau < 1e-6:
-        warnings.warn(
-            f"tau = {p.tau:g} is deep in the quantum regime; the T=0 closed "
-            "form is better conditioned there",
-            RuntimeWarning,
-            stacklevel=3,
-        )
 
 
 def _zero_mode_base(theta: float, zero_mode: ZeroModePolicy) -> tuple[float, float]:
@@ -502,7 +642,8 @@ def _reduced(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModeP
     """Reduced free energy or pressure, plus grad dE/dtheta (m_first only), at any theta."""
     t, sign = _canonical_theta(theta)
     if ctrl.order == "m_first":
-        return _m_series(t, tau, ctrl, zero_mode, series, grad * sign)
+        res = _dual(t, tau, ctrl, zero_mode, series, grad * sign)
+        return res if res is not None else _m_series(t, tau, ctrl, zero_mode, series, grad * sign)
     return _n_first(t, tau, ctrl, zero_mode, series)
 
 
@@ -672,11 +813,9 @@ def _physical(cfg: CavityConfig, ctrl: SeriesControl, series: _MSeries) -> EvalR
         value = closed_form(theta)
         err = 3e-15 if series.pressure else 1e-15  # polynomial, roundoff level in reduced units
         if grad:
-            # dE_0/dtheta = Sl3(2 theta)/(4 pi^2).  Sl3 is good to 1.6e-15:
-            # 6.3e-16 from the fold (3.8e-16 in 2 theta, |Cl2| <= zeta(2)) and
-            # 9.7e-16 from rounding x (x - pi)(x - 2 pi)/12, float(pi) included.
-            # The product and the division by the rounded 4 pi^2 add 3.7u of
-            # |Sl3| <= 0.995: (1.6e-15 + 4.1e-16)/(4 pi^2) = 5.1e-17 per unit |grad|.
+            # dE_0/dtheta = Sl3(2 theta)/(4 pi^2).  The product and the division
+            # by the rounded 4 pi^2 add 3.7u of |Sl3| <= 0.995 to _SL3_ERR:
+            # (1.6e-15 + 4.1e-16)/(4 pi^2) = 5.1e-17 per unit |grad|.
             value += grad * clausen_sin(3, 2.0 * theta) / (4.0 * math.pi**2)
             err += abs(grad) * 5.1e-17 + _EPS * abs(value)
         res = EvalResult(value, err, 0, _meets(err, ctrl.rel_tol, value))

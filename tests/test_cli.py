@@ -148,6 +148,20 @@ def test_sweep_determinism(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("flag, value, extra", [
+    ("--theta-range", "-1:1:5", ("--temperature", "300")),
+    ("--bfield-range", "-0.2:0.2:3", ("--medium", "faraday", "--verdet", "1e6",
+                                       "--temperature", "300")),
+])
+def test_negative_range_start_may_follow_a_space(capsys, flag, value, extra):
+    # argparse alone reads "-1:1:5" as an option and exits 1
+    code_joined, joined, _ = run_cli(capsys, "--mode", "sweep", f"{flag}={value}", *extra)
+    code, spaced, _ = run_cli(capsys, "--mode", "sweep", flag, value, *extra)
+    assert code == code_joined == 0
+    assert spaced == joined
+    assert len(parse_csv(spaced)[1]) == int(value.rsplit(":", 1)[1])
+
+
 def test_zero_mode_flag_changes_the_result(capsys):
     base = ("--mode", "point", "--theta", "0.5", "--temperature", "300",
             "--units", "reduced")

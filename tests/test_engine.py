@@ -6,14 +6,13 @@ finite differences of that quadrature for the pressure; they are pinned here
 so regressions surface without rerunning the slow path.
 """
 
-import contextlib
 import math
 from fractions import Fraction
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chiral_casimir import engine
 from chiral_casimir.engine import (
@@ -199,9 +198,14 @@ def test_low_temperature_continuity(theta):
     assert rescaled == pytest.approx(reduced_free_energy_T0(theta), rel=1e-5)
 
 
-def test_deep_quantum_regime_warns():
-    with pytest.warns(RuntimeWarning):
-        reduced_free_energy(ReducedPoint(0.3, 1e-7))
+def test_deep_quantum_regime_is_summed_by_the_dual_without_warning():
+    # the dual's terms fall like e^{-2 pi k theta/tau}: one term at tau = 1e-7
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (reduced_free_energy, reduced_pressure):
+            res = fn(ReducedPoint(0.3, 1e-7))
+            assert res.converged
+            assert res.terms_used <= engine._MAX_K
 
 
 def test_tau_zero_raises():
@@ -216,7 +220,6 @@ def test_extreme_tau_evaluates_or_fails_clearly():
     for tau in (1e-300, 1e160, 1.7e308):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            warnings.filterwarnings("ignore", message="tau =")
             for fn in (reduced_free_energy, reduced_pressure):
                 res = fn(ReducedPoint(0.3, tau))
                 assert res.converged and math.isfinite(res.value)
@@ -251,8 +254,9 @@ def test_eval_result_invariant_on_grid():
 
 
 def test_truncation_reports_non_convergence(monkeypatch):
+    # at theta/tau this small the dual's tail falls too slowly: the m-series sums it
     monkeypatch.setattr(engine, "_MAX_M", 5)
-    res = reduced_free_energy(ReducedPoint(0.3, 0.4))
+    res = reduced_free_energy(ReducedPoint(0.05, 0.4))
     assert not res.converged
     assert math.isfinite(res.value)
     assert res.error_estimate > 0.0
@@ -289,9 +293,11 @@ def test_series_control_validation():
 @pytest.mark.parametrize("fn, point, ctrl, converged", [
     (reduced_free_energy, (0.3, 1.0), None, True),  # certified
     (reduced_free_energy, (0.7251727334628189, 40.0), None, False),  # error floor
-    (reduced_free_energy, (0.3, 1.0), CAPPED, False),  # term cap
+    (reduced_free_energy, (0.05, 1.0), CAPPED, False),  # term cap
     (reduced_pressure, (0.3, 1.0), N_FIRST, True),  # n_first certified
     (reduced_free_energy, (0.3, 1e-4), N_FIRST, False),  # n_first refusal
+    (reduced_pressure, (1.2, 1.0), None, True),  # dual certified
+    (reduced_free_energy, (0.7550357, 1e-9), None, False),  # dual error floor: Cl4 ~ 0
 ])
 def test_converged_is_a_python_bool(fn, point, ctrl, converged, monkeypatch):
     if ctrl is CAPPED:
@@ -538,15 +544,24 @@ def test_eval_result_shape():
 def mp_series(theta, tau, pressure=False, faraday=False, tm_only=False):
     """40-digit sum of the m-series with a rigorous bound on its own error.
 
-    Sums m = 1..M and bounds the rest by Abel summation: the magnitudes
-    f_m = weight(2 m tau)/m^3 decrease, and partial sums of cos(2 m theta)
-    are at most 1/|sin theta|, so |sum_{m>M}| <= f_{M+1}/|sin theta|.
+    Sums m = 1..M-1 and bounds the rest, terms f_m c_m with
+    f_m = weight(2 m tau)/m^3 and |c_m| = |cos(2 m theta)| <= 1, by the least
+    of three bounds on sum_{m>=M} f_m c_m:
+      * Abel summation: f_m decreases, and partial sums of cos(2 m theta) are
+        at most 1/|sin theta|, so the rest is at most f_M/|sin theta|;
+      * geometric: weight(a + 2 tau)/weight(a) <= e^{-2 tau}(1 + 2 tau/a)^j
+        (j = 1 for w, 2 for the pressure weight), so with
+        r = e^{-2 tau}(1 + 1/M)^j < 1 the rest is at most f_M/(1 - r);
+      * algebraic: w(a) <= 2/a and the pressure weight is at most 6/a, so
+        f_m <= k/(2 tau m^4) (k = 2 or 6) and the rest is at most
+        k/(2 tau) (1/M^4 + 1/(3 M^3)).
     faraday=True gives the Faraday pressure, the pressure minus
     theta dE/dtheta = theta [Sl2(2 theta) + 2 sum sin(2 m theta) w(2 m tau)/m^2],
-    whose sine terms take the same bound (partial sums of sin(2 m theta) are
-    at most 1/|sin theta| too); tm_only=True takes the TM_ONLY zero mode,
-    -zeta(3)/4, which has no angle slope.  Stops once the bound is below
-    1e-12 of the running sum, a hundredth of the default rel_tol.
+    whose sine terms take the same bounds with 1/m^2 for 1/m^3 (partial sums
+    of sin(2 m theta) are at most 1/|sin theta| too); tm_only=True takes the
+    TM_ONLY zero mode, -zeta(3)/4, which has no angle slope.  Stops once the
+    bound is below 1e-12 of the running sum, a hundredth of the default
+    rel_tol.
     """
     import mpmath
 
@@ -564,7 +579,7 @@ def mp_series(theta, tau, pressure=False, faraday=False, tm_only=False):
         s_prev, s = mpmath.mpf(0), s1
         y1 = mpmath.exp(-2 * t)
         y = y1
-        inv_sin = 1 / abs(mpmath.sin(th))
+        sin_th = abs(mpmath.sin(th))
 
         def weight(m, y, pressure):
             a = 2 * m * t
@@ -573,11 +588,22 @@ def mp_series(theta, tau, pressure=False, faraday=False, tm_only=False):
                 return 2 * q + 2 * a * q / (1 - y) + a * a * q * (1 + y) / (1 - y) ** 2
             return q + a * q / (1 - y)
 
+        def rest(f, m, j, k, s):
+            # bound on the terms from m on, f = weight/m^s the first magnitude
+            best = k / (2 * t) * (1 / mpmath.mpf(m) ** (s + 1) + 1 / (s * mpmath.mpf(m) ** s))
+            r = y1 * (1 + mpmath.mpf(1) / m) ** j
+            if r < 1:
+                best = min(best, f / (1 - r))
+            if sin_th > 0:
+                best = min(best, f / sin_th)
+            return best
+
         def bound(m, y):
-            b = weight(m, y, pressure or faraday) / m**3
+            j, k = (2, 6) if pressure or faraday else (1, 2)
+            b = rest(weight(m, y, pressure or faraday) / m**3, m, j, k, 3)
             if faraday:
-                b += abs(th) * 2 * weight(m, y, False) / m**2
-            return b * inv_sin
+                b += abs(th) * 2 * rest(weight(m, y, False) / m**2, m, 1, 2, 2)
+            return b
 
         m = 1
         while True:
@@ -588,15 +614,14 @@ def mp_series(theta, tau, pressure=False, faraday=False, tm_only=False):
             c_prev, c = c, 2 * c1 * c - c_prev
             s_prev, s = s, 2 * c1 * s - s_prev
             m += 1
-            if bound(m, y) < 1e-12 * abs(total):
+            if m % 8 == 0 and bound(m, y) < 1e-12 * abs(total):
                 return float(total), float(bound(m, y) + abs(total) * mpmath.mpf(2) ** -53)
 
 
 @pytest.mark.parametrize("theta, tau", [(0.7550, 1e-4), (0.7550, 1e-9), (0.3, 1e-9)])
 def test_kernel_within_its_estimate_of_mpmath(theta, tau):
-    with pytest.warns(RuntimeWarning) if tau < 1e-6 else contextlib.nullcontext():
-        e = reduced_free_energy(ReducedPoint(theta, tau))
-        p = reduced_pressure(ReducedPoint(theta, tau))
+    e = reduced_free_energy(ReducedPoint(theta, tau))
+    p = reduced_pressure(ReducedPoint(theta, tau))
     for res, pressure in ((e, False), (p, True)):
         ref, ref_bound = mp_series(theta, tau, pressure)
         assert res.converged
@@ -639,11 +664,100 @@ def test_kernel_certifies_below_the_old_clausen_floor():
 
 
 def test_kernel_stops_at_max_m(monkeypatch):
+    # at theta = 0, rho = e^{-2 pi theta/tau} = 1 leaves the dual no tail bound
     monkeypatch.setattr(engine, "_MAX_M", 40)
-    res = reduced_pressure(ReducedPoint(0.3, 1e-3))
+    res = reduced_pressure(ReducedPoint(0.0, 1e-3))
     assert res.terms_used == 40
     assert not res.converged
     assert res.error_estimate > 1e-10 * abs(res.value)
+
+
+def test_dual_sums_at_most_max_k_terms(monkeypatch):
+    # a dual point summing more terms than the cap allows goes to the m-series,
+    # which certifies it; one within the cap stays with the dual
+    full = reduced_free_energy(ReducedPoint(0.3, 1.0))
+    assert full.converged and 3 < full.terms_used <= engine._MAX_K
+    monkeypatch.setattr(engine, "_MAX_K", 3)
+    for th, tau in ((0.3, 1.0), (1.2, 1.0)):
+        t, _ = engine._canonical_theta(th)
+        dual = engine._dual(t, tau, SeriesControl(), ZeroModePolicy.FULL, engine._ENERGY)
+        res = reduced_free_energy(ReducedPoint(th, tau))
+        assert res.converged
+        if dual is None:
+            assert res.terms_used > 3  # the m-series' count
+            assert abs(res.value - full.value) <= res.error_estimate + full.error_estimate
+        else:
+            assert res == dual and res.terms_used <= 3
+    assert engine._dual(0.3, 1.0, SeriesControl(), ZeroModePolicy.FULL, engine._ENERGY) is None
+
+
+def _series_and_grad(kind, theta):
+    return {"E": (engine._ENERGY, 0.0), "P": (engine._PRESSURE, 0.0),
+            "F": (engine._PRESSURE, -theta)}[kind]
+
+
+@pytest.mark.parametrize("kind", ["E", "P", "F"])
+@pytest.mark.parametrize("zero_mode", list(ZeroModePolicy))
+def test_dual_and_m_series_agree_on_their_overlap(kind, zero_mode):
+    ctrl = SeriesControl()
+    served = 0
+    for theta in (0.2, 0.5, 0.755, 1.0, 1.3, math.pi / 2):
+        for tau in (0.02, 0.1, 0.3, 0.7, 1.5, 3.0):
+            series, grad = _series_and_grad(kind, theta)
+            dual = engine._dual(theta, tau, ctrl, zero_mode, series, grad)
+            if dual is None:
+                continue
+            m = engine._m_series(theta, tau, ctrl, zero_mode, series, grad)
+            served += dual.converged and m.converged  # not so near a zero of the result
+            assert dual.terms_used <= engine._MAX_K
+            assert abs(dual.value - m.value) <= dual.error_estimate + m.error_estimate
+    assert served >= 20
+
+
+@pytest.mark.parametrize("theta, tau, kind, zero_mode", [
+    (0.7550, 1e-4, "E", ZeroModePolicy.FULL),
+    (0.7550, 1e-4, "P", ZeroModePolicy.TM_ONLY),
+    (0.7550, 1e-9, "F", ZeroModePolicy.FULL),
+    (math.pi / 2 - 1e-12, 1e-3, "E", ZeroModePolicy.FULL),
+    (math.pi / 2 - 1e-12, 0.4, "F", ZeroModePolicy.TM_ONLY),
+    (-1.2, 0.5, "F", ZeroModePolicy.FULL),
+    (2.5, 1.2, "E", ZeroModePolicy.TM_ONLY),
+    (0.02, 1e-3, "P", ZeroModePolicy.FULL),
+])
+def test_dual_within_its_estimate_of_mpmath(theta, tau, kind, zero_mode):
+    series, grad = _series_and_grad(kind, theta)
+    t, sign = engine._canonical_theta(theta)
+    res = engine._reduced(theta, tau, SeriesControl(), zero_mode, series, grad)
+    assert res == engine._dual(t, tau, SeriesControl(), zero_mode, series, grad * sign)
+    assert res.converged and res.terms_used <= engine._MAX_K
+    assert res.error_estimate <= 1e-10 * abs(res.value)
+    ref, ref_bound = mp_series(theta, tau, pressure=kind == "P", faraday=kind == "F",
+                               tm_only=zero_mode is ZeroModePolicy.TM_ONLY)
+    assert abs(res.value - ref) <= res.error_estimate + ref_bound
+
+
+@given(
+    st.floats(min_value=-8.0, max_value=8.0, allow_nan=False),
+    st.floats(min_value=-3.0, max_value=2.0, allow_nan=False),
+    st.sampled_from(["E", "P", "F"]),
+    st.sampled_from(list(ZeroModePolicy)),
+)
+@example(0.3, -3.0, "E", ZeroModePolicy.FULL)  # the dual
+@example(-7.9, 0.3, "F", ZeroModePolicy.TM_ONLY)  # the m-series
+@settings(max_examples=60, deadline=None)
+def test_converged_results_are_within_their_estimate_of_mpmath(theta, log_tau, kind, zero_mode):
+    tau = 10.0**log_tau
+    series, grad = _series_and_grad(kind, theta)
+    res = engine._reduced(theta, tau, SeriesControl(), zero_mode, series, grad)
+    if not res.converged:
+        return
+    t, sign = engine._canonical_theta(theta)
+    if engine._dual(t, tau, SeriesControl(), zero_mode, series, grad * sign) is not None:
+        assert res.terms_used <= engine._MAX_K
+    ref, ref_bound = mp_series(theta, tau, pressure=kind == "P", faraday=kind == "F",
+                               tm_only=zero_mode is ZeroModePolicy.TM_ONLY)
+    assert abs(res.value - ref) <= res.error_estimate + ref_bound
+    assert res.error_estimate <= 1e-10 * abs(res.value)
 
 
 # ------------------------------------------------------------ n-first cost bound

@@ -150,6 +150,28 @@ def test_clausen_sin2_within_the_engine_budget_against_mpmath():
     assert worst <= _SL2_ERR
 
 
+def test_clausen_cos4_within_the_engine_budget_against_mpmath():
+    # the dual series charges _CL4_ERR to clausen_cos(4, 2 t), with t the
+    # engine's fold of theta; 40-digit reference at the unfolded theta, over
+    # a grid of [0, pi], folded angles, angles just off multiples of pi/2 and
+    # the zero of Cl4(2 theta) near theta* = 0.755
+    import mpmath
+
+    from chiral_casimir.engine import _CL4_ERR, _canonical_theta
+
+    n = 401
+    thetas = [math.pi * i / n for i in range(n + 1)] + [0.5 * phi for phi in OUTSIDE]
+    for k in (1, 2, 7, 10**6, 3 * 10**14):
+        for d in (0.0, 1e-17, 1e-12, 1e-6, -1e-9):
+            thetas += [k * math.pi / 2 + d, -k * math.pi + d, k * math.pi + 0.7550352635972402 + d]
+    worst = 0.0
+    with mpmath.workdps(40):
+        for theta in thetas:
+            t, _ = _canonical_theta(theta)
+            worst = max(worst, abs(clausen_cos(4, 2.0 * t) - mpmath.clcos(4, 2 * mpmath.mpf(theta))))
+    assert worst <= _CL4_ERR
+
+
 @pytest.mark.parametrize("s", [2, 4])
 def test_clausen_sin_log_expansions_against_mpmath(s):
     import mpmath
