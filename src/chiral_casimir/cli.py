@@ -141,21 +141,23 @@ def _evaluate_point(theta: float, separation: float, temperature: float,
     e_res = engine.physical_free_energy(cfg, ctrl)
     p_res = engine.physical_pressure(cfg, ctrl)
     e_scale, lift = engine._unit_scale(separation, temperature, pressure=False)
+    converged = e_res.converged and p_res.converged
     if spec.medium is MediumKind.FARADAY:
         # the column holds the fixed-angle pressure; physical_pressure adds
         # the angle's dependence on the separation
         if temperature == 0.0:
             red_p = engine.reduced_pressure_T0(theta_eff)
         else:
-            red_p = engine.reduced_pressure(ReducedPoint(theta_eff, tau), ctrl,
-                                            zero_mode=spec.zero_mode).value
+            fixed = engine.reduced_pressure(ReducedPoint(theta_eff, tau), ctrl,
+                                            zero_mode=spec.zero_mode)
+            red_p, converged = fixed.value, converged and fixed.converged
     else:
         p_scale, _ = engine._unit_scale(separation, temperature, pressure=True)
         red_p = p_res.value / p_scale * lift
 
     return SweepRow(theta, theta_eff, separation, temperature, tau, e_res.value / e_scale * lift,
                     red_p, e_res.value, p_res.value, e_res.terms_used,
-                    e_res.error_estimate / e_scale * lift, e_res.converged and p_res.converged)
+                    e_res.error_estimate / e_scale * lift, converged)
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:

@@ -47,15 +47,17 @@ most of tau >~ 1).  At theta = 0, where rho = 1, R is the algebraic
 The m-series terms are made by one numpy kernel (_m_series), one point per
 call, in chunks of m that double from 32 to 4096; the dual and n_first add
 one term at a time.  All three stop by one rule (_stops): at the first index
-where the closed tail bound of the remaining terms plus an error floor is
-within rel_tol of the running sum (certified), where the tail alone is but
-the floor is not (the error floor), or at the term cap, _MAX_M, _MAX_K or
-_MAX_N.  The floor is the zero-mode error plus a charge for rounding every
-term for the m-series, the error of the closed forms plus a charge for every
-term so far for the dual, and the error accumulated so far for n_first.
-m_first values are exact sums of the computed terms, rounded once.  n_first
-refuses up front, unconverged, when its tail beyond _MAX_N already exceeds
-rel_tol.
+where the closed tail bound of the remaining terms, an error floor and the
+final rounding EPS |S| together are within rel_tol of the running sum S
+(certified), where the tail alone is but the rest is not (the error floor),
+or at the term cap, _MAX_M, _MAX_K or _MAX_N.  The floor is the error of the
+closed-form zero mode (_zero_mode) plus a charge for rounding every term for
+the m-series, the error of the closed forms plus a charge for every term so
+far for the dual, and the error accumulated so far for n_first.  Every
+result leaves through _finish: its value is the exact sum (math.fsum) of its
+parts, rounded once, and it is converged where tail + floor + EPS |value| is
+within rel_tol |value|, the inequality the stop tested.  n_first refuses up
+front, unconverged, when its tail beyond _MAX_N already exceeds rel_tol.
 """
 
 from __future__ import annotations
@@ -217,10 +219,12 @@ class ReducedPoint:
 class SeriesControl:
     """Convergence policy for the reduced series.
 
-    rel_tol is the relative error a converged result certifies; order picks
-    the summation order.  m_first sums at most _MAX_K terms of the dual or
-    _MAX_M of the m-series; n_first at most _MAX_N, and refuses up front,
-    unconverged, where that many terms cannot reach rel_tol.
+    rel_tol is the relative error a converged result certifies, the final
+    rounding of its value included; order picks the summation order.
+    m_first sums at most _MAX_K terms of the dual or _MAX_M of the m-series;
+    n_first at most _MAX_N, and refuses up front, unconverged, where that
+    many terms cannot reach rel_tol.  A sum stops where its estimate meets
+    rel_tol, or where no further term can make it do so.
     """
 
     rel_tol: float = 1e-10
@@ -239,8 +243,10 @@ class EvalResult:
 
     terms_used counts series terms in the active summation order (m or, for
     the low-temperature dual, k terms for m_first, Matsubara terms including
-    n=0 for n_first, 0 for closed forms).
-    When converged is set, error_estimate <= rel_tol * |value|.
+    n=0 for n_first, 0 for closed forms).  error_estimate bounds the
+    truncated tail, the error of the closed forms and of every term, and the
+    rounding of value, the exact sum of the parts rounded once.  converged
+    is set where error_estimate <= rel_tol * |value|.
     """
 
     value: float
@@ -249,20 +255,29 @@ class EvalResult:
     converged: bool
 
 
-def _meets(err: float, rel_tol: float, value: float) -> bool:
-    if value == 0.0:
-        return err <= 1e-300
-    return err <= rel_tol * abs(value)
-
-
-def _stops(tail, floor, target):
+def _stops(tail, floor, s, rel_tol):
     """Whether a sum stops here, on floats or numpy arrays alike.
 
-    target is rel_tol |S| for the running sum S.  A sum stops where
-    tail + floor <= target (certified) or tail <= target < floor (the error
-    floor, which no number of further terms can get under).
+    s is |S| for the running sum S.  The floor is charged the final rounding
+    EPS s, as _finish charges EPS |value|, so with target = rel_tol s a sum
+    stops where tail + floor + EPS s <= target (certified, the verdict
+    _finish gives where value = S) or tail <= target < floor + EPS s (the
+    error floor, which no number of further terms can get under).
     """
+    floor = floor + _EPS * s
+    target = rel_tol * s
     return target - tail >= floor * (target >= floor)
+
+
+def _finish(parts, tail: float, floor: float, terms: int, rel_tol: float) -> EvalResult:
+    """The result of a sum that stopped: the exact sum of its parts, rounded once.
+
+    Its estimate is tail + floor plus that rounding, EPS |value|, and it is
+    converged where the estimate is within rel_tol |value|.
+    """
+    value = math.fsum(parts)
+    err = tail + floor + _EPS * abs(value)
+    return EvalResult(value, err, terms, err <= rel_tol * abs(value))
 
 
 def _canonical_theta(theta: float) -> tuple[float, float]:
@@ -376,37 +391,49 @@ def _chunks():
         size = min(2 * size, _LAST_CHUNK)
 
 
+def _zero_mode(theta: float, zero_mode: ZeroModePolicy, series: _MSeries,
+               grad: float = 0.0) -> tuple[list[float], float]:
+    """The closed-form n=0 parts of the series at a folded theta, and their error.
+
+    The half-weighted zero mode, -Cl3(2 theta)/2 under FULL and the
+    angle-blind -zeta(3)/4 under TM_ONLY, doubled for the pressure; under
+    FULL the Faraday pressure adds its slope grad Sl2(2 theta).
+    """
+    scale = 2.0 if series.pressure else 1.0
+    if zero_mode is ZeroModePolicy.TM_ONLY:
+        return [scale * (-0.25 * ZETA_3)], scale * 1e-16
+    parts = [scale * (-0.5 * clausen_cos(3, 2.0 * theta))]
+    err = scale * (0.5 * _CLAUSEN_ERR)
+    if grad:
+        parts.append(grad * clausen_sin(2, 2.0 * theta))
+        err += abs(grad) * _SL2_ERR
+    return parts, err
+
+
 def _m_series(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePolicy,
               series: _MSeries, grad: float = 0.0) -> EvalResult:
-    """base(theta) - sum_m cos(2 m theta) weight(2 m tau)/m^3 + grad dE/dtheta at a folded point.
+    """zero mode - sum_m cos(2 m theta) weight(2 m tau)/m^3 + grad dE/dtheta at a folded point.
 
-    base is the closed-form zero mode, doubled for the pressure.  grad is 0
-    except for the Faraday pressure, where it adds grad Sl2(2 theta) (the
-    zero mode's slope; none under TM_ONLY) and the sine terms
-    2 grad sin(2 m theta) w(2 m tau)/m^2, w the energy weight.  The point
-    runs through the terms a chunk at a time and stops by _stops at its
-    first m, or at m = _MAX_M.
+    The zero mode is _zero_mode's.  grad is 0 except for the Faraday
+    pressure, where it adds the sine terms 2 grad sin(2 m theta) w(2 m tau)/m^2,
+    w the energy weight.  The point runs through the terms a chunk at a
+    time and stops by _stops at its first m, or at m = _MAX_M.
     tail(m) = min(k/(6 tau m^3), weight_{m+1}/(2 m^2)) bounds the cosine
     terms beyond m, where weight_{m+1} = weight(2(m+1) tau), plus
     |grad| min(1/(tau m^2), 2 w_{m+1}/m) for the sine terms; floor is
     _MSeries.floor plus |grad| _sine_floor.  The running sums S_m that
     decide where to stop are float cumulative sums on top of the exact sum
-    of the earlier chunks.  The value is the exact sum
-    (math.fsum) of the base and the per-chunk exact sums, rounded once; that
-    rounding is charged too.
+    of the earlier chunks.  _finish sums the zero mode and the per-chunk
+    exact sums.
     """
-    scale = 2.0 if series.pressure else 1.0
     # from tau = 400 on every weight underflows to exactly 0; capping tau
     # changes no result and keeps a and a^2 finite in the weights
     tau = min(tau, 1e3)
-    base, base_err = _zero_mode_base(theta, zero_mode)
-    parts = [scale * base]  # the base, then the exact sum of each finished chunk
-    floor = series.floor(theta, tau, scale * base_err)
+    # the zero mode, then the exact sum of each finished chunk
+    parts, zero_err = _zero_mode(theta, zero_mode, series, grad)
+    floor = series.floor(theta, tau, zero_err)
     if grad:
         floor += abs(grad) * _sine_floor(theta, tau)
-        if zero_mode is ZeroModePolicy.FULL:  # the TM_ONLY zero mode has no slope
-            parts.append(grad * clausen_sin(2, 2.0 * theta))
-            floor += abs(grad) * _SL2_ERR
     head = math.fsum(parts)  # sum before the chunk
     phi, neg_2tau, tail_alg = 2.0 * theta, -2.0 * tau, series.k / (6.0 * tau)
     for lo, hi in _chunks():
@@ -426,8 +453,7 @@ def _m_series(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroMode
             terms = terms + (-2.0 * grad) * np.sin(phi * m[:-1]) * neg_g[:-1]
             sine_tail = np.minimum(inv_m3[:-1] * m[:-1] / tau, -2.0 * neg_w[1:] / m[:-1])
             tail = tail + abs(grad) * sine_tail
-        target = ctrl.rel_tol * np.abs(head + np.add.accumulate(terms))
-        stop = _stops(tail, floor, target)
+        stop = _stops(tail, floor, np.abs(head + np.add.accumulate(terms)), ctrl.rel_tol)
         if hi == _MAX_M:
             stop[-1] = True
         j = int(stop.argmax())
@@ -436,11 +462,7 @@ def _m_series(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroMode
         parts.append(math.fsum(terms.tolist()))
         head = math.fsum(parts)
     parts.append(math.fsum(terms[:j + 1].tolist()))
-    value = math.fsum(parts)
-    tail_j = float(tail[j])
-    err = tail_j + floor + _EPS * abs(value)
-    return EvalResult(value, err, lo + j,
-                      bool(tail_j + floor <= target[j]) and _meets(err, ctrl.rel_tol, value))
+    return _finish(parts, float(tail[j]), floor, lo + j, ctrl.rel_tol)
 
 
 # The dual's term cap.  On a 2-CPU host a dual call costs about 6 us plus
@@ -473,7 +495,7 @@ def _dual(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePoli
     term k (|K'| <= |H'| bounds the slope terms).  The floor is the error of
     the closed forms (_CL4_ERR, _SL3_ERR and, under TM_ONLY, the two zero
     modes) plus the rounding of every term.  Stops by _stops, or at
-    k = _MAX_K; the value is the exact sum of the parts, rounded once.
+    k = _MAX_K; _finish sums the parts.
     """
     rho = math.exp(-2.0 * math.pi * theta / tau)
     # A screen that needs no closed form: the first term is at least rho m_lo
@@ -521,14 +543,10 @@ def _dual(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePoli
         floor += abs(grad) * 2.0 * _SL3_ERR / tau + 2.0 * _EPS * abs(slope)
     if zero_mode is ZeroModePolicy.TM_ONLY:
         # the TM_ONLY zero mode in place of the full one, as the m-series has it
-        scale = 2.0 if series.pressure else 1.0
-        tm, tm_err = _zero_mode_base(theta, zero_mode)
-        full, full_err = _zero_mode_base(theta, ZeroModePolicy.FULL)
-        parts += [scale * tm, -scale * full]
-        floor += scale * (tm_err + full_err)
-        if grad:  # nor has it the zero mode's slope
-            parts.append(-grad * clausen_sin(2, phi))
-            floor += abs(grad) * _SL2_ERR
+        tm, tm_err = _zero_mode(theta, zero_mode, series, grad)
+        full, full_err = _zero_mode(theta, ZeroModePolicy.FULL, series, grad)
+        parts += tm + [-x for x in full]
+        floor += tm_err + full_err
     s = math.fsum(parts)
     for k in range(1, _MAX_K + 1):
         b = b1 * k
@@ -551,14 +569,11 @@ def _dual(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePoli
         floor += mag * r
         tail = ratio * mag * (1.0 + r)
         s += term
-        target = ctrl.rel_tol * abs(s)
         if k == 1 and tail * rho ** (_MAX_K - 1) > 0.5 * ctrl.rel_tol * (abs(s) - tail):
             return None  # the m-series gets there sooner
-        if _stops(tail, floor, target):
+        if _stops(tail, floor, abs(s), ctrl.rel_tol):
             break
-    value = math.fsum(parts)
-    err = tail + floor + _EPS * abs(value)
-    return EvalResult(value, err, k, tail + floor <= target and _meets(err, ctrl.rel_tol, value))
+    return _finish(parts, tail, floor, k, ctrl.rel_tol)
 
 
 # The n_first term cap.  At rel_tol 1e-10 the up-front refusal starts near
@@ -620,13 +635,6 @@ def _validate_point(p: ReducedPoint) -> None:
     _check_tau(p.tau)
 
 
-def _zero_mode_base(theta: float, zero_mode: ZeroModePolicy) -> tuple[float, float]:
-    """Half-weighted n=0 contribution to the reduced free energy and its error."""
-    if zero_mode is ZeroModePolicy.TM_ONLY:
-        return -0.25 * ZETA_3, 1e-16
-    return -0.5 * clausen_cos(3, 2.0 * theta), 0.5 * _CLAUSEN_ERR
-
-
 def reduced_free_energy(p: ReducedPoint, ctrl: SeriesControl | None = None,
                         zero_mode: ZeroModePolicy = ZeroModePolicy.FULL) -> EvalResult:
     """Reduced free energy E(theta, tau) = E_c * 4 pi beta l^2 (signed).
@@ -678,28 +686,25 @@ def _n_first(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModeP
     """Reduced free energy or fixed-angle pressure, one Matsubara term at a time.
 
     Stops by _stops at its first n >= 1, with the floor the error of the
-    terms so far, or at n = _MAX_N.
+    terms so far, or at n = _MAX_N.  The float running total only steers
+    the stop: _finish sums the zero mode and the terms exactly.
     """
-    # the tau-independent n=0 part of the pressure is twice its free-energy value
-    scale = 2.0 if series.pressure else 1.0
-    base, base_err = _zero_mode_base(theta, zero_mode)
-    base, base_err = scale * base, scale * base_err
+    parts, acc_err = _zero_mode(theta, zero_mode, series)
+    total = parts[0]
     tail = _pressure_tail_n if series.pressure else _energy_tail_n
-    whole = tail(0, tau)  # bounds all n >= 1 terms, so |value| <= |base| + whole
-    if not tail(_MAX_N, tau) + base_err <= ctrl.rel_tol * (abs(base) + whole) < math.inf:
+    whole = tail(0, tau)  # bounds all n >= 1 terms, so |value| <= |zero mode| + whole
+    if not tail(_MAX_N, tau) + acc_err <= ctrl.rel_tol * (abs(total) + whole) < math.inf:
         # _MAX_N terms cannot meet rel_tol however they cancel: refuse up front
-        return EvalResult(base, base_err + whole, 1, False)
-    total, acc_err = base, base_err
+        return _finish(parts, whole, acc_err, 1, ctrl.rel_tol)
     for n in range(1, _MAX_N + 1):
         term, term_err = _matsubara_n(n, theta, tau, series.pressure)
+        parts.append(term)
         total += term
         acc_err += term_err
         tail_n = tail(n, tau)
-        target = ctrl.rel_tol * abs(total)
-        if _stops(tail_n, acc_err, target):
+        if _stops(tail_n, acc_err, abs(total), ctrl.rel_tol):
             break
-    err = acc_err + tail_n
-    return EvalResult(total, err, n + 1, bool(tail_n + acc_err <= target))
+    return _finish(parts, tail_n, acc_err, n + 1, ctrl.rel_tol)
 
 
 def reduced_free_energy_T0(theta: float) -> float:
@@ -726,7 +731,7 @@ def reduced_pressure_T0(theta: float) -> float:
 
 def classical_limit_reduced(theta: float) -> float:
     """tau -> infinity limit of the reduced free energy (full zero-mode policy)."""
-    return -0.5 * clausen_cos(3, 2.0 * _canonical_theta(theta)[0])
+    return _zero_mode(_canonical_theta(theta)[0], ZeroModePolicy.FULL, _ENERGY)[0][0]
 
 
 def matsubara_term(n: int, p: ReducedPoint) -> float:
@@ -736,9 +741,9 @@ def matsubara_term(n: int, p: ReducedPoint) -> float:
     """
     if n < 0:
         raise ValueError(f"Matsubara index must be >= 0, got {n!r}")
+    if n == 0:  # twice the half-weighted zero mode
+        return 2.0 * classical_limit_reduced(p.theta)
     theta, _ = _canonical_theta(p.theta)
-    if n == 0:
-        return -clausen_cos(3, 2.0 * theta)
     if p.tau <= 0.0:
         raise ValueError("positive tau required for n >= 1 Matsubara terms")
     return _matsubara_n(n, theta, p.tau, pressure=False)[0]
@@ -810,15 +815,15 @@ def _physical(cfg: CavityConfig, ctrl: SeriesControl, series: _MSeries) -> EvalR
     grad = -theta if series.pressure and cfg.kind is MediumKind.FARADAY else 0.0
     if cfg.temperature == 0.0:
         closed_form = reduced_pressure_T0 if series.pressure else reduced_free_energy_T0
-        value = closed_form(theta)
-        err = 3e-15 if series.pressure else 1e-15  # polynomial, roundoff level in reduced units
+        parts = [closed_form(theta)]
+        floor = 3e-15 if series.pressure else 1e-15  # polynomial, roundoff level in reduced units
         if grad:
             # dE_0/dtheta = Sl3(2 theta)/(4 pi^2).  The product and the division
             # by the rounded 4 pi^2 add 3.7u of |Sl3| <= 0.995 to _SL3_ERR:
             # (1.6e-15 + 4.1e-16)/(4 pi^2) = 5.1e-17 per unit |grad|.
-            value += grad * clausen_sin(3, 2.0 * theta) / (4.0 * math.pi**2)
-            err += abs(grad) * 5.1e-17 + _EPS * abs(value)
-        res = EvalResult(value, err, 0, _meets(err, ctrl.rel_tol, value))
+            parts.append(grad * clausen_sin(3, 2.0 * theta) / (4.0 * math.pi**2))
+            floor += abs(grad) * 5.1e-17
+        res = _finish(parts, 0.0, floor, 0, ctrl.rel_tol)
     else:
         tau = reduced_temperature(cfg.separation, cfg.temperature)
         _check_tau(tau)

@@ -235,6 +235,19 @@ def test_unconverged_point_exits_2(capsys):
     assert dict(zip(COLUMNS, rows[0]))["converged"] == "false"
 
 
+def test_faraday_row_counts_its_fixed_angle_pressure(capsys):
+    # theta_eff = 0.7554 at tau = 0.82 sits at a zero of the fixed-angle
+    # pressure: that column's result is unconverged, though the energy and
+    # the Faraday pressure converge
+    code, out, err = run_cli(capsys, "--mode", "point", "--medium", "faraday",
+                             "--verdet", "1e6", "--bfield", "0.7554016429194934",
+                             "--temperature", "300", "--units", "reduced")
+    assert code == 2
+    assert "converge" in err
+    _, rows = parse_csv(out)
+    assert dict(zip(REDUCED_COLUMNS, rows[0]))["converged"] == "false"
+
+
 def test_unwritable_output_exits_2(capsys, tmp_path):
     target = tmp_path / "missing_dir" / "out.csv"
     code, _, err = run_cli(capsys, "--mode", "point", "--output", str(target))

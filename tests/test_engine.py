@@ -307,6 +307,23 @@ def test_converged_is_a_python_bool(fn, point, ctrl, converged, monkeypatch):
     assert res.converged is converged
 
 
+@pytest.mark.parametrize("fn, point, zero_mode, terms, converged", [
+    # each stopped a term short, at 1.0003 (m-series) and 1.0005 (dual) times
+    # the target, while the stop left out the final rounding the verdict charges
+    (reduced_free_energy, (0.004066302431953077, 0.0728114441391683), ZeroModePolicy.FULL, 136,
+     True),
+    (reduced_free_energy, (1.4193374325022445, 1.375331411488388), ZeroModePolicy.TM_ONLY, 5,
+     True),
+    # the error floor alone is 1.0035 times the target: no further term helps
+    (reduced_pressure, (0.7423066175340628, 0.04968028471515477), ZeroModePolicy.FULL, 1,
+     False),
+])
+def test_the_stop_and_the_verdict_are_one_inequality(fn, point, zero_mode, terms, converged):
+    res = fn(ReducedPoint(*point), SeriesControl(rel_tol=1e-13), zero_mode)
+    assert (res.terms_used, res.converged) == (terms, converged)
+    assert res.converged is (res.error_estimate <= 1e-13 * abs(res.value))
+
+
 # ------------------------------------------------------------ zero-mode policy
 
 def test_tm_only_shifts_by_the_zero_mode_difference():
@@ -541,7 +558,7 @@ def test_eval_result_shape():
 
 # ------------------------------------------------------------ m-series kernel
 
-def mp_series(theta, tau, pressure=False, faraday=False, tm_only=False):
+def mp_series(theta, tau, pressure=False, faraday=False, tm_only=False, rel=1e-12):
     """40-digit sum of the m-series with a rigorous bound on its own error.
 
     Sums m = 1..M-1 and bounds the rest, terms f_m c_m with
@@ -560,8 +577,8 @@ def mp_series(theta, tau, pressure=False, faraday=False, tm_only=False):
     whose sine terms take the same bounds with 1/m^2 for 1/m^3 (partial sums
     of sin(2 m theta) are at most 1/|sin theta| too); tm_only=True takes the
     TM_ONLY zero mode, -zeta(3)/4, which has no angle slope.  Stops once the
-    bound is below 1e-12 of the running sum, a hundredth of the default
-    rel_tol.
+    bound is below rel of the running sum; callers pass a hundredth of the
+    rel_tol under test (the default 1e-12 for the default rel_tol).
     """
     import mpmath
 
@@ -614,7 +631,7 @@ def mp_series(theta, tau, pressure=False, faraday=False, tm_only=False):
             c_prev, c = c, 2 * c1 * c - c_prev
             s_prev, s = s, 2 * c1 * s - s_prev
             m += 1
-            if m % 8 == 0 and bound(m, y) < 1e-12 * abs(total):
+            if m % 8 == 0 and bound(m, y) < rel * abs(total):
                 return float(total), float(bound(m, y) + abs(total) * mpmath.mpf(2) ** -53)
 
 
@@ -741,23 +758,27 @@ def test_dual_within_its_estimate_of_mpmath(theta, tau, kind, zero_mode):
     st.floats(min_value=-3.0, max_value=2.0, allow_nan=False),
     st.sampled_from(["E", "P", "F"]),
     st.sampled_from(list(ZeroModePolicy)),
+    st.floats(min_value=-13.0, max_value=-4.0, allow_nan=False),
 )
-@example(0.3, -3.0, "E", ZeroModePolicy.FULL)  # the dual
-@example(-7.9, 0.3, "F", ZeroModePolicy.TM_ONLY)  # the m-series
+@example(0.3, -3.0, "E", ZeroModePolicy.FULL, -10.0)  # the dual
+@example(-7.9, 0.3, "F", ZeroModePolicy.TM_ONLY, -10.0)  # the m-series
+@example(0.004066302431953077, -1.1377, "E", ZeroModePolicy.FULL, -13.0)  # 0.4% under target
 @settings(max_examples=60, deadline=None)
-def test_converged_results_are_within_their_estimate_of_mpmath(theta, log_tau, kind, zero_mode):
-    tau = 10.0**log_tau
+def test_converged_results_are_within_their_estimate_of_mpmath(theta, log_tau, kind, zero_mode,
+                                                                log_tol):
+    tau, ctrl = 10.0**log_tau, SeriesControl(rel_tol=10.0**log_tol)
     series, grad = _series_and_grad(kind, theta)
-    res = engine._reduced(theta, tau, SeriesControl(), zero_mode, series, grad)
+    res = engine._reduced(theta, tau, ctrl, zero_mode, series, grad)
     if not res.converged:
         return
     t, sign = engine._canonical_theta(theta)
-    if engine._dual(t, tau, SeriesControl(), zero_mode, series, grad * sign) is not None:
+    if engine._dual(t, tau, ctrl, zero_mode, series, grad * sign) is not None:
         assert res.terms_used <= engine._MAX_K
     ref, ref_bound = mp_series(theta, tau, pressure=kind == "P", faraday=kind == "F",
-                               tm_only=zero_mode is ZeroModePolicy.TM_ONLY)
+                               tm_only=zero_mode is ZeroModePolicy.TM_ONLY,
+                               rel=ctrl.rel_tol / 100.0)
     assert abs(res.value - ref) <= res.error_estimate + ref_bound
-    assert res.error_estimate <= 1e-10 * abs(res.value)
+    assert res.error_estimate <= ctrl.rel_tol * abs(res.value)
 
 
 # ------------------------------------------------------------ n-first cost bound
@@ -775,6 +796,20 @@ def test_n_first_refuses_an_unreachable_target_at_once():
         assert abs(res.value - exact) <= res.error_estimate  # an honest, if useless, bound
         pres = reduced_pressure(ReducedPoint(0.3, tau), N_FIRST)
         assert not pres.converged and pres.terms_used == 1
+
+
+@pytest.mark.parametrize("fn, point, pressure", [
+    (reduced_free_energy, (0.3, 0.01), False),  # 1,557 terms
+    (reduced_pressure, (0.0, 0.05), True),  # 354 terms
+])
+def test_n_first_value_is_the_exact_sum_of_its_terms(fn, point, pressure):
+    # a float running total was 1.4e-15 and 1.3e-15 off this sum
+    theta, tau = point
+    res = fn(ReducedPoint(theta, tau), SeriesControl(rel_tol=1e-12, order="n_first"))
+    assert res.converged
+    zero = matsubara_term(0, ReducedPoint(theta, tau)) * (1.0 if pressure else 0.5)
+    terms = [engine._matsubara_n(n, theta, tau, pressure)[0] for n in range(1, res.terms_used)]
+    assert res.value == math.fsum([zero, *terms])
 
 
 def test_n_first_within_its_estimate_of_mpmath():
