@@ -127,11 +127,10 @@ class SweepTable:
 
 
 def _evaluate_point(theta: float, separation: float, temperature: float,
-                    bfield: float, spec: SweepSpec) -> SweepRow:
+                    bfield: float, spec: SweepSpec, ctrl: SeriesControl) -> SweepRow:
     cfg = CavityConfig(separation=separation, temperature=temperature,
                        kind=spec.medium, theta=theta, verdet=spec.verdet,
                        bfield=bfield, zero_mode=spec.zero_mode)
-    ctrl = SeriesControl(rel_tol=spec.rel_tol)
     theta_eff = engine.effective_theta(cfg)
     tau = engine.reduced_temperature(separation, temperature)
 
@@ -162,8 +161,9 @@ def _evaluate_point(theta: float, separation: float, temperature: float,
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate the grid; row order follows the axis listing, outer first."""
+    ctrl = SeriesControl(rel_tol=spec.rel_tol)  # a bad rel_tol raises before any row
     rows = [
-        _evaluate_point(th, l, T, B, spec)
+        _evaluate_point(th, l, T, B, spec, ctrl)
         for th in spec.theta.values()
         for l in spec.separation.values()
         for T in spec.temperature.values()

@@ -33,31 +33,35 @@ pressure is m_first only).
 
 m_first sums the same series in one of two ways.  At low temperature the
 m-series needs thousands of terms (its 1/m^4 tail falls at a rate set by
-tau only once 2 m tau > 1).  Its dual (_dual), from the Mittag-Leffler
-expansion 1/2 + w(2 m tau) = 1/(m tau) + sum_k 2 m^3 tau^3/(m^2 tau^2 + pi^2 k^2)^2
-and the sum over m in closed form (temperature inversion), is
-    E = -Cl4(2 theta)/tau + tau^3/90 + R(theta, tau),
-with R a sum over k whose k-th term is O(e^{-2 pi k theta/tau}); P and
-dE/dtheta follow in the same way.  A point goes to the dual when
-rho = e^{-2 pi theta/tau} lets its geometric tail bound meet rel_tol within
-_MAX_K terms, and to the m-series otherwise (small theta/tau, theta = 0 and
-most of tau >~ 1).  At theta = 0, where rho = 1, R is the algebraic
--zeta(3) tau^2/(2 pi^2) of Brown and Maclay, and the m-series sums it.
+tau only once 2 m tau > 1).  Its images (_images), from the Mittag-Leffler
+expansion 1/2 + w(2 m tau) = 1/(m tau) + sum_k 2 m^3 tau^3/(m^2 tau^2 + pi^2 k^2)^2,
+the sum over m in closed form (temperature inversion) and the sum over k in
+polylogarithms of e^{-pi alpha/tau}, are
+    E = -Cl4(2 theta)/tau + tau^3/90
+        - sum_alpha [alpha tau/(2 pi) Li2 + tau^2/(2 pi^2) Li3](e^{-pi alpha/tau})
+over the images alpha in {2 theta, 2 pi - 2 theta} + 2 pi j, j >= 0; P and
+dE/dtheta follow in the same way.  Each image pair after the first is at
+most e^{-2 pi^2/tau} times the one before, and at theta = 0 the alpha = 0
+image is the -zeta(3) tau^2/(2 pi^2) of Brown and Maclay, so every angle
+takes one image at small tau and a handful at tau = _TAU_C.  Points at
+tau <= _TAU_C go to the images, the rest to the m-series.
 
 The m-series terms are made by one numpy kernel (_m_series), one point per
-call, in chunks of m that double from 32 to 4096; the dual and n_first add
+call, in chunks of m that double from 32 to 4096; the images and n_first add
 one term at a time.  All three stop by one rule (_stops): at the first index
 where the closed tail bound of the remaining terms, an error floor and the
 final rounding EPS |S| together are within rel_tol of the running sum S
 (certified), where the tail alone is but the rest is not (the error floor),
-or at the term cap, _MAX_M, _MAX_K or _MAX_N.  The floor is the error of the
-closed-form zero mode (_zero_mode) plus a charge for rounding every term for
-the m-series, the error of the closed forms plus a charge for every term so
-far for the dual, and the error accumulated so far for n_first.  Every
-result leaves through _finish: its value is the exact sum (math.fsum) of its
-parts, rounded once, and it is converged where tail + floor + EPS |value| is
-within rel_tol |value|, the inequality the stop tested.  n_first refuses up
-front, unconverged, when its tail beyond _MAX_N already exceeds rel_tol.
+or at the term cap, _MAX_M or _MAX_N (the images need none: their tail
+bound reaches 0 within 2 + 745 tau/pi^2 images).  The floor is the error of
+the closed-form zero mode (_zero_mode) plus a charge for rounding every term
+for the m-series, the error of the closed forms plus a charge for every
+image so far for the images, and the error accumulated so far for n_first.
+Every result leaves through _finish: its value is the exact sum
+(math.fsum) of its parts, rounded once, and it is converged where
+tail + floor + EPS |value| is within rel_tol |value|, the inequality the stop
+tested.  n_first refuses up front, unconverged, when its tail beyond _MAX_N
+already exceeds rel_tol.
 """
 
 from __future__ import annotations
@@ -72,7 +76,7 @@ import numpy as np
 
 from .kernel import MediumKind, log_det_kernel
 from .special_functions import (TWO_PI, ZETA_2, ZETA_3, ZETA_4, clausen_cos, clausen_sin,
-                                fold_pi, re_polylog_damped)
+                                fold_pi, polylog_exp, polylog_exp_23, re_polylog_damped)
 
 __all__ = [
     "HBAR",
@@ -144,7 +148,7 @@ _CLAUSEN_ERR = 4e-15
 # Sum: 3.05e-15 (truncation 1e-18).  An mpmath check is in the tests.
 _SL2_ERR = 3.1e-15
 
-# Absolute error of clausen_cos(4, 2 theta) as the dual series uses it,
+# Absolute error of clausen_cos(4, 2 theta) as the image sum uses it,
 # theta folded into [0, pi/2], so x = 2 theta lies in [0, pi], is exact and
 # is not reduced again.  special_functions returns fl(Z - fl(fl(v v)/48))
 # with v = fl(x fl(TWO_PI - x)), V = v^2/48 <= pi^4/48; u = 2^-53:
@@ -156,8 +160,8 @@ _SL2_ERR = 3.1e-15
 #     7.40u V + u |Cl4| is largest at x = pi:                           <= 1.78e-15
 #   * the fold: theta within 1.9e-16 of its value mod pi, so x within
 #     3.8e-16, and |dCl4/dx| = |Sl3| <= 0.995:                          <= 3.8e-16
-# Sum: 2.42e-15.  At theta* = 0.755, |Cl4(1.51)| = 6.9e-5, so the dual
-# certifies rel_tol 1e-10 there with room.  A 40-digit mpmath check is in the tests.
+# Sum: 2.42e-15.  At theta* = 0.755, |Cl4(1.51)| = 6.9e-5, so the images
+# certify rel_tol 1e-10 there with room.  A 40-digit mpmath check is in the tests.
 _CL4_ERR = 2.5e-15
 
 # Absolute error of clausen_sin(3, 2 theta), theta folded into [0, pi/2]:
@@ -221,10 +225,11 @@ class SeriesControl:
 
     rel_tol is the relative error a converged result certifies, the final
     rounding of its value included; order picks the summation order.
-    m_first sums at most _MAX_K terms of the dual or _MAX_M of the m-series;
-    n_first at most _MAX_N, and refuses up front, unconverged, where that
-    many terms cannot reach rel_tol.  A sum stops where its estimate meets
-    rel_tol, or where no further term can make it do so.
+    m_first sums the images at tau <= _TAU_C, at most 2 + 745 tau/pi^2 of
+    them, and at most _MAX_M terms of the m-series above; n_first at most
+    _MAX_N, and refuses up front, unconverged, where that many terms cannot
+    reach rel_tol.  A sum stops where its estimate meets rel_tol, or where no
+    further term can make it do so.
     """
 
     rel_tol: float = 1e-10
@@ -237,16 +242,19 @@ class SeriesControl:
             raise ValueError(f"order must be 'm_first' or 'n_first', got {self.order!r}")
 
 
+_DEFAULT_CTRL = SeriesControl()  # frozen: one instance serves every call without a ctrl
+
+
 @dataclass(frozen=True)
 class EvalResult:
     """Scalar result with truncation diagnostics.
 
-    terms_used counts series terms in the active summation order (m or, for
-    the low-temperature dual, k terms for m_first, Matsubara terms including
-    n=0 for n_first, 0 for closed forms).  error_estimate bounds the
-    truncated tail, the error of the closed forms and of every term, and the
-    rounding of value, the exact sum of the parts rounded once.  converged
-    is set where error_estimate <= rel_tol * |value|.
+    terms_used counts series terms in the active summation order (for
+    m_first the images summed at tau <= _TAU_C and m terms above, Matsubara
+    terms including n=0 for n_first, 0 for closed forms).  error_estimate
+    bounds the truncated tail, the error of the closed forms and of every
+    term, and the rounding of value, the exact sum of the parts rounded once.
+    converged is set where error_estimate <= rel_tol * |value|.
     """
 
     value: float
@@ -465,76 +473,67 @@ def _m_series(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroMode
     return _finish(parts, float(tail[j]), floor, lo + j, ctrl.rel_tol)
 
 
-# The dual's term cap.  On a 2-CPU host a dual call costs about 6 us plus
-# 1.2 us per term, and the m-series' cheapest call (one 32-term chunk)
-# 25-30 us: at 16 terms the two cost the same.
-_MAX_K = 16
-# Rounding charged per dual term, in ulps of its magnitude: at most 23 for
-# a pressure term with its Faraday slope (21.7 for Hpp/(2k) from the three
-# exponentials, expm1 and the 18 products, sums and divisions that build
-# H, |H'| and H''; 14.4 for the slope and the sum), 17.7 for an energy term.
-_DUAL_ULPS = 32.0
-_FOUR_PI2 = 4.0 * math.pi**2
+# m_first sums every point at tau <= _TAU_C by its images, the rest by the
+# m-series.  On a 2-CPU host an image costs about 2.5 us and a call 5 us
+# more, against 25-45 us for an m-series call at tau = 1-3: the images are
+# the cheaper up to tau = 3, where E needs 9 of them.  At tau = 1.5 (4
+# images) the slowest call on a grid of 13 angles and tau in [1e-9, 1.5]
+# costs 2.5 times the median call, at tau = 2 (6 images) 2.9 times.
+_TAU_C = 1.5
+
+# Relative error of special_functions.polylog_exp and polylog_exp_23,
+# Li_s(e^{-mu}) for s = 1, 2, 3 and mu >= 0, in units of u = 2^-53.  Each
+# operation rounds by at most u, log, exp, expm1 and log1p by at most 2u;
+# ZETA_2 and ZETA_3 are off by 0.17u and 0.37u.
+#   * Li_1 = -ln(d), d = 1 - e^{-mu}: for mu < ln 2 d comes from expm1 (2u)
+#     and |ln d| >= ln 2, so 2u/ln 2 + 2u from the log; above, log1p(-rho)
+#     moves by 2u rho/((1 - rho) |ln(1 - rho)|) <= 2.9u for rho <= 1/2,
+#     plus its own 2u:                                                  <= 4.9u
+#   * mu < 1, the log expansions: every operation rounds at the magnitude
+#     of its result, and Horner's rule in -mu^2 on the Bernoulli tails
+#     charges each step 2u of the terms it holds.  Adding these up gives a
+#     bound that grows with mu as the parts cancel more; at mu = 1 it is
+#     9.9u of Li_2 and                                                  16.6u of Li_3
+#   * mu >= 1, Horner's rule on sum_{k<=K} rho^k/k^s: term k carries 2ku
+#     from rho^k, k multiplications and k additions of the Horner partial
+#     sums that contain it, and 1u from 1/k^s: u sum_k (4k + 1) rho^k/k^s,
+#     at most 5.5u of the sum at mu = 1 and falling with mu; the terms
+#     left out are below 2e-19 of it.
+# The largest, 16.6u, rounded up.  Where e^{-mu} is subnormal (mu > 708)
+# the error is absolute, below 1e-322.  A 40-digit mpmath check of every
+# branch is in the tests.
+_LI_ULPS = 17.0
 
 
-def _dual(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePolicy,
-          series: _MSeries, grad: float = 0.0) -> EvalResult | None:
-    """The m-series of _m_series summed by its dual over k, at a folded point.
+def _images(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePolicy,
+            series: _MSeries, grad: float = 0.0) -> EvalResult:
+    """The m-series of _m_series summed over its images, at a folded point with tau <= _TAU_C.
 
-    Returns None where the geometric tail bound cannot meet the target
-    within _MAX_K terms; the caller then sums the m-series.  With
-    b = pi k/tau and H(b) = cosh(b (pi - 2 theta))/sinh(pi b),
-        E = -Cl4(2 theta)/tau + tau^3/90 + (pi/2 tau) sum_k [H'/b^2 - H/b^3],
-        P = -3 Cl4(2 theta)/tau - tau^3/90 + (pi/2 tau) sum_k H''/b,
-        dE/dtheta = 2 Sl3(2 theta)/tau - (pi/tau) sum_k K'/b,
-    K(b) = sinh(b (pi - 2 theta))/sinh(pi b).  H is the sum of e^{-alpha b}
-    over alpha in {2 theta, 2 pi - 2 theta} + 2 pi j, j >= 0, so each term
-    is a sum of such exponentials with weights that fall with k; every
-    alpha >= 2 theta, so each term is at most rho = e^{-2 pi theta/tau} times
-    the one before, and the terms beyond k are at most rho/(1 - rho) times
-    term k (|K'| <= |H'| bounds the slope terms).  The floor is the error of
-    the closed forms (_CL4_ERR, _SL3_ERR and, under TM_ONLY, the two zero
-    modes) plus the rounding of every term.  Stops by _stops, or at
-    k = _MAX_K; _finish sums the parts.
+    Temperature inversion (Mittag-Leffler for coth, then the sum over m in
+    closed form) and the sum over the inverse index in polylogarithms give,
+    with phi = 2 theta, the images alpha in {phi, 2 pi - phi} + 2 pi j,
+    j >= 0, in increasing order, and rho = e^{-pi alpha/tau}:
+        E = -Cl4(phi)/tau + tau^3/90 - sum [alpha tau/(2 pi) Li2(rho) + tau^2/(2 pi^2) Li3(rho)],
+        P = -3 Cl4(phi)/tau - tau^3/90 + sum alpha^2/2 Li1(rho),
+        dE/dtheta = 2 Sl3(phi)/tau + sum +-alpha Li1(rho),
+    + for the phi + 2 pi j images.  At theta = 0 the alpha = 0 image is the
+    -zeta(3) tau^2/(2 pi^2) of Brown and Maclay.  Each image after the first
+    has alpha >= pi, and is bounded by b(alpha) rho/(1 - rho) (Li_s(rho) <=
+    rho/(1 - rho)), b(alpha) = alpha tau/(2 pi) + tau^2/(2 pi^2) for E and
+    alpha^2/2 + |grad| alpha for P.  That bound falls with alpha for
+    tau < pi^2/2, and by at most q (1 + 2 pi/alpha)^2 <= 9q, q = e^{-2 pi^2/tau},
+    from one image to the one 2 pi further on: the images from the next
+    one, alpha', on sum to at most 2 b(alpha') rho'/((1 - rho')(1 - 9q)).  The
+    floor is the error of the closed forms (_CL4_ERR, _SL3_ERR and, under
+    TM_ONLY, the two zero modes) plus that of every image.  Stops by _stops,
+    which the tail reaching 0 at mu = pi alpha/tau > 745 ensures within
+    2 + 745 tau/pi^2 images; _finish sums the parts, and terms_used counts
+    the images.
     """
-    rho = math.exp(-2.0 * math.pi * theta / tau)
-    # A screen that needs no closed form: the first term is at least rho m_lo
-    # (its alpha = 2 theta exponential) and the sum is of the order of lead;
-    # where the tail after _MAX_K terms would still be too large, the m-series
-    # takes the point at once (so does an overflow to inf or nan at huge tau)
-    c4 = 3.0 if series.pressure else 1.0
-    cube = tau * tau * tau / 90.0
-    if series.pressure:
-        m_lo = 2.0 * theta * theta
-    else:
-        m_lo = tau * (theta / math.pi + tau / (2.0 * math.pi**2))
-    lead = (c4 * ZETA_4 + 2.0 * abs(grad)) / tau + cube
-    if not rho**(_MAX_K + 1) * m_lo < 0.5 * ctrl.rel_tol * lead * (1.0 - rho):
-        return None
-    b1 = math.pi / tau
-    # Relative error of every term, and of rho, bounded at b = b1 _MAX_K
-    # since it grows with b.  Each exponent x = alpha b (x <= 2 pi b) carries
-    # at most 5.05u of its own rounding, which moves e^{-x} by 5.05u x where
-    # e^{-x} has not underflown (x <= 745), and the fold, which leaves theta
-    # within u theta + 1.3e-16 of its value mod pi, moves alpha = 2 theta or
-    # 2 pi - 2 theta by at most u (2 theta + 2.4).  e^d - 1 bounds the
-    # relative change of e^{-x} when x moves by d, and (1 + a) <= e^a folds
-    # in the arithmetic; the cap keeps expm1 finite where every term has
-    # underflown.
-    b = b1 * _MAX_K
-    r = math.expm1(min(_EPS * (_DUAL_ULPS + 6.0 * min(TWO_PI * b, 745.0)
-                               + b * (2.0 * theta + 2.4)), 700.0))
-    # rho rounded up, the error doubled to cover the rounding of rho/(1 - rho)
-    rho *= 1.0 + 2.0 * r
-    if not rho < 1.0:
-        return None
-    ratio = rho / (1.0 - rho)
     phi = 2.0 * theta
-    a2 = 2.0 * (math.pi - theta)
     # -Cl4/tau + tau^3/90 for E, three times the first minus the second for P
+    c4, cube = (3.0, -tau * tau * tau / 90.0) if series.pressure else (1.0, tau * tau * tau / 90.0)
     c4_term = -(c4 * clausen_cos(4, phi)) / tau
-    if series.pressure:
-        cube = -cube
     parts = [c4_term, cube]
     floor = c4 * _CL4_ERR / tau + 2.0 * _EPS * abs(c4_term) + 3.0 * _EPS * abs(cube)
     if grad:
@@ -548,32 +547,45 @@ def _dual(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePoli
         parts += tm + [-x for x in full]
         floor += tm_err + full_err
     s = math.fsum(parts)
-    for k in range(1, _MAX_K + 1):
-        b = b1 * k
-        inv_b = tau / (math.pi * k)
-        e1, e2, e3 = math.exp(-phi * b), math.exp(-a2 * b), math.exp(-TWO_PI * b)
-        d = -math.expm1(-TWO_PI * b)
-        h = (e1 + e2) / d  # H
-        hp = (phi * e1 + a2 * e2 + TWO_PI * e3 * h) / d  # -H'
-        if series.pressure:
-            hpp = (phi * phi * e1 + a2 * a2 * e2 + e3 * (_FOUR_PI2 * h + 2.0 * TWO_PI * hp)) / d
-            term = mag = hpp / (2 * k)
+    pressure, abs_grad = series.pressure, abs(grad)
+    pi_tau = math.pi / tau
+    c1 = 0.5 * tau / math.pi  # tau/(2 pi)
+    c0 = c1 * tau / math.pi  # tau^2/(2 pi^2)
+    geo = 0.5 - 4.5 * math.exp(-2.0 * math.pi * pi_tau)  # (1 - 9q)/2
+    far = TWO_PI - phi
+    i, alpha = 0, phi
+    while True:
+        mu = pi_tau * alpha
+        # slope_d bounds |d term/d alpha|: (alpha/2) Li1 <= tau/(2 pi) (1 + mu) Li2
+        # for E (mu Li1 <= (1 + mu) Li2), alpha Li1 (3/2 + mu/2) for P and
+        # (2 + mu) Li1 per unit grad for the slope
+        if mu > 745.2:  # e^{-mu} underflows to 0, and with it every Li_s
+            term = mag = slope_d = 0.0
+        elif pressure:
+            l1 = polylog_exp(1, mu) if mu else 0.0  # the alpha = 0 terms vanish
+            term = alpha * l1 * (0.5 * alpha + (grad if i % 2 == 0 else -grad))
+            mag = alpha * l1 * (0.5 * alpha + abs_grad)
+            slope_d = l1 * (alpha * (1.5 + 0.5 * mu) + abs_grad * (2.0 + mu))
         else:
-            mag = (inv_b * hp + inv_b * inv_b * h) / (2 * k)
-            term = -mag
-        if grad:
-            kk = (e1 - e2) / d  # K
-            term += grad * ((phi * e1 - a2 * e2 + TWO_PI * e3 * kk) / (d * k))
-            mag += abs(grad) * hp / k
+            l2, l3 = polylog_exp_23(mu)
+            term = -(mag := c1 * alpha * l2 + c0 * l3)
+            slope_d = c1 * l2 * (1.0 + mu)
         parts.append(term)
-        floor += mag * r
-        tail = ratio * mag * (1.0 + r)
         s += term
-        if k == 1 and tail * rho ** (_MAX_K - 1) > 0.5 * ctrl.rel_tol * (abs(s) - tail):
-            return None  # the m-series gets there sooner
+        # the fold leaves theta within u theta + 1.3e-16 of its value mod pi,
+        # TWO_PI is 2.45e-16 off 2 pi per 2 pi in alpha and each of the two
+        # sums u, and mu = (pi/tau) alpha adds 2.4u of alpha: u (7 alpha + 4.6)
+        # in all.  Forming the term adds 6u to the _LI_ULPS of its Li, and
+        # 1e-300 covers the Li of a subnormal e^{-mu}.
+        floor += _EPS * ((_LI_ULPS + 6.0) * mag + slope_d * (7.0 * alpha + 4.6)) + 1e-300
+        i += 1
+        alpha = (far if i % 2 else phi) + TWO_PI * (i // 2)
+        rho = math.exp(-pi_tau * alpha)
+        bound = alpha * (0.5 * alpha + abs_grad) if pressure else c1 * alpha + c0
+        tail = bound * rho / ((1.0 - rho) * geo)
         if _stops(tail, floor, abs(s), ctrl.rel_tol):
             break
-    return _finish(parts, tail, floor, k, ctrl.rel_tol)
+    return _finish(parts, tail, floor, i, ctrl.rel_tol)
 
 
 # The n_first term cap.  At rel_tol 1e-10 the up-front refusal starts near
@@ -642,7 +654,7 @@ def reduced_free_energy(p: ReducedPoint, ctrl: SeriesControl | None = None,
     Requires tau > 0; zero temperature is a separate closed form.
     """
     _validate_point(p)
-    return _reduced(p.theta, p.tau, ctrl or SeriesControl(), zero_mode, _ENERGY)
+    return _reduced(p.theta, p.tau, ctrl or _DEFAULT_CTRL, zero_mode, _ENERGY)
 
 
 def _reduced(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePolicy,
@@ -650,8 +662,8 @@ def _reduced(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModeP
     """Reduced free energy or pressure, plus grad dE/dtheta (m_first only), at any theta."""
     t, sign = _canonical_theta(theta)
     if ctrl.order == "m_first":
-        res = _dual(t, tau, ctrl, zero_mode, series, grad * sign)
-        return res if res is not None else _m_series(t, tau, ctrl, zero_mode, series, grad * sign)
+        path = _images if tau <= _TAU_C else _m_series
+        return path(t, tau, ctrl, zero_mode, series, grad * sign)
     return _n_first(t, tau, ctrl, zero_mode, series)
 
 
@@ -721,7 +733,7 @@ def reduced_pressure(p: ReducedPoint, ctrl: SeriesControl | None = None,
     tau dE_hat/dtau.  Negative means attraction.
     """
     _validate_point(p)
-    return _reduced(p.theta, p.tau, ctrl or SeriesControl(), zero_mode, _PRESSURE)
+    return _reduced(p.theta, p.tau, ctrl or _DEFAULT_CTRL, zero_mode, _PRESSURE)
 
 
 def reduced_pressure_T0(theta: float) -> float:
@@ -840,7 +852,7 @@ def _physical(cfg: CavityConfig, ctrl: SeriesControl, series: _MSeries) -> EvalR
 
 def physical_free_energy(cfg: CavityConfig, ctrl: SeriesControl | None = None) -> EvalResult:
     """Free energy per unit area in J/m^2 for the given physical scenario."""
-    return _physical(cfg, ctrl or SeriesControl(), _ENERGY)
+    return _physical(cfg, ctrl or _DEFAULT_CTRL, _ENERGY)
 
 
 def physical_pressure(cfg: CavityConfig, ctrl: SeriesControl | None = None) -> EvalResult:
@@ -852,7 +864,7 @@ def physical_pressure(cfg: CavityConfig, ctrl: SeriesControl | None = None) -> E
     m-series pass and certified at rel_tol.  Only order="m_first" has it: a
     Faraday config with order="n_first" is a ValueError.
     """
-    ctrl = ctrl or SeriesControl()
+    ctrl = ctrl or _DEFAULT_CTRL
     if cfg.kind is MediumKind.FARADAY and ctrl.order != "m_first":
         raise ValueError("the Faraday pressure is evaluated by order='m_first' only, "
                          f"got order={ctrl.order!r}")

@@ -6,12 +6,19 @@ Everything downstream reduces to three families:
     clausen_sin(s, phi)          Sum_{m>=1} sin(m phi)/m^s  = Im Li_s(e^{i phi})
     re_polylog_damped(s, r, phi) Sum_{m>=1} r^m cos(m phi)/m^s = Re Li_s(r e^{i phi})
 
-with s in {2, 3, 4}.  Even orders of the cosine family and s=3 of the sine
-family have exact Bernoulli-polynomial closed forms on [0, 2pi]; the remaining
-circle cases (cos s=3, sin s=2 and s=4) are evaluated by log-accelerated
-expansions whose coefficients are exact Bernoulli-number rationals rounded
-once, good to a few 1e-15 absolute.  The damped sums are summed directly with
-a geometric tail bound.
+with s in {2, 3, 4}, and their real-argument twin
+
+    polylog_exp(s, mu)           Sum_{m>=1} e^{-m mu}/m^s    = Li_s(e^{-mu})
+
+with s in {1, 2, 3} (polylog_exp_23 gives s = 2 and 3 in one pass), which
+the low-temperature image sum uses.  Even orders of the cosine family and
+s=3 of the sine family have exact Bernoulli-polynomial closed forms on
+[0, 2pi]; the remaining circle cases (cos s=3, sin s=2 and s=4) are
+evaluated by log-accelerated expansions whose coefficients are exact
+Bernoulli-number rationals rounded once, good to a few 1e-15 absolute, and
+so is polylog_exp below mu = 1, where the same rationals give its log
+expansion.  The damped sums, and polylog_exp above mu = 1, are summed
+directly with a geometric tail bound.
 
 Every angle goes through one fold, fold_pi, which subtracts the nearest
 multiple of pi with its PI_LO tail: phi is reduced as 2 fold_pi(phi/2), into
@@ -57,6 +64,8 @@ def fold_pi(x: float, name: str, scale: float = 1.0) -> float:
     Rejects non-finite x and |x| > MAX_FOLD.  The caller's argument is
     scale * x; the errors name it and give its limit, MAX_FOLD * scale.
     """
+    if abs(x) <= 0.5 * math.pi:  # already folded: the steps below would return x itself
+        return x
     if not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {x * scale!r}")
     if abs(x) > MAX_FOLD:
@@ -203,6 +212,67 @@ def clausen_sin(s, phi: float) -> float:
     if n == 2:
         return sign * _clausen_sin_2(x)
     return sign * _clausen_sin_4(x)
+
+
+# polylog_exp uses the log expansions below _LOG_MU and the direct sum above.
+# The expansions cancel more as mu grows (their rounding bound is 17u of
+# Li_3 at mu = 1 and 129u at mu = 2), the direct sum's terms fall more
+# slowly as mu shrinks (43 at mu = 1).
+_LOG_MU = 1.0
+# (1/k^2, 1/k^3) at index k - 1, each rounded once, for the direct sums of
+# 1 + int(42/mu) <= 43 terms
+_INV_POW_23 = [(1.0 / k**2, 1.0 / k**3) for k in range(1, 44)]
+# (sin2[j], cos3[j+1]) for j = 12 down to 1: below mu = 1 the alternating
+# tails fall by more than (2 pi)^2 a term, so what the 12 leave out is below
+# (2 pi)^-24 = 7e-20 of their first terms (Li_2's below 0.014, Li_3's below
+# 0.0035)
+_LOG_TAILS = list(zip(_S2_COEF[1:13], _C3_COEF[2:14]))[::-1]
+
+
+def polylog_exp(s, mu: float) -> float:
+    """Li_s(e^{-mu}) = Sum_{k>=1} e^{-k mu}/k^s for s in {1, 2, 3} and mu >= 0.
+
+    Li_1 = -ln(1 - e^{-mu}) is a closed form (+inf at mu = 0); s = 2 and 3
+    are polylog_exp_23's.  The relative error is below 17u, u = 2^-53
+    (derived at engine._LI_ULPS); where e^{-mu} is subnormal (mu > 708) the
+    absolute error is below 1e-322.
+    """
+    if s not in (1, 2, 3) or not mu >= 0.0:
+        raise ValueError(f"polylog_exp takes s in (1, 2, 3) and mu >= 0, got s={s!r}, mu={mu!r}")
+    if s > 1:
+        return polylog_exp_23(mu)[s - 2]
+    if mu < 0.6931471805599453:  # ln 2: e^{-mu} > 1/2, so 1 - e^{-mu} from expm1
+        return -math.log(-math.expm1(-mu)) if mu else math.inf
+    return -math.log1p(-math.exp(-mu))
+
+
+def polylog_exp_23(mu: float) -> tuple[float, float]:
+    """(Li_2(e^{-mu}), Li_3(e^{-mu})) for mu >= 0, in one pass.
+
+    From mu = 1 on the direct sums, by Horner's rule over their first
+    1 + int(42/mu) terms, which leaves out less than 2e-19 of them.  Below,
+    the log expansions of DLMF 25.12.12,
+        Sum_{j != s-1} zeta(s-j) (-mu)^j/j! + (-mu)^{s-1}/(s-1)! (H_{s-1} - ln mu),
+    whose zeta(1-2i) = -B_{2i}/(2i) are the Clausen coefficients' Bernoulli
+    rationals: the expansions of Sl2 and Cl3 in mu with mu^2 -> -mu^2.
+    """
+    if mu >= _LOG_MU:
+        rho, acc2, acc3 = math.exp(-mu), 0.0, 0.0
+        # the first k = 1 + int(42/mu) terms: e^{-k mu} < e^{-42}
+        for inv2, inv3 in _INV_POW_23[int(42.0 / mu)::-1]:
+            acc2, acc3 = acc2 * rho + inv2, acc3 * rho + inv3
+        return acc2 * rho, acc3 * rho
+    if not mu:
+        return ZETA_2, ZETA_3
+    mu2, log_mu, t2, t3 = mu * mu, math.log(mu), 0.0, 0.0
+    for c2, c3 in _LOG_TAILS:  # the Bernoulli tails, by Horner's rule in -mu^2
+        t2, t3 = t2 * -mu2 + c2, t3 * -mu2 + c3
+    # zeta(2) - mu (1 - ln mu) - mu^2/4 + Sum_{j>=1} (-1)^{j+1} sin2[j] mu^{2j+1}
+    # and zeta(3) - zeta(2) mu + (mu^2/2)(3/2 - ln mu) + mu^3/12
+    #     + Sum_{j>=2} (-1)^{j+1} cos3[j] mu^{2j}
+    return (ZETA_2 - mu * (1.0 - log_mu) - 0.25 * mu2 + t2 * (mu2 * mu),
+            ZETA_3 - ZETA_2 * mu + 0.5 * mu2 * (1.5 - log_mu) + mu2 * mu / 12.0
+            - t3 * (mu2 * mu2))
 
 
 _MAX_TERMS = 1 << 28  # enough for r = 1 - 1e-6 at s = 2

@@ -198,14 +198,14 @@ def test_low_temperature_continuity(theta):
     assert rescaled == pytest.approx(reduced_free_energy_T0(theta), rel=1e-5)
 
 
-def test_deep_quantum_regime_is_summed_by_the_dual_without_warning():
-    # the dual's terms fall like e^{-2 pi k theta/tau}: one term at tau = 1e-7
+def test_deep_quantum_regime_is_summed_by_the_images_without_warning():
+    # every image after the first is below e^{-pi^2/tau} of the sum: one image at tau = 1e-7
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for fn in (reduced_free_energy, reduced_pressure):
             res = fn(ReducedPoint(0.3, 1e-7))
             assert res.converged
-            assert res.terms_used <= engine._MAX_K
+            assert res.terms_used == 1
 
 
 def test_tau_zero_raises():
@@ -254,9 +254,9 @@ def test_eval_result_invariant_on_grid():
 
 
 def test_truncation_reports_non_convergence(monkeypatch):
-    # at theta/tau this small the dual's tail falls too slowly: the m-series sums it
-    monkeypatch.setattr(engine, "_MAX_M", 5)
-    res = reduced_free_energy(ReducedPoint(0.05, 0.4))
+    # above _TAU_C the m-series sums the point, here in 5 terms
+    monkeypatch.setattr(engine, "_MAX_M", 2)
+    res = reduced_free_energy(ReducedPoint(0.05, 2.0))
     assert not res.converged
     assert math.isfinite(res.value)
     assert res.error_estimate > 0.0
@@ -293,30 +293,38 @@ def test_series_control_validation():
 @pytest.mark.parametrize("fn, point, ctrl, converged", [
     (reduced_free_energy, (0.3, 1.0), None, True),  # certified
     (reduced_free_energy, (0.7251727334628189, 40.0), None, False),  # error floor
-    (reduced_free_energy, (0.05, 1.0), CAPPED, False),  # term cap
+    (reduced_free_energy, (0.05, 2.0), CAPPED, False),  # term cap of the m-series
     (reduced_pressure, (0.3, 1.0), N_FIRST, True),  # n_first certified
     (reduced_free_energy, (0.3, 1e-4), N_FIRST, False),  # n_first refusal
-    (reduced_pressure, (1.2, 1.0), None, True),  # dual certified
-    (reduced_free_energy, (0.7550357, 1e-9), None, False),  # dual error floor: Cl4 ~ 0
+    (reduced_pressure, (1.2, 1.0), None, True),  # images certified
+    (reduced_free_energy, (0.7550357, 1e-9), None, False),  # images' error floor: Cl4 ~ 0
 ])
 def test_converged_is_a_python_bool(fn, point, ctrl, converged, monkeypatch):
     if ctrl is CAPPED:
-        monkeypatch.setattr(engine, "_MAX_M", 3)
+        monkeypatch.setattr(engine, "_MAX_M", 2)
     res = fn(ReducedPoint(*point), ctrl)
     assert type(res.converged) is bool
     assert res.converged is converged
 
 
+def m_series_energy(p, ctrl, zero_mode):
+    """The m-series alone, at a folded point that the images would take."""
+    return engine._m_series(p.theta, p.tau, ctrl, zero_mode, engine._ENERGY)
+
+
 @pytest.mark.parametrize("fn, point, zero_mode, terms, converged", [
-    # each stopped a term short, at 1.0003 (m-series) and 1.0005 (dual) times
-    # the target, while the stop left out the final rounding the verdict charges
-    (reduced_free_energy, (0.004066302431953077, 0.0728114441391683), ZeroModePolicy.FULL, 136,
+    # the m-series (last case) and the k-series dual, which the images
+    # replace, each stopped a term short here, at 1.0003 and 1.0005 times the
+    # target, while the stop left out the final rounding the verdict charges
+    (reduced_free_energy, (0.004066302431953077, 0.0728114441391683), ZeroModePolicy.FULL, 1,
      True),
-    (reduced_free_energy, (1.4193374325022445, 1.375331411488388), ZeroModePolicy.TM_ONLY, 5,
+    (reduced_free_energy, (1.4193374325022445, 1.375331411488388), ZeroModePolicy.TM_ONLY, 6,
      True),
-    # the error floor alone is 1.0035 times the target: no further term helps
+    # the error floor alone is 1.0035 times the target: no further image helps
     (reduced_pressure, (0.7423066175340628, 0.04968028471515477), ZeroModePolicy.FULL, 1,
      False),
+    (m_series_energy, (0.004066302431953077, 0.0728114441391683), ZeroModePolicy.FULL, 136,
+     True),
 ])
 def test_the_stop_and_the_verdict_are_one_inequality(fn, point, zero_mode, terms, converged):
     res = fn(ReducedPoint(*point), SeriesControl(rel_tol=1e-13), zero_mode)
@@ -681,31 +689,88 @@ def test_kernel_certifies_below_the_old_clausen_floor():
 
 
 def test_kernel_stops_at_max_m(monkeypatch):
-    # at theta = 0, rho = e^{-2 pi theta/tau} = 1 leaves the dual no tail bound
-    monkeypatch.setattr(engine, "_MAX_M", 40)
-    res = reduced_pressure(ReducedPoint(0.0, 1e-3))
-    assert res.terms_used == 40
+    # above _TAU_C the m-series sums the point, here in 5 terms
+    monkeypatch.setattr(engine, "_MAX_M", 3)
+    res = reduced_pressure(ReducedPoint(0.0, 2.5))
+    assert res.terms_used == 3
     assert not res.converged
     assert res.error_estimate > 1e-10 * abs(res.value)
 
 
-def test_dual_sums_at_most_max_k_terms(monkeypatch):
-    # a dual point summing more terms than the cap allows goes to the m-series,
-    # which certifies it; one within the cap stays with the dual
-    full = reduced_free_energy(ReducedPoint(0.3, 1.0))
-    assert full.converged and 3 < full.terms_used <= engine._MAX_K
-    monkeypatch.setattr(engine, "_MAX_K", 3)
-    for th, tau in ((0.3, 1.0), (1.2, 1.0)):
-        t, _ = engine._canonical_theta(th)
-        dual = engine._dual(t, tau, SeriesControl(), ZeroModePolicy.FULL, engine._ENERGY)
-        res = reduced_free_energy(ReducedPoint(th, tau))
-        assert res.converged
-        if dual is None:
-            assert res.terms_used > 3  # the m-series' count
-            assert abs(res.value - full.value) <= res.error_estimate + full.error_estimate
+def mp_images(theta, tau, pressure=False, faraday=False, tm_only=False, rel=1e-12):
+    """40-digit sum over the images with a bound on its own error: mp_series' twin at small tau.
+
+    With phi = 2 theta mod 2 pi, the images alpha in {phi, 2 pi - phi} + 2 pi j
+    (j >= 0) and rho = e^{-pi alpha/tau},
+        E = -Cl4(phi)/tau + tau^3/90 - sum [alpha tau/(2 pi) Li2(rho) + tau^2/(2 pi^2) Li3(rho)],
+        P = -3 Cl4(phi)/tau - tau^3/90 + sum alpha^2/2 Li1(rho),
+        dE/dtheta = 2 Sl3(phi)/tau + sum +-alpha Li1(rho), + for phi + 2 pi j.
+    It sums the pairs j < J, J >= 1.  Each later image lies in
+    [2 pi j, 2 pi (j + 1)] for some j >= J, so with q = e^{-2 pi^2/tau} its
+    rho <= q^j and Li_s(rho) <= rho/(1 - rho) <= q^j/(1 - q^J).  Its weight,
+    w(alpha) = alpha tau/(2 pi) + tau^2/(2 pi^2) (E) or
+    alpha^2/2 + |theta| alpha (P and the Faraday pressure), is a polynomial of
+    degree at most 2, so w(2 pi (j + 1)) <= ((j + 1)/(J + 1))^2 w(2 pi (J + 1)),
+    and the rest is at most 2 w(2 pi (J + 1)) q^J (1 + q)/((1 - q)^3 (1 - q^J)).
+    The zero mode and the Faraday pressure are mp_series' (the images carry
+    the FULL zero mode; TM_ONLY swaps it).  Stops once the bound is below rel
+    of the running sum.
+    """
+    import mpmath
+
+    with mpmath.workdps(40):
+        th, t = mpmath.mpf(theta), mpmath.mpf(tau)
+        two_pi = 2 * mpmath.pi
+        phi = (2 * th) % two_pi
+        scale = 2 if pressure or faraday else 1
+        if scale == 1:
+            total = -mpmath.clcos(4, phi) / t + t**3 / 90
         else:
-            assert res == dual and res.terms_used <= 3
-    assert engine._dual(0.3, 1.0, SeriesControl(), ZeroModePolicy.FULL, engine._ENERGY) is None
+            total = -3 * mpmath.clcos(4, phi) / t - t**3 / 90
+        if faraday:
+            total -= th * 2 * mpmath.clsin(3, phi) / t
+        if tm_only:  # the TM_ONLY zero mode in place of the full one
+            total += -scale * mpmath.zeta(3) / 4 + scale * mpmath.clcos(3, phi) / 2
+            if faraday:
+                total += th * mpmath.clsin(2, phi)
+
+        def image(alpha, sign):
+            if alpha == 0:  # the Li1 terms vanish, and E keeps tau^2/(2 pi^2) zeta(3)
+                return 0 if scale == 2 else -t**2 / (2 * mpmath.pi**2) * mpmath.zeta(3)
+            mu = mpmath.pi * alpha / t
+            rho = mpmath.exp(-mu)
+            if scale == 1:
+                return -(alpha * t / two_pi * mpmath.polylog(2, rho)
+                         + t**2 / (2 * mpmath.pi**2) * mpmath.polylog(3, rho))
+            # -ln(1 - rho), 1 - rho formed without cancelling where rho ~ 1
+            li1 = -(mpmath.log(-mpmath.expm1(-mu)) if mu < 1 else mpmath.log1p(-rho))
+            value = alpha**2 / 2 * li1
+            if faraday:
+                value -= th * sign * alpha * li1
+            return value
+
+        q = mpmath.exp(-2 * mpmath.pi**2 / t)
+        j = 0
+        while True:
+            total += image(phi + two_pi * j, 1) + image(two_pi - phi + two_pi * j, -1)
+            j += 1
+            a = two_pi * (j + 1)
+            w = a * t / two_pi + t**2 / (2 * mpmath.pi**2) if scale == 1 else a**2 / 2 + abs(th) * a
+            bound = 2 * w * q**j * (1 + q) / ((1 - q) ** 3 * (1 - q**j))
+            if bound < rel * abs(total):
+                return float(total), float(bound + abs(total) * mpmath.mpf(2) ** -53)
+
+
+@pytest.mark.parametrize("i, tau", list(enumerate(np.geomspace(1e-3, 2.0, 12))))
+def test_mp_images_agrees_with_mp_series(i, tau):
+    # the two references share no code; they meet on tau in [1e-3, 2]
+    theta = (0.3, -1.1, 2.0, 0.755, 1.5707963267948966, 7.7)[i % 6]
+    kind = "EPF"[i % 3]
+    tm_only = i % 4 == 3
+    args = dict(pressure=kind == "P", faraday=kind == "F", tm_only=tm_only)
+    a, a_bound = mp_images(theta, float(tau), **args)
+    b, b_bound = mp_series(theta, float(tau), **args)
+    assert abs(a - b) <= a_bound + b_bound
 
 
 def _series_and_grad(kind, theta):
@@ -713,22 +778,49 @@ def _series_and_grad(kind, theta):
             "F": (engine._PRESSURE, -theta)}[kind]
 
 
+def test_images_sum_at_most_their_bound():
+    # the tail reaches 0 where pi alpha/tau > 745: at most 2 + 745 tau/pi^2
+    # images, even at a rel_tol no sum can meet; at the default rel_tol a few
+    ctrl, endless = SeriesControl(), SeriesControl(rel_tol=1e-300)
+    for theta in (0.0, 0.3, 1.2, math.pi / 2):
+        for tau in (1e-3, 0.3, 1.0, engine._TAU_C):
+            for kind in "EPF":
+                series, grad = _series_and_grad(kind, theta)
+                res = engine._images(theta, tau, ctrl, ZeroModePolicy.FULL, series, grad)
+                most = engine._images(theta, tau, endless, ZeroModePolicy.FULL, series, grad)
+                assert res.converged and res.terms_used <= 5
+                assert not most.converged and most.terms_used <= 2 + 745 * tau / math.pi**2
+                assert abs(res.value - most.value) <= res.error_estimate + most.error_estimate
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-12, 1e-6, 0.01, 0.7550, math.pi / 2])
+def test_small_tau_costs_at_most_two_images(theta):
+    # at theta = 0 the m-series took 1,245-1,455 terms here, and at theta = 1e-6
+    # and tau = 1e-3 1,245: e.g. reduced_free_energy(ReducedPoint(1e-6, 1e-3))
+    for tau in (1e-300, 1e-9, 1e-5, 1e-3, 0.5):
+        for zero_mode in ZeroModePolicy:
+            for kind in "EPF":
+                series, grad = _series_and_grad(kind, theta)
+                res = engine._reduced(theta, tau, SeriesControl(), zero_mode, series, grad)
+                assert res.converged and res.terms_used <= 2, (theta, tau, zero_mode, kind)
+    assert reduced_free_energy(ReducedPoint(1e-6, 1e-3)).terms_used == 1
+
+
 @pytest.mark.parametrize("kind", ["E", "P", "F"])
 @pytest.mark.parametrize("zero_mode", list(ZeroModePolicy))
 def test_dual_and_m_series_agree_on_their_overlap(kind, zero_mode):
+    # the dual: the image sum, the low-temperature dual of the m-series
     ctrl = SeriesControl()
     served = 0
-    for theta in (0.2, 0.5, 0.755, 1.0, 1.3, math.pi / 2):
-        for tau in (0.02, 0.1, 0.3, 0.7, 1.5, 3.0):
+    for theta in (0.0, 0.2, 0.5, 0.755, 1.0, 1.3, math.pi / 2):
+        for tau in (0.3, 0.5, 0.7, 1.0, 1.25, engine._TAU_C):
             series, grad = _series_and_grad(kind, theta)
-            dual = engine._dual(theta, tau, ctrl, zero_mode, series, grad)
-            if dual is None:
-                continue
+            img = engine._images(theta, tau, ctrl, zero_mode, series, grad)
             m = engine._m_series(theta, tau, ctrl, zero_mode, series, grad)
-            served += dual.converged and m.converged  # not so near a zero of the result
-            assert dual.terms_used <= engine._MAX_K
-            assert abs(dual.value - m.value) <= dual.error_estimate + m.error_estimate
-    assert served >= 20
+            served += img.converged and m.converged  # not so near a zero of the result
+            assert img.terms_used <= 5
+            assert abs(img.value - m.value) <= img.error_estimate + m.error_estimate
+    assert served >= 35
 
 
 @pytest.mark.parametrize("theta, tau, kind, zero_mode", [
@@ -742,11 +834,12 @@ def test_dual_and_m_series_agree_on_their_overlap(kind, zero_mode):
     (0.02, 1e-3, "P", ZeroModePolicy.FULL),
 ])
 def test_dual_within_its_estimate_of_mpmath(theta, tau, kind, zero_mode):
+    # the dual: the image sum, the low-temperature dual of the m-series
     series, grad = _series_and_grad(kind, theta)
     t, sign = engine._canonical_theta(theta)
     res = engine._reduced(theta, tau, SeriesControl(), zero_mode, series, grad)
-    assert res == engine._dual(t, tau, SeriesControl(), zero_mode, series, grad * sign)
-    assert res.converged and res.terms_used <= engine._MAX_K
+    assert res == engine._images(t, tau, SeriesControl(), zero_mode, series, grad * sign)
+    assert res.converged and res.terms_used <= 5
     assert res.error_estimate <= 1e-10 * abs(res.value)
     ref, ref_bound = mp_series(theta, tau, pressure=kind == "P", faraday=kind == "F",
                                tm_only=zero_mode is ZeroModePolicy.TM_ONLY)
@@ -755,14 +848,20 @@ def test_dual_within_its_estimate_of_mpmath(theta, tau, kind, zero_mode):
 
 @given(
     st.floats(min_value=-8.0, max_value=8.0, allow_nan=False),
-    st.floats(min_value=-3.0, max_value=2.0, allow_nan=False),
+    st.floats(min_value=-9.0, max_value=2.0, allow_nan=False),
     st.sampled_from(["E", "P", "F"]),
     st.sampled_from(list(ZeroModePolicy)),
     st.floats(min_value=-13.0, max_value=-4.0, allow_nan=False),
 )
-@example(0.3, -3.0, "E", ZeroModePolicy.FULL, -10.0)  # the dual
+@example(0.3, -3.0, "E", ZeroModePolicy.FULL, -10.0)  # one image
 @example(-7.9, 0.3, "F", ZeroModePolicy.TM_ONLY, -10.0)  # the m-series
 @example(0.004066302431953077, -1.1377, "E", ZeroModePolicy.FULL, -13.0)  # 0.4% under target
+@example(0.0, -9.0, "E", ZeroModePolicy.FULL, -10.0)  # the alpha = 0 image
+@example(0.0, -4.0, "P", ZeroModePolicy.TM_ONLY, -13.0)
+@example(1e-12, -6.0, "F", ZeroModePolicy.FULL, -12.0)
+@example(1e-12, -1.0, "E", ZeroModePolicy.TM_ONLY, -13.0)
+@example(math.pi / 2 - 1e-12, -8.0, "P", ZeroModePolicy.FULL, -10.0)
+@example(math.pi / 2 - 1e-12, 0.1, "F", ZeroModePolicy.TM_ONLY, -12.0)
 @settings(max_examples=60, deadline=None)
 def test_converged_results_are_within_their_estimate_of_mpmath(theta, log_tau, kind, zero_mode,
                                                                 log_tol):
@@ -771,10 +870,11 @@ def test_converged_results_are_within_their_estimate_of_mpmath(theta, log_tau, k
     res = engine._reduced(theta, tau, ctrl, zero_mode, series, grad)
     if not res.converged:
         return
-    t, sign = engine._canonical_theta(theta)
-    if engine._dual(t, tau, ctrl, zero_mode, series, grad * sign) is not None:
-        assert res.terms_used <= engine._MAX_K
-    ref, ref_bound = mp_series(theta, tau, pressure=kind == "P", faraday=kind == "F",
+    if tau <= engine._TAU_C:
+        assert res.terms_used <= 2 + 745 * tau / math.pi**2
+    # below tau = 1e-3 the direct sum would take too many terms at small theta
+    reference = mp_images if tau < 1e-3 else mp_series
+    ref, ref_bound = reference(theta, tau, pressure=kind == "P", faraday=kind == "F",
                                tm_only=zero_mode is ZeroModePolicy.TM_ONLY,
                                rel=ctrl.rel_tol / 100.0)
     assert abs(res.value - ref) <= res.error_estimate + ref_bound

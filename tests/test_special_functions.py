@@ -17,6 +17,8 @@ from chiral_casimir.special_functions import (
     ZETA_4,
     clausen_cos,
     clausen_sin,
+    polylog_exp,
+    polylog_exp_23,
     re_polylog_damped,
 )
 
@@ -151,7 +153,7 @@ def test_clausen_sin2_within_the_engine_budget_against_mpmath():
 
 
 def test_clausen_cos4_within_the_engine_budget_against_mpmath():
-    # the dual series charges _CL4_ERR to clausen_cos(4, 2 t), with t the
+    # the image sum charges _CL4_ERR to clausen_cos(4, 2 t), with t the
     # engine's fold of theta; 40-digit reference at the unfolded theta, over
     # a grid of [0, pi], folded angles, angles just off multiples of pi/2 and
     # the zero of Cl4(2 theta) near theta* = 0.755
@@ -181,6 +183,70 @@ def test_clausen_sin_log_expansions_against_mpmath(s):
     with mpmath.workdps(40):
         worst = max(abs(clausen_sin(s, phi) - mpmath.clsin(s, phi)) for phi in phis)
     assert worst <= 5e-15
+
+
+# ------------------------------------------------------- Li_s(e^{-mu}), real
+
+def mp_li(s: int, mu: float):
+    """Li_s(e^{-mu}) to 40 digits; e^{-mu} keeps them down to mu = 1e-300."""
+    import mpmath
+
+    with mpmath.workdps(40 + max(0, int(-math.log10(mu))) if mu else 40):
+        m = mpmath.mpf(mu)
+        if s == 1:  # -ln(1 - e^{-mu}), 1 - e^{-mu} formed without cancelling
+            return -(mpmath.log(-mpmath.expm1(-m)) if mu < 1 else mpmath.log1p(-mpmath.exp(-m)))
+        return mpmath.polylog(s, mpmath.exp(-m))
+
+
+# each branch and both sides of each switch: mu = 0 (s >= 2), the log
+# expansions below 1, Li_1's expm1 form below ln 2, the direct sums above 1,
+# and e^{-mu} subnormal (beyond 708.4) and 0 (beyond 745.1)
+POLYLOG_EXP_MUS = (1e-300, 1e-12, 1e-3, math.log(2.0) - 1e-12, math.log(2.0) + 1e-12, 0.999999999,
+                   1.0, 1.000000001, 1.0 + 1e-15, 2.0 * math.pi - 1e-9, 2.0 * math.pi + 1e-9, 7.0,
+                   40.0, 708.0, 709.0, 745.0, 746.0)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_polylog_exp_within_the_engine_budget_against_mpmath(s):
+    # the image sum charges engine._LI_ULPS units of 2^-53 of every Li it forms
+    from chiral_casimir.engine import _LI_ULPS
+
+    n = 2001
+    mus = [2.0 * math.pi * i / n for i in range(1, n)] + list(POLYLOG_EXP_MUS)
+    worst = 0.0
+    for mu in mus:
+        value, ref = polylog_exp(s, mu), mp_li(s, mu)
+        if ref >= 2.2250738585072014e-308:
+            worst = max(worst, float(abs(value - ref) / ref))
+        else:  # e^{-mu} subnormal or 0: an absolute error
+            assert abs(value - ref) <= 1e-322, (s, mu)
+    assert worst <= _LI_ULPS * 2.0**-53
+    if s > 1:
+        assert polylog_exp(s, 0.0) == (ZETA_2 if s == 2 else ZETA_3)
+        assert polylog_exp_23(0.0) == (ZETA_2, ZETA_3)
+    else:
+        assert polylog_exp(1, 0.0) == math.inf  # -ln(1 - 1)
+
+
+def test_the_li_ratios_the_image_floor_uses():
+    # the image sum bounds how the rounding of an image moves it through
+    # mu Li_{s-1}(e^{-mu}) <= (1 + mu) Li_s(e^{-mu}) for s = 1 (Li_0 =
+    # e^{-mu}/(1 - e^{-mu})) and s = 2
+    import mpmath
+
+    for mu in np.geomspace(1e-30, 1e3, 200):
+        mu = float(mu)
+        with mpmath.workdps(40 + max(0, int(-math.log10(mu)))):
+            m = mpmath.mpf(mu)
+            li0 = 1 / mpmath.expm1(m)
+            assert m * li0 <= (1 + m) * mp_li(1, mu)
+            assert m * mp_li(1, mu) <= (1 + m) * mp_li(2, mu)
+
+
+@pytest.mark.parametrize("s, mu", [(0, 1.0), (4, 1.0), (2, -1e-300), (1, math.nan)])
+def test_polylog_exp_domain(s, mu):
+    with pytest.raises(ValueError):
+        polylog_exp(s, mu)
 
 
 # ---------------------------------------------------------------- periodicity
