@@ -40,8 +40,8 @@ polylogarithms of e^{-pi alpha/tau}, are
     E = -Cl4(2 theta)/tau + tau^3/90
         - sum_alpha [alpha tau/(2 pi) Li2 + tau^2/(2 pi^2) Li3](e^{-pi alpha/tau})
 over the images alpha in {2 theta, 2 pi - 2 theta} + 2 pi j, j >= 0; P and
-dE/dtheta follow in the same way.  Each image pair after the first is at
-most e^{-2 pi^2/tau} times the one before, and at theta = 0 the alpha = 0
+dE/dtheta follow in the same way.  From one image pair to the next the
+terms fall by about e^{-2 pi^2/tau}, and at theta = 0 the alpha = 0
 image is the -zeta(3) tau^2/(2 pi^2) of Brown and Maclay, so every angle
 takes one image at small tau and a handful at tau = _TAU_C.  Points at
 tau <= _TAU_C go to the images, the rest to the m-series.
