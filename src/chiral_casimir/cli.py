@@ -15,12 +15,10 @@ Exit codes: 0 success, 1 argument errors, 2 convergence or output failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import math
+import operator
 import sys
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 from . import engine
 from .engine import CavityConfig, ReducedPoint, SeriesControl, ZeroModePolicy
@@ -92,6 +90,8 @@ class AxisSpec:
     def values(self) -> tuple[float, ...]:
         if self.count == 1:
             return (self.start,)
+        import numpy as np  # only a ranged axis needs it: load it for sweeps alone
+
         if self.log:
             return tuple(float(v) for v in np.geomspace(self.start, self.stop, self.count))
         return tuple(float(v) for v in np.linspace(self.start, self.stop, self.count))
@@ -172,14 +172,6 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     return SweepTable(tuple(rows))
 
 
-def _cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    return format(v, ".17g")
-
-
 def emit_csv(table: SweepTable, stream, units: str = "si") -> None:
     """Write the table to a text stream as RFC-4180 CSV (CRLF, 17 significant digits).
 
@@ -189,10 +181,14 @@ def emit_csv(table: SweepTable, stream, units: str = "si") -> None:
     cols = _UNIT_COLUMNS.get(units)
     if cols is None:
         raise ValueError(f"units must be one of {tuple(_UNIT_COLUMNS)}, got {units!r}")
-    writer = csv.writer(stream)
-    writer.writerow(cols)
-    for row in table.rows:
-        writer.writerow([_cell(getattr(row, c)) for c in cols])
+    # one %-format per row: every column is a float but terms_used and the
+    # last, converged, which is written true or false; no cell needs quoting
+    *numeric, _ = cols
+    fmt = ",".join("%d" if c == "terms_used" else "%.17g" for c in numeric) + ","
+    numbers = operator.attrgetter(*numeric)
+    stream.write(",".join(cols) + "\r\n")
+    stream.writelines(fmt % numbers(row) + ("true\r\n" if row.converged else "false\r\n")
+                      for row in table.rows)
 
 
 def _certify(rel_tol: float, out) -> int:

@@ -46,14 +46,15 @@ image is the -zeta(3) tau^2/(2 pi^2) of Brown and Maclay, so every angle
 takes one image at small tau and a handful at tau = _TAU_C.  Points at
 tau <= _TAU_C go to the images, the rest to the m-series.
 
-The m-series terms are made by one numpy kernel (_m_series), one point per
-call, in chunks of m that double from 32 to 4096; the images and n_first add
-one term at a time.  All three stop by one rule (_stops): at the first index
-where the closed tail bound of the remaining terms, an error floor and the
-final rounding EPS |S| together are within rel_tol of the running sum S
-(certified), where the tail alone is but the rest is not (the error floor),
-or at the term cap, _MAX_M or _MAX_N (the images need none: their tail
-bound reaches 0 within 2 + 745 tau/pi^2 images).  The floor is the error of
+Above _TAU_C the m-series weights fall like e^{-2 m tau}, so it needs a
+few terms at any sane rel_tol.  The m-series (_m_series), the images and
+n_first each add one term at a time, and all three stop by one rule
+(_stops): at the first index where the closed tail bound of the remaining
+terms, an error floor and the final rounding EPS |S| together are within
+rel_tol of the running sum S (certified), or where the tail alone is but the
+rest is not (the error floor).  Only n_first needs a term cap, _MAX_N: the
+tail bounds of the others reach 0 where their terms underflow, within
+1 + 373/tau m-terms and 2 + 745 tau/pi^2 images.  The floor is the error of
 the closed-form zero mode (_zero_mode) plus a charge for rounding every term
 for the m-series, the error of the closed forms plus a charge for every
 image so far for the images, and the error accumulated so far for n_first.
@@ -66,13 +67,10 @@ already exceeds rel_tol.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .kernel import MediumKind, log_det_kernel
 from .special_functions import (TWO_PI, ZETA_2, ZETA_3, ZETA_4, clausen_cos, clausen_sin,
@@ -226,10 +224,10 @@ class SeriesControl:
     rel_tol is the relative error a converged result certifies, the final
     rounding of its value included; order picks the summation order.
     m_first sums the images at tau <= _TAU_C, at most 2 + 745 tau/pi^2 of
-    them, and at most _MAX_M terms of the m-series above; n_first at most
-    _MAX_N, and refuses up front, unconverged, where that many terms cannot
-    reach rel_tol.  A sum stops where its estimate meets rel_tol, or where no
-    further term can make it do so.
+    them, and the m-series above, at most 1 + 373/tau terms (250 at _TAU_C);
+    n_first at most _MAX_N, and refuses up front, unconverged, where that many
+    terms cannot reach rel_tol.  A sum stops where its estimate meets rel_tol,
+    or where no further term can make it do so.
     """
 
     rel_tol: float = 1e-10
@@ -263,8 +261,8 @@ class EvalResult:
     converged: bool
 
 
-def _stops(tail, floor, s, rel_tol):
-    """Whether a sum stops here, on floats or numpy arrays alike.
+def _stops(tail: float, floor: float, s: float, rel_tol: float) -> bool:
+    """Whether a sum stops here.
 
     s is |S| for the running sum S.  The floor is charged the final rounding
     EPS s, as _finish charges EPS |value|, so with target = rel_tol s a sum
@@ -281,11 +279,11 @@ def _finish(parts, tail: float, floor: float, terms: int, rel_tol: float) -> Eva
     """The result of a sum that stopped: the exact sum of its parts, rounded once.
 
     Its estimate is tail + floor plus that rounding, EPS |value|, and it is
-    converged where the estimate is within rel_tol |value|.
+    converged where the value is finite and the estimate within rel_tol |value|.
     """
     value = math.fsum(parts)
     err = tail + floor + _EPS * abs(value)
-    return EvalResult(value, err, terms, err <= rel_tol * abs(value))
+    return EvalResult(value, err, terms, err <= rel_tol * abs(value) < math.inf)
 
 
 def _canonical_theta(theta: float) -> tuple[float, float]:
@@ -305,20 +303,23 @@ def _canonical_theta(theta: float) -> tuple[float, float]:
     return t, sign
 
 
-# m-series chunks: 32 terms, doubling up to 4096 per chunk, and the term cap
-_FIRST_CHUNK = 32
-_LAST_CHUNK = 4096
-_MAX_M = 10**6
 # Rounding charged per m-series term: EPS * weight/m^3 * (_TERM_ULPS + a + m phi).
-# _TERM_ULPS covers the at most 27 ulps of error of the pressure term (18 for
-# the energy): 2 each from exp and expm1, 1 from each division, sum and
-# product in the weight, 2 from 1/m^3 and 1 from the product with it, 2 of
-# absolute error from the cosine, 1 from the product with it, 1 from adding
-# the sine term of the Faraday pressure and 1 from the exact per-chunk sum.
-# A sine term 2 grad sin(m phi) w/m^2 carries at most 20: 10 from the energy
-# weight, 3 from 1/m^2 (taken as m/m^3), 1 from the product with it, 2 of
-# absolute error from the sine, 1 each from the products with it and with
-# -2 grad, 1 from the addition and 1 from the per-chunk sum.  a = 2 m tau
+# In units of u = EPS, to first order, with libm's exp, expm1, cos and sin
+# each within 1 ulp (2u):
+#   * the energy weight q (1 + x), q = y/d, x = a/d: y and d 2u each, q 5u,
+#     x 3u, 1 + x 4u (x >= 1), the product                            10u
+#   * the pressure weight q (2 + x (2 + x (1 + y))): 1 + y 2u (y <= 1),
+#     x (1 + y) 6u, 2 + that 7u, x times that 11u, 2 + that 12u, q times
+#     that                                                               18u
+#   * a cosine term cos(m phi) weight/m^3: the weight's, 1/m^3 2u (m^3 is
+#     exact), the product with it u, the cosine 2u of absolute error, the
+#     product with it u and adding the sine term of the Faraday pressure u:
+#     17u for the energy and, for the pressure,                       25u
+#   * a sine term 2 grad sin(m phi) w/m^2: the energy weight 10u, m/m^3 3u,
+#     the product with it u, the sine 2u, the products with it and with
+#     2 grad u each, the addition u                                   19u
+# _finish sums the terms exactly and charges the one rounding of the value,
+# so no term pays for a running sum.  32 covers the largest, 25u.  a = 2 m tau
 # bounds the relative change of the weight when a is rounded, and m phi the
 # absolute change of cos(m phi) or sin(m phi) when m phi is.
 _TERM_ULPS = 32.0
@@ -338,8 +339,7 @@ class _MSeries:
     pressure: bool
     k: float
 
-    def weight(self, y, q, x):
-        """Works on floats and on numpy arrays alike."""
+    def weight(self, y: float, q: float, x: float) -> float:
         if self.pressure:
             # Sum_{n>=1} e^{-nb} (2 + 2nb + (nb)^2); 6/b - 1 + O(b) as b -> 0
             return q * (2.0 + x * (2.0 + x * (1.0 + y)))
@@ -383,22 +383,6 @@ def _sine_floor(theta: float, tau: float) -> float:
     return _EPS * (_TERM_ULPS * s0 + (a1 + 4.0 * theta + 2.3) * s1)
 
 
-@functools.lru_cache(maxsize=16)
-def _chunk_m(lo: int, hi: int):
-    """m and 1/m^3 over lo..hi+1 (the extra m feeds the tail bounds), -1/(2 m^2) over lo..hi."""
-    m = np.arange(lo, hi + 2, dtype=np.float64)
-    return m, 1.0 / (m * m * m), -0.5 / (m[:-1] * m[:-1])
-
-
-def _chunks():
-    lo, size = 1, _FIRST_CHUNK
-    while lo <= _MAX_M:
-        hi = min(lo + size - 1, _MAX_M)
-        yield lo, hi
-        lo = hi + 1
-        size = min(2 * size, _LAST_CHUNK)
-
-
 def _zero_mode(theta: float, zero_mode: ZeroModePolicy, series: _MSeries,
                grad: float = 0.0) -> tuple[list[float], float]:
     """The closed-form n=0 parts of the series at a folded theta, and their error.
@@ -424,61 +408,57 @@ def _m_series(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroMode
 
     The zero mode is _zero_mode's.  grad is 0 except for the Faraday
     pressure, where it adds the sine terms 2 grad sin(2 m theta) w(2 m tau)/m^2,
-    w the energy weight.  The point runs through the terms a chunk at a
-    time and stops by _stops at its first m, or at m = _MAX_M.
+    w the energy weight.  One term at a time: the weights at m + 1, one exp
+    and one expm1, feed the tail at m and are the next term's weights.
     tail(m) = min(k/(6 tau m^3), weight_{m+1}/(2 m^2)) bounds the cosine
     terms beyond m, where weight_{m+1} = weight(2(m+1) tau), plus
     |grad| min(1/(tau m^2), 2 w_{m+1}/m) for the sine terms; floor is
-    _MSeries.floor plus |grad| _sine_floor.  The running sums S_m that
-    decide where to stop are float cumulative sums on top of the exact sum
-    of the earlier chunks.  _finish sums the zero mode and the per-chunk
-    exact sums.
+    _MSeries.floor plus |grad| _sine_floor.  Stops by _stops at its first m.
+    No cap is needed: once 2(m+1) tau > 745 the weights at m + 1 underflow
+    to 0, and so does the tail, so the sum stops within 1 + 373/tau terms,
+    250 at tau = _TAU_C.  The float running sum only steers the stop:
+    _finish sums the zero mode and the terms exactly.
     """
     # from tau = 400 on every weight underflows to exactly 0; capping tau
     # changes no result and keeps a and a^2 finite in the weights
     tau = min(tau, 1e3)
-    # the zero mode, then the exact sum of each finished chunk
     parts, zero_err = _zero_mode(theta, zero_mode, series, grad)
     floor = series.floor(theta, tau, zero_err)
     if grad:
         floor += abs(grad) * _sine_floor(theta, tau)
-    head = math.fsum(parts)  # sum before the chunk
-    phi, neg_2tau, tail_alg = 2.0 * theta, -2.0 * tau, series.k / (6.0 * tau)
-    for lo, hi in _chunks():
-        m, inv_m3, neg_inv_2m2 = _chunk_m(lo, hi)
-        na = neg_2tau * m  # -a = -2 m tau, with one extra m for the tail
-        y = np.exp(na)
-        dm = np.expm1(na)  # -d
-        q, x = y / dm, na / dm  # q < 0 here, so the weights below are negated
-        neg_weight = series.weight(y, q, x)
-        neg_mag = neg_weight * inv_m3
-        terms = np.cos(phi * m[:-1]) * neg_mag[:-1]
-        # bounds on the terms beyond m: algebraic and exponential
-        tail = np.minimum(tail_alg * inv_m3[:-1], neg_weight[1:] * neg_inv_2m2)
+    s = math.fsum(parts)
+    phi, two_tau, tail_alg, abs_grad = 2.0 * theta, 2.0 * tau, series.k / (6.0 * tau), abs(grad)
+    # the weights at m + 1; w, the energy weight of the sine terms, only with grad
+    m, weight_next = 0, series.weight_at(two_tau)
+    w_next = _ENERGY.weight_at(two_tau) if grad else 0.0
+    while True:
+        m += 1
+        weight = weight_next
+        a = two_tau * (m + 1)
+        y = math.exp(-a)
+        d = -math.expm1(-a)
+        q, x = y / d, a / d
+        weight_next = series.weight(y, q, x)
+        inv_m3 = 1.0 / (m * m * m)
+        term = -(math.cos(phi * m) * (weight * inv_m3))
+        tail = min(tail_alg * inv_m3, weight_next * (0.5 / (m * m)))
         if grad:
-            neg_w = _ENERGY.weight(y, q, x)
-            neg_g = neg_w * (inv_m3 * m)  # -w/m^2
-            terms = terms + (-2.0 * grad) * np.sin(phi * m[:-1]) * neg_g[:-1]
-            sine_tail = np.minimum(inv_m3[:-1] * m[:-1] / tau, -2.0 * neg_w[1:] / m[:-1])
-            tail = tail + abs(grad) * sine_tail
-        stop = _stops(tail, floor, np.abs(head + np.add.accumulate(terms)), ctrl.rel_tol)
-        if hi == _MAX_M:
-            stop[-1] = True
-        j = int(stop.argmax())
-        if stop[j]:
-            break
-        parts.append(math.fsum(terms.tolist()))
-        head = math.fsum(parts)
-    parts.append(math.fsum(terms[:j + 1].tolist()))
-    return _finish(parts, float(tail[j]), floor, lo + j, ctrl.rel_tol)
+            w, w_next = w_next, _ENERGY.weight(y, q, x)
+            term += (2.0 * grad * math.sin(phi * m)) * (w * (inv_m3 * m))
+            tail += abs_grad * min(inv_m3 * m / tau, 2.0 * w_next / m)
+        parts.append(term)
+        s += term
+        if _stops(tail, floor, abs(s), ctrl.rel_tol):
+            return _finish(parts, tail, floor, m, ctrl.rel_tol)
 
 
 # m_first sums every point at tau <= _TAU_C by its images, the rest by the
-# m-series.  On a 2-CPU host an image costs about 2.5 us and a call 5 us
-# more, against 25-45 us for an m-series call at tau = 1-3: the images are
-# the cheaper up to tau = 3, where E needs 9 of them.  At tau = 1.5 (4
-# images) the slowest call on a grid of 13 angles and tau in [1e-9, 1.5]
-# costs 2.5 times the median call, at tau = 2 (6 images) 2.9 times.
+# m-series.  On a 2-CPU host, over 4 angles, an image call takes 12-19 us
+# at tau = 1.5 against 19-27 us for the m-series (7-9 terms); the two are
+# about even at tau = 2 and the m-series takes half the time at tau = 3,
+# where E needs 9 images.  At tau = 1.5 (4 images) the slowest call on a
+# grid of 13 angles and tau in [1e-9, 1.5] costs 2.5 times the median call,
+# at tau = 2 (6 images) 2.9 times.
 _TAU_C = 1.5
 
 # Relative error of special_functions.polylog_exp and polylog_exp_23,

@@ -33,8 +33,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 __all__ = ["clausen_cos", "clausen_sin", "re_polylog_damped"]
 
 TWO_PI = 2.0 * math.pi
@@ -317,6 +315,8 @@ def re_polylog_damped(s, r: float, phi: float, with_bound: bool = False):
     # the bound falls with m, so some chunk end meets it iff the last one does
     if not _tail(n, log_r, one_minus, _LAST_M)[1]:
         raise RuntimeError(f"series for r={r} did not meet the 1e-13 tail bound")
+    import numpy as np  # on first use: only n_first and matsubara_term sum these
+
     total = 0.0
     for lo, hi in _damped_chunks():
         m = np.arange(lo, hi + 1, dtype=np.float64)

@@ -13,11 +13,14 @@ from chiral_casimir.cli import (
     AxisSpec,
     COLUMNS,
     REDUCED_COLUMNS,
+    SweepRow,
     SweepSpec,
+    SweepTable,
     emit_csv,
     run,
     run_sweep,
 )
+from chiral_casimir.kernel import MediumKind
 
 # temperature giving tau = 40 at l = 1e-6 m, where the requested tolerance
 # sits below the error floor of the near-zero classical prefactor
@@ -311,6 +314,43 @@ def test_emit_csv_floats_roundtrip():
     assert int(row["terms_used"]) == table.rows[0].terms_used
 
 
+def _csv_module_rendering(table, units):
+    """The table as csv.writer writes it, each cell formatted on its own."""
+    def cell(v):
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        if isinstance(v, int):
+            return str(v)
+        return format(v, ".17g")
+
+    cols = COLUMNS if units == "si" else REDUCED_COLUMNS
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(cols)
+    for row in table.rows:
+        writer.writerow([cell(getattr(row, c)) for c in cols])
+    return buf.getvalue()
+
+
+def test_emit_csv_bytes_match_the_csv_module():
+    fixed = run_sweep(SweepSpec(theta=AxisSpec(-0.0, -0.0, 1),
+                                temperature=AxisSpec(0.0, 1000.0, 3)))  # T = 0 first
+    faraday = run_sweep(SweepSpec(medium=MediumKind.FARADAY, verdet=1e5,
+                                  bfield=AxisSpec(2.0, 2.0, 1),
+                                  temperature=AxisSpec(0.0, 300.0, 2)))
+    unconverged = run_sweep(SweepSpec(theta=AxisSpec(0.3, 0.3, 1),
+                                      temperature=AxisSpec(300.0, 300.0, 1), rel_tol=1e-17))
+    odd = SweepRow(-0.0, math.inf, -math.inf, math.nan, 1e-300, -1.5, 5e-324, 1e308, -2.0,
+                   10**6, 0.0, True)
+    table = SweepTable(fixed.rows + faraday.rows + unconverged.rows + (odd,))
+    assert fixed.rows[0].temperature_K == 0.0 and str(fixed.rows[0].theta_rad) == "-0.0"
+    assert not unconverged.rows[0].converged
+    for units in ("si", "reduced"):
+        buf = io.StringIO()
+        emit_csv(table, buf, units=units)
+        assert buf.getvalue() == _csv_module_rendering(table, units)
+
+
 def test_emit_csv_rejects_unknown_units():
     table = run_sweep(SweepSpec())
     for units in ("SI", "Reduced", ""):
@@ -325,6 +365,25 @@ def test_point_mode_loads_no_scipy(package_env):
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert cli.run(['--mode', 'point']) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=package_env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_point_mode_and_the_m_series_load_no_numpy(package_env):
+    # numpy serves ranged sweep axes and n_first only
+    code = ("import contextlib, io, sys\n"
+            "import chiral_casimir as cc\n"
+            "import chiral_casimir.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.run(['--mode', 'point', '--temperature', '300']) == 0\n"
+            "assert cc.reduced_free_energy(cc.ReducedPoint(0.3, 3.0)).converged\n"
+            "cfg = cc.CavityConfig(1e-6, 1000.0, kind=cc.MediumKind.FARADAY, verdet=1e5,\n"
+            "                      bfield=2.0)\n"
+            "assert cc.reduced_temperature(cfg.separation, cfg.temperature) > 1.5\n"
+            "assert cc.physical_pressure(cfg).converged\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy')))\n")
     proc = subprocess.run([sys.executable, "-c", code], env=package_env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -40,7 +40,8 @@ from chiral_casimir.kernel import MediumKind
 from chiral_casimir.special_functions import ZETA_3, clausen_cos, clausen_sin
 
 N_FIRST = SeriesControl(order="n_first")
-CAPPED = SeriesControl()  # run with the term cap engine._MAX_M lowered
+# below every error floor: the m-series runs until its tail underflows
+BELOW_FLOOR = SeriesControl(rel_tol=1e-300)
 
 # engine outputs cross-checked against the independent quadrature oracle,
 # frozen at more digits than the oracle's 1e-10 budget
@@ -253,18 +254,27 @@ def test_eval_result_invariant_on_grid():
                 assert res.error_estimate <= 1e-10 * max(abs(res.value), 1e-300)
 
 
-def test_truncation_reports_non_convergence(monkeypatch):
-    # above _TAU_C the m-series sums the point, here in 5 terms
-    monkeypatch.setattr(engine, "_MAX_M", 2)
-    res = reduced_free_energy(ReducedPoint(0.05, 2.0))
-    assert not res.converged
-    assert math.isfinite(res.value)
-    assert res.error_estimate > 0.0
+def test_truncation_reports_non_convergence():
+    # the m-series has no term cap: at a rel_tol below its error floor it
+    # runs until the weights at m + 1 underflow (2 (m + 1) tau > 745), which
+    # zeroes its tail, and stops unconverged within 1 + 373/tau terms
+    # (at most 231, 174 and 35 over these angles)
+    for tau in (engine._TAU_C, 2.0, 10.0):
+        for theta in np.linspace(0.0, math.pi / 2, 30).tolist():
+            for kind in "EPF":
+                series, grad = _series_and_grad(kind, theta)
+                most = engine._m_series(theta, tau, BELOW_FLOOR, ZeroModePolicy.FULL, series, grad)
+                res = engine._m_series(theta, tau, SeriesControl(), ZeroModePolicy.FULL, series,
+                                       grad)
+                assert most.converged is False, (tau, theta, kind)
+                assert most.terms_used <= 1 + 373.0 / tau, (tau, theta, kind)
+                assert abs(res.value - most.value) <= res.error_estimate + most.error_estimate
 
 
 def test_error_floor_exits_early():
     # at the classical root the target is below the zero-mode error floor;
-    # the loop must give up quickly instead of burning _MAX_M terms
+    # the loop must give up quickly instead of running to the tail's
+    # underflow, 1 + 373/tau terms
     res = reduced_free_energy(ReducedPoint(0.7251727334628189, 40.0))
     assert not res.converged
     assert res.terms_used < 10
@@ -293,15 +303,13 @@ def test_series_control_validation():
 @pytest.mark.parametrize("fn, point, ctrl, converged", [
     (reduced_free_energy, (0.3, 1.0), None, True),  # certified
     (reduced_free_energy, (0.7251727334628189, 40.0), None, False),  # error floor
-    (reduced_free_energy, (0.05, 2.0), CAPPED, False),  # term cap of the m-series
+    (reduced_free_energy, (0.05, 2.0), BELOW_FLOOR, False),  # m-series run to its tail's underflow
     (reduced_pressure, (0.3, 1.0), N_FIRST, True),  # n_first certified
     (reduced_free_energy, (0.3, 1e-4), N_FIRST, False),  # n_first refusal
     (reduced_pressure, (1.2, 1.0), None, True),  # images certified
     (reduced_free_energy, (0.7550357, 1e-9), None, False),  # images' error floor: Cl4 ~ 0
 ])
-def test_converged_is_a_python_bool(fn, point, ctrl, converged, monkeypatch):
-    if ctrl is CAPPED:
-        monkeypatch.setattr(engine, "_MAX_M", 2)
+def test_converged_is_a_python_bool(fn, point, ctrl, converged):
     res = fn(ReducedPoint(*point), ctrl)
     assert type(res.converged) is bool
     assert res.converged is converged
@@ -330,6 +338,16 @@ def test_the_stop_and_the_verdict_are_one_inequality(fn, point, zero_mode, terms
     res = fn(ReducedPoint(*point), SeriesControl(rel_tol=1e-13), zero_mode)
     assert (res.terms_used, res.converged) == (terms, converged)
     assert res.converged is (res.error_estimate <= 1e-13 * abs(res.value))
+
+
+def test_an_infinite_value_is_not_converged():
+    # the estimate inf <= rel_tol * inf held: both calls were called converged
+    grown = engine._reduced(1e15, 1e-300, SeriesControl(), ZeroModePolicy.FULL,
+                            engine._PRESSURE, -1e15)
+    alone = engine._finish([math.inf], 0.0, 0.0, 1, 1e-10)
+    for res in (grown, alone):
+        assert math.isinf(res.value)
+        assert res.converged is False
 
 
 # ------------------------------------------------------------ zero-mode policy
@@ -686,15 +704,6 @@ def test_kernel_certifies_below_the_old_clausen_floor():
     res = reduced_free_energy(ReducedPoint(0.755, 0.05))
     assert res.converged
     assert res.error_estimate <= 1e-10 * abs(res.value)
-
-
-def test_kernel_stops_at_max_m(monkeypatch):
-    # above _TAU_C the m-series sums the point, here in 5 terms
-    monkeypatch.setattr(engine, "_MAX_M", 3)
-    res = reduced_pressure(ReducedPoint(0.0, 2.5))
-    assert res.terms_used == 3
-    assert not res.converged
-    assert res.error_estimate > 1e-10 * abs(res.value)
 
 
 def mp_images(theta, tau, pressure=False, faraday=False, tm_only=False, rel=1e-12):
