@@ -706,6 +706,20 @@ def test_kernel_certifies_below_the_old_clausen_floor():
     assert res.error_estimate <= 1e-10 * abs(res.value)
 
 
+def test_kernel_stops_at_max_m():
+    # the m-series has no term cap; its largest m is where the weights at
+    # m + 1 underflow (2 (m + 1) tau > 745), 1 + 373/tau = 150 here.  Below
+    # the error floor the pressure runs on past the default stop, stops
+    # within that reach and reports the target missed
+    tau = 2.5
+    default = reduced_pressure(ReducedPoint(0.0, tau))
+    res = reduced_pressure(ReducedPoint(0.0, tau), BELOW_FLOOR)
+    assert default.terms_used < res.terms_used <= 1 + 373.0 / tau
+    assert res.converged is False
+    assert res.error_estimate > BELOW_FLOOR.rel_tol * abs(res.value)
+    assert abs(res.value - default.value) <= res.error_estimate + default.error_estimate
+
+
 def mp_images(theta, tau, pressure=False, faraday=False, tm_only=False, rel=1e-12):
     """40-digit sum over the images with a bound on its own error: mp_series' twin at small tau.
 
