@@ -238,6 +238,9 @@ class SeriesControl:
             raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol!r}")
         if self.order not in ("m_first", "n_first"):
             raise ValueError(f"order must be 'm_first' or 'n_first', got {self.order!r}")
+        # the tolerance the sums stop at (_stops), set once here: below EPS
+        # no target can be met, and the sums stop at the error floor
+        object.__setattr__(self, "_stop_tol", max(self.rel_tol, _EPS))
 
 
 _DEFAULT_CTRL = SeriesControl()  # frozen: one instance serves every call without a ctrl
@@ -268,7 +271,11 @@ def _stops(tail: float, floor: float, s: float, rel_tol: float) -> bool:
     EPS s, as _finish charges EPS |value|, so with target = rel_tol s a sum
     stops where tail + floor + EPS s <= target (certified, the verdict
     _finish gives where value = S) or tail <= target < floor + EPS s (the
-    error floor, which no number of further terms can get under).
+    error floor, which no number of further terms can get under).  Each sum
+    passes SeriesControl._stop_tol = max(rel_tol, EPS): below EPS the target
+    is under the floor anyway, and the sum stops once its tail is within
+    EPS s rather than running to the tail's underflow, while _finish still
+    judges the result against the caller's rel_tol.
     """
     floor = floor + _EPS * s
     target = rel_tol * s
@@ -293,11 +300,12 @@ def _canonical_theta(theta: float) -> tuple[float, float]:
     pi-periodic, so it is sign times its value at the folded angle.  fold_pi
     is bit-exact under theta -> -theta and within ~1e-16 of exact under
     theta -> theta+pi; it rejects |theta| > 1e15 rad.  Its PI_LO tail can
-    leave |fold| a hair above pi/2, which the last step reflects back.
+    leave |fold| a hair above pi/2, which the last step reflects back.  Both
+    are Python floats, also for a numpy scalar theta.
     """
     t = fold_pi(theta, "theta")
     sign = math.copysign(1.0, t)
-    t = abs(t)
+    t = math.fabs(t)
     if t > 0.5 * math.pi:
         return math.pi - t, -sign
     return t, sign
@@ -427,6 +435,7 @@ def _m_series(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroMode
     if grad:
         floor += abs(grad) * _sine_floor(theta, tau)
     s = math.fsum(parts)
+    stop_tol = ctrl._stop_tol
     phi, two_tau, tail_alg, abs_grad = 2.0 * theta, 2.0 * tau, series.k / (6.0 * tau), abs(grad)
     # the weights at m + 1; w, the energy weight of the sine terms, only with grad
     m, weight_next = 0, series.weight_at(two_tau)
@@ -448,7 +457,7 @@ def _m_series(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroMode
             tail += abs_grad * min(inv_m3 * m / tau, 2.0 * w_next / m)
         parts.append(term)
         s += term
-        if _stops(tail, floor, abs(s), ctrl.rel_tol):
+        if _stops(tail, floor, abs(s), stop_tol):
             return _finish(parts, tail, floor, m, ctrl.rel_tol)
 
 
@@ -527,6 +536,7 @@ def _images(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePo
         parts += tm + [-x for x in full]
         floor += tm_err + full_err
     s = math.fsum(parts)
+    stop_tol = ctrl._stop_tol
     pressure, abs_grad = series.pressure, abs(grad)
     pi_tau = math.pi / tau
     c1 = 0.5 * tau / math.pi  # tau/(2 pi)
@@ -563,14 +573,14 @@ def _images(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePo
         rho = math.exp(-pi_tau * alpha)
         bound = alpha * (0.5 * alpha + abs_grad) if pressure else c1 * alpha + c0
         tail = bound * rho / ((1.0 - rho) * geo)
-        if _stops(tail, floor, abs(s), ctrl.rel_tol):
+        if _stops(tail, floor, abs(s), stop_tol):
             break
     return _finish(parts, tail, floor, i, ctrl.rel_tol)
 
 
 # The n_first term cap.  At rel_tol 1e-10 the up-front refusal starts near
-# tau = 7e-4, and 20k terms (each a damped-polylog sum) take about 1.5 s on
-# a 2-CPU host.
+# tau = 7e-4, and 20k terms (each two constant-cost damped polylogarithms)
+# take 0.21-0.24 s on a 2-CPU host.
 _MAX_N = 20_000
 
 # Absolute error of li1 = -log1p(r (r - 2c))/2, c = cos 2 theta, against
@@ -639,8 +649,14 @@ def reduced_free_energy(p: ReducedPoint, ctrl: SeriesControl | None = None,
 
 def _reduced(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePolicy,
              series: _MSeries, grad: float = 0.0) -> EvalResult:
-    """Reduced free energy or pressure, plus grad dE/dtheta (m_first only), at any theta."""
+    """Reduced free energy or pressure, plus grad dE/dtheta (m_first only), at any theta.
+
+    theta (by _canonical_theta) and tau become Python floats here, the one
+    door of every thermal sum, so that numpy scalar inputs give float and
+    bool results.
+    """
     t, sign = _canonical_theta(theta)
+    tau = float(tau)
     if ctrl.order == "m_first":
         path = _images if tau <= _TAU_C else _m_series
         return path(t, tau, ctrl, zero_mode, series, grad * sign)
@@ -654,8 +670,6 @@ def _matsubara_n(n: int, theta: float, tau: float, pressure: bool) -> tuple[floa
         return 0.0, 0.0
     r = math.exp(-a)
     phi = 2.0 * theta
-    # Li_2 first: where r is so near 1 that the sums cannot meet their bound,
-    # its tail is the larger and it fails before any summing
     li2, b2 = re_polylog_damped(2, r, phi, with_bound=True)
     li3, b3 = re_polylog_damped(3, r, phi, with_bound=True)
     if not pressure:
@@ -688,13 +702,14 @@ def _n_first(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModeP
     if not tail(_MAX_N, tau) + acc_err <= ctrl.rel_tol * (abs(total) + whole) < math.inf:
         # _MAX_N terms cannot meet rel_tol however they cancel: refuse up front
         return _finish(parts, whole, acc_err, 1, ctrl.rel_tol)
+    stop_tol = ctrl._stop_tol
     for n in range(1, _MAX_N + 1):
         term, term_err = _matsubara_n(n, theta, tau, series.pressure)
         parts.append(term)
         total += term
         acc_err += term_err
         tail_n = tail(n, tau)
-        if _stops(tail_n, acc_err, abs(total), ctrl.rel_tol):
+        if _stops(tail_n, acc_err, abs(total), stop_tol):
             break
     return _finish(parts, tail_n, acc_err, n + 1, ctrl.rel_tol)
 
@@ -738,7 +753,7 @@ def matsubara_term(n: int, p: ReducedPoint) -> float:
     theta, _ = _canonical_theta(p.theta)
     if p.tau <= 0.0:
         raise ValueError("positive tau required for n >= 1 Matsubara terms")
-    return _matsubara_n(n, theta, p.tau, pressure=False)[0]
+    return _matsubara_n(n, theta, float(p.tau), pressure=False)[0]
 
 
 def effective_theta(cfg: CavityConfig) -> float:
@@ -796,16 +811,18 @@ def _physical(cfg: CavityConfig, ctrl: SeriesControl, series: _MSeries) -> EvalR
     """Free energy in J/m^2 (_ENERGY) or pressure in Pa (_PRESSURE).
 
     In a Faraday gap theta = V B l, so l d/dl = tau d/dtau + theta d/dtheta
-    and the pressure gains grad dE/dtheta with grad = -theta.
+    and the pressure gains grad dE/dtheta with grad = -theta.  The inputs
+    are taken as Python floats, so that numpy scalars give float results.
     """
-    scale, lift = _unit_scale(cfg.separation, cfg.temperature, series.pressure)
+    separation, temperature = float(cfg.separation), float(cfg.temperature)
+    scale, lift = _unit_scale(separation, temperature, series.pressure)
     if scale < sys.float_info.min:
         raise ValueError(f"the factor to physical units underflows, and a subnormal float keeps "
                          f"too few digits; got separation = {cfg.separation!r} m, "
                          f"temperature = {cfg.temperature!r} K")
     theta = effective_theta(cfg)
-    grad = -theta if series.pressure and cfg.kind is MediumKind.FARADAY else 0.0
-    if cfg.temperature == 0.0:
+    grad = -float(theta) if series.pressure and cfg.kind is MediumKind.FARADAY else 0.0
+    if temperature == 0.0:
         closed_form = reduced_pressure_T0 if series.pressure else reduced_free_energy_T0
         parts = [closed_form(theta)]
         floor = 3e-15 if series.pressure else 1e-15  # polynomial, roundoff level in reduced units
@@ -817,7 +834,7 @@ def _physical(cfg: CavityConfig, ctrl: SeriesControl, series: _MSeries) -> EvalR
             floor += abs(grad) * 5.1e-17
         res = _finish(parts, 0.0, floor, 0, ctrl.rel_tol)
     else:
-        tau = reduced_temperature(cfg.separation, cfg.temperature)
+        tau = reduced_temperature(separation, temperature)
         _check_tau(tau)
         if abs(grad) > 1e307 * tau:  # |grad dE/dtheta| <= |grad| (1.02 + 2 zeta(3)/tau)
             raise ValueError(f"the Faraday pressure overflows its reduced units where "

@@ -15,10 +15,11 @@ the low-temperature image sum uses.  Even orders of the cosine family and
 s=3 of the sine family have exact Bernoulli-polynomial closed forms on
 [0, 2pi]; the remaining circle cases (cos s=3, sin s=2 and s=4) are
 evaluated by log-accelerated expansions whose coefficients are exact
-Bernoulli-number rationals rounded once, good to a few 1e-15 absolute, and
-so is polylog_exp below mu = 1, where the same rationals give its log
-expansion.  The damped sums, and polylog_exp above mu = 1, are summed
-directly with a geometric tail bound.
+Bernoulli-number rationals rounded once, good to a few 1e-15 absolute.
+polylog_exp and the damped sums share one constant-cost algorithm in
+mu = -ln r - i phi (r e^{i phi} = e^{-mu}; real for polylog_exp): below
+Re mu = 1 the same rationals give the log expansion in mu, from Re mu = 1
+on Horner's rule sums the first 1 + int(42/Re mu) terms directly.
 
 Every angle goes through one fold, fold_pi, which subtracts the nearest
 multiple of pi with its PI_LO tail: phi is reduced as 2 fold_pi(phi/2), into
@@ -37,6 +38,7 @@ __all__ = ["clausen_cos", "clausen_sin", "re_polylog_damped"]
 
 TWO_PI = 2.0 * math.pi
 PI_LO = 1.2246467991473532e-16  # float(pi) + PI_LO ~ pi to ~3e-33
+_EPS = 2.0**-53  # unit roundoff
 
 # Beyond this |x| fold_pi loses accuracy: k = round(x / pi) would no longer be
 # exact past about 2^51, and k * PI_LO would leave [-pi/2, pi/2] past about
@@ -215,11 +217,13 @@ def clausen_sin(s, phi: float) -> float:
 # polylog_exp uses the log expansions below _LOG_MU and the direct sum above.
 # The expansions cancel more as mu grows (their rounding bound is 17u of
 # Li_3 at mu = 1 and 129u at mu = 2), the direct sum's terms fall more
-# slowly as mu shrinks (43 at mu = 1).
+# slowly as mu shrinks (43 at mu = 1).  re_polylog_damped splits at the
+# same Re mu.
 _LOG_MU = 1.0
-# (1/k^2, 1/k^3) at index k - 1, each rounded once, for the direct sums of
-# 1 + int(42/mu) <= 43 terms
-_INV_POW_23 = [(1.0 / k**2, 1.0 / k**3) for k in range(1, 44)]
+# 1/k^s at index k - 1 for s = 2, 3, 4, each rounded once, for the direct
+# sums of 1 + int(42/mu) <= 43 terms; polylog_exp_23 takes s = 2 and 3 in pairs
+_INV_POW = {s: [1.0 / k**s for k in range(1, 44)] for s in (2, 3, 4)}
+_INV_POW_23 = list(zip(_INV_POW[2], _INV_POW[3]))
 # (sin2[j], cos3[j+1]) for j = 12 down to 1: below mu = 1 the alternating
 # tails fall by more than (2 pi)^2 a term, so what the 12 leave out is below
 # (2 pi)^-24 = 7e-20 of their first terms (Li_2's below 0.014, Li_3's below
@@ -273,58 +277,128 @@ def polylog_exp_23(mu: float) -> tuple[float, float]:
             - t3 * (mu2 * mu2))
 
 
-_MAX_TERMS = 1 << 28  # enough for r = 1 - 1e-6 at s = 2
+# The Bernoulli tails of re_polylog_damped's log expansions, reversed for
+# Horner's rule: sin2[j], j = 1..31, multiplies mu^{2j+1} (s = 2), cos3[j],
+# j = 2..29, mu^{2j} (s = 3) and sin4[j], j = 2..27, mu^{2j+1} (s = 4).  The
+# terms fall by at least w = |mu|^2/(2 pi)^2 < 0.276 a step, so at
+# |mu|^2 < 1 + pi^2 those left out sum to below 1e-20 (tested).
+_DAMPED_TAILS = {2: _S2_COEF[1:32][::-1], 3: _C3_COEF[2:30][::-1], 4: _S4_COEF[2:28][::-1]}
 
-
-def _damped_chunks():
-    """(first m, last m) of each chunk that re_polylog_damped sums."""
-    lo, chunk = 1, 256
-    while lo <= _MAX_TERMS:
-        yield lo, lo + chunk - 1
-        lo += chunk
-        chunk = min(2 * chunk, 1 << 22)
-
-
-_LAST_M = max(hi for _, hi in _damped_chunks())  # 272,629,504
-
-
-def _tail(n: int, log_r: float, one_minus: float, hi: int) -> tuple[float, bool]:
-    """log of the bound r^{hi+1}/((hi+1)^s (1-r)) on the terms beyond hi, and whether it is met."""
-    log_tail = (hi + 1) * log_r - n * math.log(hi + 1) - math.log(one_minus)
-    return log_tail, log_tail < -30.0 or math.exp(log_tail) <= 1e-13
+# Absolute error of re_polylog_damped(s, r, phi), the bound with_bound
+# returns.  u = 2^-53; each float operation rounds by at most u, a complex
+# product by sqrt(5) u of its modulus, a complex sum by u of its modulus
+# (where one operand is real only the real part rounds), and log, log1p,
+# cos, sin, atan2 and hypot are within 1 ulp, 2u of their results.
+#   * x = |phi| is exact for |phi| <= pi; a folded phi leaves x within
+#     dx = u x + 8.6e-18 (fold_pi), and d/dx Re Li_s(r e^{ix}) is
+#     -Im Li_{s-1}(r e^{ix}), so dx costs at most dx |Li_{s-1}|.
+#   * a = -ln r >= 1, Horner's rule on Sum_{k<=K} rho^k/k^s: rho from r cos x
+#     and r sin x is within 3u |rho|; term k carries that k times, sqrt(5) u
+#     from each of its k products, u from each of its k sums and u from
+#     1/k^s: u (6.24 k + 1) r^k/k^s, and k dx r^k/k^s.  With
+#     Sum_k k r^k/k^s = Li_{s-1}(r) and Li_{s-1}(r), Li_s(r) <= Li_1(r):
+#         (7.24u + dx) Li_1(r),   Li_1(r) = -log1p(-r).
+#     The terms left out, k > K = 1 + int(42/a), sum to below
+#     e^{-42} r/((K + 1)^2 (1 - r)) <= 2.3e-19 r < 0.01u Li_1(r).  A
+#     subnormal r (K = 1) rounds r cos x by 2^-1075 more.
+#   * a < 1, the log expansion in mu = a - ix, |mu|^2 < 1 + pi^2:
+#       - mu is off by 2u a (the log) plus dx, which moves Li_s by at most
+#         that times max |Li_{s-1}|: -ln(1 - r) + pi/2 for s = 2 (that is
+#         |ln(1 - rho)|, |arg(1 - rho)| < pi/2), zeta(2) and zeta(3) for
+#         s = 3 and 4.
+#       - the Bernoulli tail t = Sum_j c_j (-mu^2)^{j-1}, by Horner's rule:
+#         the c_j fall by more than (2 pi)^2 a step, so its terms by
+#         w = |mu|^2/(2 pi)^2 < 0.276.  Term j carries u from c_j and (j - 1)
+#         times sqrt(5) u from mu^2, sqrt(5) u from a product and u from a
+#         sum: u c_1 Sum_j (1 + 5.48 (j - 1)) w^{j-1} <= 4.26u c_1, and
+#         |t| >= c_1 (1 - w/(1 - w)) = 0.62 c_1, so 6.9u |t|.  The terms
+#         left out sum to below 1e-20 (_DAMPED_TAILS).
+#       - lg = ln mu, from log(hypot(a, x)) and atan2, is within 2u + 2u |lg|.
+#       - the parts P are summed left to right, each sum rounding by u of the
+#         moduli so far, so the first two pay u a sum and each later one one
+#         sum fewer.  Per part, in u |P|, its own rounding + its share of
+#         the sums (mu^2 carries 2.24, mu^3 4.47, mu^4 6.71):
+#           s = 2: zeta(2) 0.17 + 3; -mu (1 - lg) 5.24 + 3, and 4u |mu| from
+#                  the absolute 2u + 2u of lg and 1 - lg; -mu^2/4 2.24 + 2;
+#                  t mu^3 13.6 + 1
+#           s = 3: zeta(3) 0.37 + 4; -zeta(2) mu 1.17 + 4;
+#                  mu^2 (3/2 - lg)/2 7.48 + 3, and 2.5u |mu|^2;
+#                  mu^3/12 5.47 + 2; -t mu^4 15.9 + 1
+#           s = 4: zeta(4) 2.7e-16 absolute + 5; -zeta(3) mu 1.37 + 5;
+#                  zeta(2) mu^2/2 3.41 + 4; -(mu^3/6)(11/6 - lg) 10.71 + 3,
+#                  and 1.25u |mu|^3 (11/6 rounded adds 1.84u to lg's 2u);
+#                  -mu^4/48 7.71 + 2; t mu^5 18.1 + 1
+# Each constant below is its sum rounded up.  Worst error on 3,000 points
+# (Re mu log-uniform on [1e-9, 316], x on [0, pi], edge and folded angles)
+# against 40-digit mpmath: 0.69 of this bound; a 40-digit mpmath check of
+# every branch is in the tests.
 
 
 def re_polylog_damped(s, r: float, phi: float, with_bound: bool = False):
-    """Sum_{m>=1} r^m cos(m phi)/m^s for 0 <= r < 1, abs error <= 1e-13.
+    """Re Li_s(r e^{i phi}) = Sum_{m>=1} r^m cos(m phi)/m^s for 0 <= r < 1, at constant cost.
 
-    Direct summation in geometrically growing chunks; stops once the tail
-    bound r^{M+1}/((M+1)^s (1-r)) drops below 1e-13.  with_bound=True also
-    returns the achieved bound (tail at the stopping point plus roundoff),
-    which is usually far below the 1e-13 contract.  |phi| <= 2e15.  Where
-    the last chunk, past 2^28 terms, would not meet the bound (r within
-    about 1e-8 of 1), raises RuntimeError at once.
+    With mu = -ln r - i x, x = |phi| folded into [0, pi], r e^{ix} = e^{-mu}:
+    from Re mu = 1 on the direct sum, by Horner's rule in r e^{ix} over its
+    first 1 + int(42/Re mu) terms; below, the log expansion of DLMF 25.12.12
+    in complex mu (polylog_exp_23's, with the same Bernoulli rationals),
+    which converges since |mu| <= sqrt(1 + pi^2) < 2 pi.  with_bound=True
+    also returns a bound on the absolute error, derived above: at most
+    6e-16 for r <= 1/e, and 3.4e-14 anywhere (near r = 1/e and x = pi,
+    where the log expansion cancels most).  |phi| <= 2e15.
     """
     n = _order(s)
     if not (0.0 <= r < 1.0):
         raise ValueError(f"damping must satisfy 0 <= r < 1, got {r!r}")
     if r == 0.0:
         return (0.0, 0.0) if with_bound else 0.0
-    x = abs(_fold_phi(phi))  # even
-    log_r = math.log(r)
-    one_minus = 1.0 - r
-    # the bound falls with m, so some chunk end meets it iff the last one does
-    if not _tail(n, log_r, one_minus, _LAST_M)[1]:
-        raise RuntimeError(f"series for r={r} did not meet the 1e-13 tail bound")
-    import numpy as np  # on first use: only n_first and matsubara_term sum these
-
-    total = 0.0
-    for lo, hi in _damped_chunks():
-        m = np.arange(lo, hi + 1, dtype=np.float64)
-        total += float(np.sum(np.exp(m * log_r) * np.cos(m * x) / m**n))
-        log_tail, met = _tail(n, log_r, one_minus, hi)
-        if met:
-            break
-    if not with_bound:
-        return total
-    tail = 0.0 if log_tail < -700.0 else math.exp(log_tail)
-    return total, tail + 3e-16 * min(r / one_minus, float(hi))
+    x, dx = abs(phi), 0.0  # even
+    if not x <= math.pi:  # folded, within dx of the exact fold (NaN and inf raise)
+        x = abs(_fold_phi(phi))
+        dx = _EPS * x + 8.6e-18
+    a = -math.log(r)
+    if a >= _LOG_MU:
+        rho, acc = complex(r * math.cos(x), r * math.sin(x)), 0j
+        for inv in _INV_POW[n][int(42.0 / a)::-1]:
+            acc = acc * rho + inv
+        value = (acc * rho).real
+        if not with_bound:
+            return value
+        return value, (7.3 * _EPS + dx) * -math.log1p(-r) + 5e-324
+    mu = complex(a, -x)
+    mu2 = mu * mu
+    z, t = -mu2, 0j
+    for c in _DAMPED_TAILS[n]:
+        t = t * z + c
+    log_mu = complex(math.log(math.hypot(a, x)), -math.atan2(x, a))
+    if n == 2:
+        # zeta(2) - mu (1 - ln mu) - mu^2/4 + Sum_{j>=1} (-1)^{j+1} sin2[j] mu^{2j+1}
+        p1, p2, p3 = -mu * (1.0 - log_mu), -0.25 * mu2, t * (mu2 * mu)
+        value = (ZETA_2 + p1 + p2 + p3).real
+        if not with_bound:
+            return value
+        rnd = 3.2 * ZETA_2 + 8.3 * abs(p1) + 4.0 * abs(mu) + 4.3 * abs(p2) + 14.7 * abs(p3)
+        li_prev = 0.5 * math.pi - math.log1p(-r)
+    elif n == 3:
+        # zeta(3) - zeta(2) mu + (mu^2/2)(3/2 - ln mu) + mu^3/12
+        #     + Sum_{j>=2} (-1)^{j+1} cos3[j] mu^{2j}
+        p1, p2 = -ZETA_2 * mu, 0.5 * mu2 * (1.5 - log_mu)
+        p3, p4 = mu2 * mu / 12.0, -t * (mu2 * mu2)
+        value = (ZETA_3 + p1 + p2 + p3 + p4).real
+        if not with_bound:
+            return value
+        rnd = (4.4 * ZETA_3 + 5.2 * abs(p1) + 10.5 * abs(p2) + 2.5 * abs(mu2) + 7.5 * abs(p3)
+               + 16.9 * abs(p4))
+        li_prev = ZETA_2
+    else:
+        # zeta(4) - zeta(3) mu + zeta(2) mu^2/2 - (mu^3/6)(11/6 - ln mu) - mu^4/48
+        #     + Sum_{j>=2} (-1)^j sin4[j] mu^{2j+1}
+        mu3 = mu2 * mu
+        p1, p2, p3 = -ZETA_3 * mu, 0.5 * ZETA_2 * mu2, -mu3 / 6.0 * (11.0 / 6.0 - log_mu)
+        p4, p5 = -mu2 * mu2 / 48.0, t * (mu3 * mu2)
+        value = (ZETA_4 + p1 + p2 + p3 + p4 + p5).real
+        if not with_bound:
+            return value
+        rnd = (2.5 + 5.0 * ZETA_4 + 6.4 * abs(p1) + 7.5 * abs(p2) + 13.8 * abs(p3)
+               + 1.3 * abs(mu3) + 9.8 * abs(p4) + 19.2 * abs(p5))
+        li_prev = ZETA_3
+    return value, _EPS * rnd + (2.0 * _EPS * a + dx) * li_prev + 1e-20

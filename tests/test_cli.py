@@ -372,7 +372,8 @@ def test_point_mode_loads_no_scipy(package_env):
 
 
 def test_point_mode_and_the_m_series_load_no_numpy(package_env):
-    # numpy serves ranged sweep axes and n_first only
+    # numpy serves ranged sweep axes only: the m-series, the images, n_first,
+    # matsubara_term and the damped polylogarithms are scalar Python
     code = ("import contextlib, io, sys\n"
             "import chiral_casimir as cc\n"
             "import chiral_casimir.cli as cli\n"
@@ -383,6 +384,11 @@ def test_point_mode_and_the_m_series_load_no_numpy(package_env):
             "                      bfield=2.0)\n"
             "assert cc.reduced_temperature(cfg.separation, cfg.temperature) > 1.5\n"
             "assert cc.physical_pressure(cfg).converged\n"
+            "n_first = cc.SeriesControl(order='n_first')\n"
+            "assert cc.reduced_free_energy(cc.ReducedPoint(0.3, 0.5), n_first).converged\n"
+            "assert cc.reduced_pressure(cc.ReducedPoint(0.3, 0.5), n_first).converged\n"
+            "assert cc.matsubara_term(2, cc.ReducedPoint(0.3, 0.5)) < 0.0\n"
+            "assert cc.re_polylog_damped(4, 0.9, 1.0) > 0.0\n"
             "print(sorted(m for m in sys.modules if m.startswith('numpy')))\n")
     proc = subprocess.run([sys.executable, "-c", code], env=package_env, capture_output=True,
                           text=True, timeout=120)

@@ -40,7 +40,7 @@ from chiral_casimir.kernel import MediumKind
 from chiral_casimir.special_functions import ZETA_3, clausen_cos, clausen_sin
 
 N_FIRST = SeriesControl(order="n_first")
-# below every error floor: the m-series runs until its tail underflows
+# below every error floor: a sum stops once its tail is within EPS of it
 BELOW_FLOOR = SeriesControl(rel_tol=1e-300)
 
 # engine outputs cross-checked against the independent quadrature oracle,
@@ -255,10 +255,10 @@ def test_eval_result_invariant_on_grid():
 
 
 def test_truncation_reports_non_convergence():
-    # the m-series has no term cap: at a rel_tol below its error floor it
-    # runs until the weights at m + 1 underflow (2 (m + 1) tau > 745), which
-    # zeroes its tail, and stops unconverged within 1 + 373/tau terms
-    # (at most 231, 174 and 35 over these angles)
+    # the m-series has no term cap: at a rel_tol below EPS it stops once its
+    # tail is within EPS of its sum (at most 14, 11 and 2 terms over these
+    # angles), unconverged, and in any case within 1 + 373/tau terms, where
+    # the weights at m + 1 underflow (2 (m + 1) tau > 745) and zero its tail
     for tau in (engine._TAU_C, 2.0, 10.0):
         for theta in np.linspace(0.0, math.pi / 2, 30).tolist():
             for kind in "EPF":
@@ -303,7 +303,7 @@ def test_series_control_validation():
 @pytest.mark.parametrize("fn, point, ctrl, converged", [
     (reduced_free_energy, (0.3, 1.0), None, True),  # certified
     (reduced_free_energy, (0.7251727334628189, 40.0), None, False),  # error floor
-    (reduced_free_energy, (0.05, 2.0), BELOW_FLOOR, False),  # m-series run to its tail's underflow
+    (reduced_free_energy, (0.05, 2.0), BELOW_FLOOR, False),  # m-series stopped at EPS
     (reduced_pressure, (0.3, 1.0), N_FIRST, True),  # n_first certified
     (reduced_free_energy, (0.3, 1e-4), N_FIRST, False),  # n_first refusal
     (reduced_pressure, (1.2, 1.0), None, True),  # images certified
@@ -710,7 +710,8 @@ def test_kernel_stops_at_max_m():
     # the m-series has no term cap; its largest m is where the weights at
     # m + 1 underflow (2 (m + 1) tau > 745), 1 + 373/tau = 150 here.  Below
     # the error floor the pressure runs on past the default stop, stops
-    # within that reach and reports the target missed
+    # within that reach (where its tail is within EPS of its sum) and reports
+    # the target missed
     tau = 2.5
     default = reduced_pressure(ReducedPoint(0.0, tau))
     res = reduced_pressure(ReducedPoint(0.0, tau), BELOW_FLOOR)
@@ -718,6 +719,44 @@ def test_kernel_stops_at_max_m():
     assert res.converged is False
     assert res.error_estimate > BELOW_FLOOR.rel_tol * abs(res.value)
     assert abs(res.value - default.value) <= res.error_estimate + default.error_estimate
+
+
+def test_a_rel_tol_below_eps_stops_at_the_error_floor():
+    # below EPS no target can be met; the m-series at tau = 1.5 took 228-230
+    # terms here, running to its tail's underflow, where rel_tol 1e-17 gives
+    # the same value in 12-13.  Now every sum stops once its tail is within
+    # EPS of its sum, and _finish still judges against the caller's rel_tol
+    tau = 1.5
+    for theta in (0.0, 0.3, 1.2):
+        for kind in "EPF":
+            series, grad = _series_and_grad(kind, theta)
+            for path in (engine._m_series, engine._images):
+                need = path(theta, tau, SeriesControl(rel_tol=1e-17), ZeroModePolicy.FULL, series,
+                            grad)
+                most = path(theta, tau, BELOW_FLOOR, ZeroModePolicy.FULL, series, grad)
+                assert most.terms_used <= 2 * need.terms_used, (path, theta, kind)
+                assert most.converged is False
+                assert abs(most.value - need.value) <= most.error_estimate + need.error_estimate
+
+
+def test_numpy_scalar_inputs_give_python_results():
+    # ReducedPoint and CavityConfig keep the caller's types; the engine takes
+    # Python floats at its doors, so no numpy scalar reaches a result
+    f64 = np.float64
+    cases = [(reduced_free_energy, ReducedPoint(f64(0.3), f64(3.0)), SeriesControl(rel_tol=1e-17)),
+             (reduced_free_energy, ReducedPoint(f64(0.3), f64(0.5)), None),
+             (reduced_pressure, ReducedPoint(f64(1.2), f64(3.0)), None),
+             (reduced_pressure, ReducedPoint(f64(0.3), f64(0.5)), N_FIRST)]
+    for kind in MediumKind:
+        for temperature in (0.0, 300.0, 3000.0):
+            cfg = CavityConfig(f64(1e-6), f64(temperature), kind=kind, theta=f64(0.4),
+                               verdet=f64(1e5), bfield=f64(2.0))
+            cases += [(physical_free_energy, cfg, None), (physical_pressure, cfg, None)]
+    for fn, arg, ctrl in cases:
+        res = fn(arg, ctrl)
+        assert [type(v) for v in (res.value, res.error_estimate, res.terms_used, res.converged)] \
+            == [float, float, int, bool], (fn, arg)
+    assert type(matsubara_term(2, ReducedPoint(f64(0.3), f64(0.5)))) is float
 
 
 def mp_images(theta, tau, pressure=False, faraday=False, tm_only=False, rel=1e-12):
@@ -950,6 +989,31 @@ def test_n_first_within_its_estimate_of_mpmath():
             assert res.converged, (theta, tau, pressure)
             assert abs(res.value - ref) <= res.error_estimate + ref_bound
             assert res.error_estimate <= 1e-10 * abs(res.value)
+
+
+def test_n_first_agrees_with_m_first_within_both_estimates():
+    # n_first sums the Matsubara frequencies through the damped polylogs,
+    # m_first the images or the m-series: they share only the zero mode.
+    # 2,000 seeded points with tau log-uniform on [0.05, 100] and 40 on
+    # [7e-4, 0.05], where n_first takes up to 20k terms; E and P under both
+    # zero-mode policies.  Each converged pair agrees within the sum of its
+    # estimates, and nearly every pair converges.
+    rng = np.random.default_rng(41)
+    points = [(float(rng.uniform(-8.0, 8.0)), float(10.0 ** rng.uniform(-1.3, 2.0)))
+              for _ in range(2000)]
+    points += [(float(rng.uniform(-8.0, 8.0)), float(10.0 ** rng.uniform(-3.15, -1.3)))
+               for _ in range(40)]
+    compared = 0
+    for i, (theta, tau) in enumerate(points):
+        zero_mode = (ZeroModePolicy.FULL, ZeroModePolicy.TM_ONLY)[i % 2]
+        for fn in (reduced_free_energy, reduced_pressure):
+            n = fn(ReducedPoint(theta, tau), N_FIRST, zero_mode)
+            m = fn(ReducedPoint(theta, tau), None, zero_mode)
+            if n.converged and m.converged:
+                compared += 1
+                assert abs(n.value - m.value) <= n.error_estimate + m.error_estimate, \
+                    (theta, tau, fn, zero_mode)
+    assert compared >= 0.98 * 2 * len(points)
 
 
 # ------------------------------------------------------------ huge angles

@@ -15,6 +15,10 @@ from chiral_casimir.special_functions import (
     ZETA_2,
     ZETA_3,
     ZETA_4,
+    _C3_COEF,
+    _DAMPED_TAILS,
+    _S2_COEF,
+    _S4_COEF,
     clausen_cos,
     clausen_sin,
     polylog_exp,
@@ -334,20 +338,102 @@ def test_polylog_continuity_to_circle():
     assert gap > 0.0
 
 
-def test_polylog_fails_at_once_where_the_bound_is_out_of_reach():
-    # r within ~1e-8 of 1: 2^28 terms cannot meet the 1e-13 tail bound, and
-    # the bound at the last chunk end tells so before any summing
+def mp_damped(s: int, r: float, phi: float):
+    """Re Li_s(r e^{i phi}) to 40 digits at the float r and phi as given."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        return mpmath.re(mpmath.polylog(s, mpmath.mpf(r) * mpmath.expj(mpmath.mpf(phi))))
+
+
+def _best_of_three(fn):
     import time
 
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        out = fn()
+        times.append(time.perf_counter() - t0)
+    return out, min(times)
+
+
+def test_polylog_near_one_evaluates_at_constant_cost():
+    # r within ~1e-8 of 1 used to raise a RuntimeError: 2^28 terms of the
+    # direct sum could not meet a 1e-13 tail bound.  The log expansion in
+    # mu = -ln r - i phi serves every r < 1 at the same cost.
+    from chiral_casimir import engine
     from chiral_casimir.engine import ReducedPoint, matsubara_term
 
-    t0 = time.perf_counter()
-    with pytest.raises(RuntimeError, match="tail bound"):
-        matsubara_term(3, ReducedPoint(0.8, 1.3e-9))
-    for s, r in ((2, 1.0 - 1e-9), (3, 1.0 - 1e-14)):
-        with pytest.raises(RuntimeError, match="tail bound"):
-            re_polylog_damped(s, r, 0.5)
-    assert time.perf_counter() - t0 < 1.0
+    for s, r in ((2, 1.0 - 1e-9), (3, 1.0 - 1e-9), (2, 1.0 - 1e-14), (3, 1.0 - 1e-14)):
+        (value, bound), took = _best_of_three(lambda: re_polylog_damped(s, r, 0.5, with_bound=True))
+        assert took < 1e-3, (s, r, took)
+        assert abs(value - mp_damped(s, r, 0.5)) <= bound, (s, r)
+    theta, tau = 0.8, 1.3e-9
+    term, took = _best_of_three(lambda: matsubara_term(3, ReducedPoint(theta, tau)))
+    assert took < 1e-3
+    value, bound = engine._matsubara_n(3, theta, tau, pressure=False)
+    assert term == value
+    a = 6.0 * tau
+    r = math.exp(-a)
+    ref = -(mp_damped(3, r, 2.0 * theta) + a * mp_damped(2, r, 2.0 * theta))
+    assert abs(term - ref) <= bound
+
+
+def _damped_points(n: int, seed: int):
+    # Re mu = -ln r log-uniform over both branches, r = 0, 1e-300, both sides
+    # of e^{-1} (the branch switch) and 1 - 1e-12; phi at the edge angles,
+    # uniform, and folded from far out, up to 2e15
+    rng = np.random.default_rng(seed)
+    edge_r = (0.0, 1e-300, math.exp(-1.0), math.nextafter(math.exp(-1.0), 1.0),
+              math.nextafter(math.exp(-1.0), 0.0), 1.0 - 1e-12)
+    edge_phi = (0.0, 1e-9, -1e-9, math.pi / 2, math.pi, -math.pi, 2e15, -1.999999999e15)
+    points = [(s, r, phi) for s in (2, 3, 4) for r in edge_r for phi in edge_phi]
+    while len(points) < n:
+        s = int(rng.integers(2, 5))
+        r = math.exp(-(10.0 ** rng.uniform(-12.0, 2.8)))
+        pick = rng.integers(0, 4)
+        if pick == 0:
+            phi = float(rng.choice(edge_phi))
+        elif pick == 1:
+            phi = float(rng.uniform(-math.pi, math.pi))
+        elif pick == 2:
+            turns = rng.integers(-10**6, 10**6)
+            phi = float(rng.uniform(-math.pi, math.pi) + 2.0 * math.pi * turns)
+        else:
+            phi = float(rng.uniform(-2e15, 2e15))
+        points.append((s, r, phi))
+    return points
+
+
+def test_damped_polylog_within_its_bound_of_mpmath():
+    # every branch: the direct sum from -ln r = 1 on, the log expansion
+    # below, r = 0 and r = 1e-300; the bound is derived in special_functions,
+    # next to re_polylog_damped
+    points = _damped_points(1200, 29)
+    for s, r, phi in points:
+        value, bound = re_polylog_damped(s, r, phi, with_bound=True)
+        assert value == re_polylog_damped(s, r, phi)
+        if r == 0.0:
+            assert (value, bound) == (0.0, 0.0)
+            continue
+        assert abs(value - mp_damped(s, r, phi)) <= bound, (s, r, phi)
+        assert bound <= (6e-16 if r <= math.exp(-1.0) else 3.4e-14), (s, r, phi)
+
+
+def test_damped_log_tails_leave_out_less_than_their_charge():
+    # re_polylog_damped bounds the rounding of its Bernoulli tails with
+    # c_{j+1} <= c_j/(2 pi)^2, and charges 1e-20 for the terms it leaves out
+    # at |mu|^2 < 1 + pi^2, where they fall by w = |mu|^2/(2 pi)^2 a step
+    mu2 = 1.0 + math.pi**2
+    w = mu2 / (2.0 * math.pi) ** 2
+    for s, coefs, first, odd in ((2, _S2_COEF, 1, True), (3, _C3_COEF, 2, False),
+                                 (4, _S4_COEF, 2, True)):
+        for j in range(first, len(coefs) - 1):
+            assert coefs[j + 1] * (2.0 * math.pi) ** 2 < coefs[j]
+        kept = len(_DAMPED_TAILS[s])
+        assert _DAMPED_TAILS[s] == coefs[first:first + kept][::-1]
+        j = first + kept  # the first term left out
+        assert coefs[j] * mu2**j * (math.sqrt(mu2) if odd else 1.0) / (1.0 - w) < 1e-20
 
 
 def test_polylog_zero_damping():
