@@ -18,7 +18,8 @@ import argparse
 import math
 import operator
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import engine
 from .engine import CavityConfig, ReducedPoint, SeriesControl, ZeroModePolicy
@@ -27,8 +28,9 @@ from .kernel import MediumKind
 __all__ = ["AxisSpec", "SweepSpec", "SweepRow", "SweepTable", "run", "run_sweep", "emit_csv", "main"]
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
+    """One CSV row: a named tuple, in column order (COLUMNS)."""
+
     theta_rad: float
     theta_eff_rad: float
     separation_m: float
@@ -43,7 +45,7 @@ class SweepRow:
     converged: bool
 
 
-COLUMNS = tuple(f.name for f in fields(SweepRow))
+COLUMNS = SweepRow._fields
 # --units reduced drops the dimensional columns
 REDUCED_COLUMNS = (
     "theta_rad",
@@ -89,7 +91,7 @@ class AxisSpec:
 
     def values(self) -> tuple[float, ...]:
         if self.count == 1:
-            return (self.start,)
+            return (float(self.start),)
         import numpy as np  # only a ranged axis needs it: load it for sweeps alone
 
         if self.log:
@@ -128,18 +130,18 @@ class SweepTable:
 
 def _evaluate_point(theta: float, separation: float, temperature: float,
                     bfield: float, spec: SweepSpec, ctrl: SeriesControl) -> SweepRow:
-    cfg = CavityConfig(separation=separation, temperature=temperature,
-                       kind=spec.medium, theta=theta, verdet=spec.verdet,
-                       bfield=bfield, zero_mode=spec.zero_mode)
-    theta_eff = engine.effective_theta(cfg)
-    tau = engine.reduced_temperature(separation, temperature)
+    # positional, in field order: separation, temperature, kind, theta,
+    # verdet, bfield, zero_mode
+    cfg = CavityConfig(separation, temperature, spec.medium, theta, spec.verdet,
+                       bfield, spec.zero_mode)
 
     # one evaluation per quantity; the reduced columns (E l^3/(hbar c) and
     # P l^4/(hbar c) at T=0) and the error column are the same results
-    # divided back to reduced units
+    # divided back to reduced units, by the factors the calls derived and
+    # kept on cfg (engine._units), as are the effective angle and tau
     e_res = engine.physical_free_energy(cfg, ctrl)
     p_res = engine.physical_pressure(cfg, ctrl)
-    e_scale, lift = engine._unit_scale(separation, temperature, pressure=False)
+    theta_eff, _, tau, e_scale, lift = engine._units(cfg, engine._ENERGY)
     converged = e_res.converged and p_res.converged
     if spec.medium is MediumKind.FARADAY:
         # the column holds the fixed-angle pressure; physical_pressure adds
@@ -151,7 +153,7 @@ def _evaluate_point(theta: float, separation: float, temperature: float,
                                             zero_mode=spec.zero_mode)
             red_p, converged = fixed.value, converged and fixed.converged
     else:
-        p_scale, _ = engine._unit_scale(separation, temperature, pressure=True)
+        p_scale = engine._units(cfg, engine._PRESSURE)[3]
         red_p = p_res.value / p_scale * lift
 
     return SweepRow(theta, theta_eff, separation, temperature, tau, e_res.value / e_scale * lift,
@@ -162,12 +164,15 @@ def _evaluate_point(theta: float, separation: float, temperature: float,
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate the grid; row order follows the axis listing, outer first."""
     ctrl = SeriesControl(rel_tol=spec.rel_tol)  # a bad rel_tol raises before any row
+    # each axis's values once, not once per value of the axes outside it
+    thetas, separations, temperatures, bfields = (
+        ax.values() for ax in (spec.theta, spec.separation, spec.temperature, spec.bfield))
     rows = [
         _evaluate_point(th, l, T, B, spec, ctrl)
-        for th in spec.theta.values()
-        for l in spec.separation.values()
-        for T in spec.temperature.values()
-        for B in spec.bfield.values()
+        for th in thetas
+        for l in separations
+        for T in temperatures
+        for B in bfields
     ]
     return SweepTable(tuple(rows))
 
@@ -185,9 +190,9 @@ def emit_csv(table: SweepTable, stream, units: str = "si") -> None:
     # last, converged, which is written true or false; no cell needs quoting
     *numeric, _ = cols
     fmt = ",".join("%d" if c == "terms_used" else "%.17g" for c in numeric) + ","
-    numbers = operator.attrgetter(*numeric)
+    numbers = operator.itemgetter(*(COLUMNS.index(c) for c in numeric))  # rows are tuples
     stream.write(",".join(cols) + "\r\n")
-    stream.writelines(fmt % numbers(row) + ("true\r\n" if row.converged else "false\r\n")
+    stream.writelines(fmt % numbers(row) + ("true\r\n" if row[-1] else "false\r\n")
                       for row in table.rows)
 
 

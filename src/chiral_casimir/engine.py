@@ -62,7 +62,9 @@ Every result leaves through _finish: its value is the exact sum
 (math.fsum) of its parts, rounded once, and it is converged where
 tail + floor + EPS |value| is within rel_tol |value|, the inequality the stop
 tested.  n_first refuses up front, unconverged, when its tail beyond _MAX_N
-already exceeds rel_tol.
+already exceeds rel_tol, and stops unconverged at the first n where that tail
+exceeds the stop tolerance of |S| + tail(n), a bound on |value| that no
+later term can pass.
 """
 
 from __future__ import annotations
@@ -71,10 +73,12 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .kernel import MediumKind, log_det_kernel
-from .special_functions import (TWO_PI, ZETA_2, ZETA_3, ZETA_4, clausen_cos, clausen_sin,
-                                fold_pi, polylog_exp, polylog_exp_23, re_polylog_damped)
+from .special_functions import (TWO_PI, ZETA_2, ZETA_3, ZETA_4, _clausen_cos_4, clausen_cos,
+                                clausen_sin, fold_pi, polylog_exp, polylog_exp_23,
+                                re_polylog_damped)
 
 __all__ = [
     "HBAR",
@@ -146,9 +150,10 @@ _CLAUSEN_ERR = 4e-15
 # Sum: 3.05e-15 (truncation 1e-18).  An mpmath check is in the tests.
 _SL2_ERR = 3.1e-15
 
-# Absolute error of clausen_cos(4, 2 theta) as the image sum uses it,
+# Absolute error of Cl4(2 theta) as the image sum takes it from
+# special_functions._clausen_cos_4 (clausen_cos(4, .) after its fold),
 # theta folded into [0, pi/2], so x = 2 theta lies in [0, pi], is exact and
-# is not reduced again.  special_functions returns fl(Z - fl(fl(v v)/48))
+# is not reduced again.  _clausen_cos_4 returns fl(Z - fl(fl(v v)/48))
 # with v = fl(x fl(TWO_PI - x)), V = v^2/48 <= pi^4/48; u = 2^-53:
 #   * Z = ZETA_4 = fl(fl(pi^4)/90) is off zeta(4) by                 <= 2.7e-16
 #   * v: TWO_PI is off 2 pi by 2.45e-16, at most 0.70u of 2 pi - x >= pi,
@@ -226,7 +231,7 @@ class SeriesControl:
     m_first sums the images at tau <= _TAU_C, at most 2 + 745 tau/pi^2 of
     them, and the m-series above, at most 1 + 373/tau terms (250 at _TAU_C);
     n_first at most _MAX_N, and refuses up front, unconverged, where that many
-    terms cannot reach rel_tol.  A sum stops where its estimate meets rel_tol,
+    terms cannot reach rel_tol, or gives up where no later stop can come.  A sum stops where its estimate meets rel_tol,
     or where no further term can make it do so.
     """
 
@@ -238,6 +243,8 @@ class SeriesControl:
             raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol!r}")
         if self.order not in ("m_first", "n_first"):
             raise ValueError(f"order must be 'm_first' or 'n_first', got {self.order!r}")
+        # a Python float, so that a numpy rel_tol gives bool verdicts
+        object.__setattr__(self, "rel_tol", float(self.rel_tol))
         # the tolerance the sums stop at (_stops), set once here: below EPS
         # no target can be met, and the sums stop at the error floor
         object.__setattr__(self, "_stop_tol", max(self.rel_tol, _EPS))
@@ -246,8 +253,7 @@ class SeriesControl:
 _DEFAULT_CTRL = SeriesControl()  # frozen: one instance serves every call without a ctrl
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     """Scalar result with truncation diagnostics.
 
     terms_used counts series terms in the active summation order (for
@@ -256,6 +262,10 @@ class EvalResult:
     bounds the truncated tail, the error of the closed forms and of every
     term, and the rounding of value, the exact sum of the parts rounded once.
     converged is set where error_estimate <= rel_tol * |value|.
+
+    A named tuple: immutable, it unpacks as (value, error_estimate,
+    terms_used, converged), compares equal to a plain tuple of the same
+    fields, and a changed copy comes from ._replace (not dataclasses.replace).
     """
 
     value: float
@@ -282,15 +292,19 @@ def _stops(tail: float, floor: float, s: float, rel_tol: float) -> bool:
     return target - tail >= floor * (target >= floor)
 
 
-def _finish(parts, tail: float, floor: float, terms: int, rel_tol: float) -> EvalResult:
+def _finish(parts, tail: float, floor: float, terms: int, rel_tol: float,
+            scale: float = 1.0, lift: float = 1.0) -> EvalResult:
     """The result of a sum that stopped: the exact sum of its parts, rounded once.
 
     Its estimate is tail + floor plus that rounding, EPS |value|, and it is
     converged where the value is finite and the estimate within rel_tol |value|.
+    Value and estimate are returned times scale/lift, the unit factor of
+    _physical (1 for the reduced quantities, where both steps are exact).
     """
     value = math.fsum(parts)
     err = tail + floor + _EPS * abs(value)
-    return EvalResult(value, err, terms, err <= rel_tol * abs(value) < math.inf)
+    return EvalResult(value * scale / lift, err * scale / lift, terms,
+                      err <= rel_tol * abs(value) < math.inf)
 
 
 def _canonical_theta(theta: float) -> tuple[float, float]:
@@ -368,8 +382,11 @@ class _MSeries:
         """
         a1 = 2.0 * tau
         w1 = self.weight_at(a1)
-        s0 = min(ZETA_3 * w1, self.k * ZETA_4 / a1)  # >= sum mag_m
-        s1 = min(ZETA_2 * w1, self.k * ZETA_3 / a1)  # >= sum m mag_m
+        # the smaller of each pair, as min() would pick it
+        s0, s0_alg = ZETA_3 * w1, self.k * ZETA_4 / a1  # >= sum mag_m
+        s1, s1_alg = ZETA_2 * w1, self.k * ZETA_3 / a1  # >= sum m mag_m
+        s0 = s0_alg if s0_alg < s0 else s0
+        s1 = s1_alg if s1_alg < s1 else s1
         return base_err + _EPS * (_TERM_ULPS * s0 + (a1 + 2.0 * theta) * s1)
 
 
@@ -384,7 +401,8 @@ def _sine_floor(theta: float, tau: float) -> float:
     sum g_m <= 2 min(zeta(2) w(2 tau), zeta(3)/tau) and sum m g_m <= 2 zeta(2)/tau.
     """
     a1 = 2.0 * tau
-    s0 = 2.0 * min(ZETA_2 * _ENERGY.weight_at(a1), ZETA_3 / tau)
+    s0, s0_alg = ZETA_2 * _ENERGY.weight_at(a1), ZETA_3 / tau
+    s0 = 2.0 * (s0_alg if s0_alg < s0 else s0)
     s1 = 2.0 * ZETA_2 / tau
     # per m: m phi from rounding m phi, and m (2 theta + 2.3) EPS from the
     # fold, which leaves theta within EPS theta + 1.3e-16 of its value mod pi
@@ -411,7 +429,8 @@ def _zero_mode(theta: float, zero_mode: ZeroModePolicy, series: _MSeries,
 
 
 def _m_series(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePolicy,
-              series: _MSeries, grad: float = 0.0) -> EvalResult:
+              series: _MSeries, grad: float = 0.0, scale: float = 1.0,
+              lift: float = 1.0) -> EvalResult:
     """zero mode - sum_m cos(2 m theta) weight(2 m tau)/m^3 + grad dE/dtheta at a folded point.
 
     The zero mode is _zero_mode's.  grad is 0 except for the Faraday
@@ -421,15 +440,18 @@ def _m_series(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroMode
     tail(m) = min(k/(6 tau m^3), weight_{m+1}/(2 m^2)) bounds the cosine
     terms beyond m, where weight_{m+1} = weight(2(m+1) tau), plus
     |grad| min(1/(tau m^2), 2 w_{m+1}/m) for the sine terms; floor is
-    _MSeries.floor plus |grad| _sine_floor.  Stops by _stops at its first m.
+    _MSeries.floor plus |grad| _sine_floor.  Stops by _stops at its first m;
+    _finish applies the unit factor scale/lift.
     No cap is needed: once 2(m+1) tau > 745 the weights at m + 1 underflow
     to 0, and so does the tail, so the sum stops within 1 + 373/tau terms,
     250 at tau = _TAU_C.  The float running sum only steers the stop:
     _finish sums the zero mode and the terms exactly.
     """
     # from tau = 400 on every weight underflows to exactly 0; capping tau
-    # changes no result and keeps a and a^2 finite in the weights
-    tau = min(tau, 1e3)
+    # changes no result and keeps a and a^2 finite in the weights.  Here and
+    # per term a conditional takes the smaller value, as min() would, at a
+    # fifth of min()'s cost
+    tau = 1e3 if 1e3 < tau else tau
     parts, zero_err = _zero_mode(theta, zero_mode, series, grad)
     floor = series.floor(theta, tau, zero_err)
     if grad:
@@ -450,15 +472,18 @@ def _m_series(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroMode
         weight_next = series.weight(y, q, x)
         inv_m3 = 1.0 / (m * m * m)
         term = -(math.cos(phi * m) * (weight * inv_m3))
-        tail = min(tail_alg * inv_m3, weight_next * (0.5 / (m * m)))
+        tail, tail_w = tail_alg * inv_m3, weight_next * (0.5 / (m * m))
+        if tail_w < tail:
+            tail = tail_w
         if grad:
             w, w_next = w_next, _ENERGY.weight(y, q, x)
             term += (2.0 * grad * math.sin(phi * m)) * (w * (inv_m3 * m))
-            tail += abs_grad * min(inv_m3 * m / tau, 2.0 * w_next / m)
+            sine, sine_w = inv_m3 * m / tau, 2.0 * w_next / m
+            tail += abs_grad * (sine_w if sine_w < sine else sine)
         parts.append(term)
         s += term
         if _stops(tail, floor, abs(s), stop_tol):
-            return _finish(parts, tail, floor, m, ctrl.rel_tol)
+            return _finish(parts, tail, floor, m, ctrl.rel_tol, scale, lift)
 
 
 # m_first sums every point at tau <= _TAU_C by its images, the rest by the
@@ -495,7 +520,8 @@ _LI_ULPS = 17.0
 
 
 def _images(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePolicy,
-            series: _MSeries, grad: float = 0.0) -> EvalResult:
+            series: _MSeries, grad: float = 0.0, scale: float = 1.0,
+            lift: float = 1.0) -> EvalResult:
     """The m-series of _m_series summed over its images, at a folded point with tau <= _TAU_C.
 
     Temperature inversion (Mittag-Leffler for coth, then the sum over m in
@@ -516,13 +542,13 @@ def _images(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePo
     floor is the error of the closed forms (_CL4_ERR, _SL3_ERR and, under
     TM_ONLY, the two zero modes) plus that of every image.  Stops by _stops,
     which the tail reaching 0 at mu = pi alpha/tau > 745 ensures within
-    2 + 745 tau/pi^2 images; _finish sums the parts, and terms_used counts
-    the images.
+    2 + 745 tau/pi^2 images; _finish sums the parts and applies the unit
+    factor scale/lift, and terms_used counts the images.
     """
     phi = 2.0 * theta
     # -Cl4/tau + tau^3/90 for E, three times the first minus the second for P
     c4, cube = (3.0, -tau * tau * tau / 90.0) if series.pressure else (1.0, tau * tau * tau / 90.0)
-    c4_term = -(c4 * clausen_cos(4, phi)) / tau
+    c4_term = -(c4 * _clausen_cos_4(phi)) / tau  # phi in [0, pi]: no fold
     parts = [c4_term, cube]
     floor = c4 * _CL4_ERR / tau + 2.0 * _EPS * abs(c4_term) + 3.0 * _EPS * abs(cube)
     if grad:
@@ -575,7 +601,7 @@ def _images(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePo
         tail = bound * rho / ((1.0 - rho) * geo)
         if _stops(tail, floor, abs(s), stop_tol):
             break
-    return _finish(parts, tail, floor, i, ctrl.rel_tol)
+    return _finish(parts, tail, floor, i, ctrl.rel_tol, scale, lift)
 
 
 # The n_first term cap.  At rel_tol 1e-10 the up-front refusal starts near
@@ -648,19 +674,20 @@ def reduced_free_energy(p: ReducedPoint, ctrl: SeriesControl | None = None,
 
 
 def _reduced(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePolicy,
-             series: _MSeries, grad: float = 0.0) -> EvalResult:
+             series: _MSeries, grad: float = 0.0, scale: float = 1.0,
+             lift: float = 1.0) -> EvalResult:
     """Reduced free energy or pressure, plus grad dE/dtheta (m_first only), at any theta.
 
     theta (by _canonical_theta) and tau become Python floats here, the one
     door of every thermal sum, so that numpy scalar inputs give float and
-    bool results.
+    bool results.  The result is in units of scale/lift (see _finish).
     """
     t, sign = _canonical_theta(theta)
     tau = float(tau)
     if ctrl.order == "m_first":
         path = _images if tau <= _TAU_C else _m_series
-        return path(t, tau, ctrl, zero_mode, series, grad * sign)
-    return _n_first(t, tau, ctrl, zero_mode, series)
+        return path(t, tau, ctrl, zero_mode, series, grad * sign, scale, lift)
+    return _n_first(t, tau, ctrl, zero_mode, series, scale, lift)
 
 
 def _matsubara_n(n: int, theta: float, tau: float, pressure: bool) -> tuple[float, float]:
@@ -688,20 +715,30 @@ def _matsubara_n(n: int, theta: float, tau: float, pressure: bool) -> tuple[floa
 
 
 def _n_first(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePolicy,
-             series: _MSeries) -> EvalResult:
+             series: _MSeries, scale: float = 1.0, lift: float = 1.0) -> EvalResult:
     """Reduced free energy or fixed-angle pressure, one Matsubara term at a time.
 
     Stops by _stops at its first n >= 1, with the floor the error of the
     terms so far, or at n = _MAX_N.  The float running total only steers
     the stop: _finish sums the zero mode and the terms exactly.
+
+    It refuses up front, unconverged, where _MAX_N terms cannot meet rel_tol
+    however they cancel, and gives up, unconverged, at the first n where
+    they cannot stop at all.  Any stop at N needs tail(N) <= stop_tol |S_N|,
+    where tail(N) >= tail(_MAX_N) and, up to rounding, |S_N| <= |S_n| +
+    tail(n), so none can come once stop_tol (|S_n| + tail(n)) < tail(_MAX_N):
+    a cancelling sum whose |value| is far below the up-front bound
+    |zero mode| + tail(0) then stops early, and every sum that would stop
+    before _MAX_N stops where it did.
     """
     parts, acc_err = _zero_mode(theta, zero_mode, series)
     total = parts[0]
     tail = _pressure_tail_n if series.pressure else _energy_tail_n
     whole = tail(0, tau)  # bounds all n >= 1 terms, so |value| <= |zero mode| + whole
-    if not tail(_MAX_N, tau) + acc_err <= ctrl.rel_tol * (abs(total) + whole) < math.inf:
+    tail_max = tail(_MAX_N, tau)
+    if not tail_max + acc_err <= ctrl.rel_tol * (abs(total) + whole) < math.inf:
         # _MAX_N terms cannot meet rel_tol however they cancel: refuse up front
-        return _finish(parts, whole, acc_err, 1, ctrl.rel_tol)
+        return _finish(parts, whole, acc_err, 1, ctrl.rel_tol, scale, lift)
     stop_tol = ctrl._stop_tol
     for n in range(1, _MAX_N + 1):
         term, term_err = _matsubara_n(n, theta, tau, series.pressure)
@@ -709,9 +746,10 @@ def _n_first(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModeP
         total += term
         acc_err += term_err
         tail_n = tail(n, tau)
-        if _stops(tail_n, acc_err, abs(total), stop_tol):
+        s = abs(total)
+        if _stops(tail_n, acc_err, s, stop_tol) or stop_tol * (s + tail_n) < tail_max:
             break
-    return _finish(parts, tail_n, acc_err, n + 1, ctrl.rel_tol)
+    return _finish(parts, tail_n, acc_err, n + 1, ctrl.rel_tol, scale, lift)
 
 
 def reduced_free_energy_T0(theta: float) -> float:
@@ -807,22 +845,50 @@ def _unit_scale(separation: float, temperature: float, pressure: bool) -> tuple[
     return temperature * _LIFT * (K_BOLTZMANN / (4.0 * math.pi * power)), _LIFT
 
 
-def _physical(cfg: CavityConfig, ctrl: SeriesControl, series: _MSeries) -> EvalResult:
-    """Free energy in J/m^2 (_ENERGY) or pressure in Pa (_PRESSURE).
+def _units(cfg: CavityConfig, series: _MSeries) -> tuple[float, float, float, float, float]:
+    """(theta, grad, tau, scale, lift) of a config, for the energy or the pressure.
 
-    In a Faraday gap theta = V B l, so l d/dl = tau d/dtau + theta d/dtheta
-    and the pressure gains grad dE/dtheta with grad = -theta.  The inputs
-    are taken as Python floats, so that numpy scalars give float results.
+    theta is the effective angle, grad the Faraday slope factor -theta (0
+    elsewhere), tau the reduced temperature (0 at T = 0) and scale/lift the
+    factor to physical units (_unit_scale), checked as _physical needs them.
+    A config is frozen, so they are derived on its first use for the series
+    and kept in its instance dict, outside its fields (equality, hash and
+    repr are unchanged): a second call on the same config, and a sweep row
+    of the cli, read them back.  A config that fails a check raises each time.
+    The inputs are taken as Python floats, so that numpy scalars give float
+    results.
     """
+    key = "_pressure_units" if series.pressure else "_energy_units"
+    known = cfg.__dict__.get(key)
+    if known is not None:
+        return known
     separation, temperature = float(cfg.separation), float(cfg.temperature)
     scale, lift = _unit_scale(separation, temperature, series.pressure)
     if scale < sys.float_info.min:
         raise ValueError(f"the factor to physical units underflows, and a subnormal float keeps "
                          f"too few digits; got separation = {cfg.separation!r} m, "
                          f"temperature = {cfg.temperature!r} K")
-    theta = effective_theta(cfg)
-    grad = -float(theta) if series.pressure and cfg.kind is MediumKind.FARADAY else 0.0
-    if temperature == 0.0:
+    theta = float(effective_theta(cfg))
+    grad = -theta if series.pressure and cfg.kind is MediumKind.FARADAY else 0.0
+    tau = reduced_temperature(separation, temperature)
+    if temperature != 0.0:
+        _check_tau(tau)
+        if abs(grad) > 1e307 * tau:  # |grad dE/dtheta| <= |grad| (1.02 + 2 zeta(3)/tau)
+            raise ValueError(f"the Faraday pressure overflows its reduced units where "
+                             f"|theta|/tau > 1e307; got theta = {theta!r}, tau = {tau!r}")
+    known = cfg.__dict__[key] = (theta, grad, tau, scale, lift)
+    return known
+
+
+def _physical(cfg: CavityConfig, ctrl: SeriesControl, series: _MSeries) -> EvalResult:
+    """Free energy in J/m^2 (_ENERGY) or pressure in Pa (_PRESSURE).
+
+    In a Faraday gap theta = V B l, so l d/dl = tau d/dtau + theta d/dtheta
+    and the pressure gains grad dE/dtheta with grad = -theta.  The sum is
+    taken in reduced units and _finish scales its one result (_units).
+    """
+    theta, grad, tau, scale, lift = _units(cfg, series)
+    if cfg.temperature == 0.0:
         closed_form = reduced_pressure_T0 if series.pressure else reduced_free_energy_T0
         parts = [closed_form(theta)]
         floor = 3e-15 if series.pressure else 1e-15  # polynomial, roundoff level in reduced units
@@ -832,19 +898,13 @@ def _physical(cfg: CavityConfig, ctrl: SeriesControl, series: _MSeries) -> EvalR
             # (1.6e-15 + 4.1e-16)/(4 pi^2) = 5.1e-17 per unit |grad|.
             parts.append(grad * clausen_sin(3, 2.0 * theta) / (4.0 * math.pi**2))
             floor += abs(grad) * 5.1e-17
-        res = _finish(parts, 0.0, floor, 0, ctrl.rel_tol)
+        res = _finish(parts, 0.0, floor, 0, ctrl.rel_tol, scale, lift)
     else:
-        tau = reduced_temperature(separation, temperature)
-        _check_tau(tau)
-        if abs(grad) > 1e307 * tau:  # |grad dE/dtheta| <= |grad| (1.02 + 2 zeta(3)/tau)
-            raise ValueError(f"the Faraday pressure overflows its reduced units where "
-                             f"|theta|/tau > 1e307; got theta = {theta!r}, tau = {tau!r}")
-        res = _reduced(theta, tau, ctrl, cfg.zero_mode, series, grad)
-    value = res.value * scale / lift
-    if math.isinf(value):
+        res = _reduced(theta, tau, ctrl, cfg.zero_mode, series, grad, scale, lift)
+    if math.isinf(res.value):
         raise ValueError(f"the result overflows a float in physical units; got separation = "
                          f"{cfg.separation!r} m, temperature = {cfg.temperature!r} K")
-    return EvalResult(value, res.error_estimate * scale / lift, res.terms_used, res.converged)
+    return res
 
 
 def physical_free_energy(cfg: CavityConfig, ctrl: SeriesControl | None = None) -> EvalResult:

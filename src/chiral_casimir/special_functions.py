@@ -170,6 +170,13 @@ def _clausen_sin_4(phi: float) -> float:
     )
 
 
+def _clausen_cos_4(x: float) -> float:
+    # Cl4(x) = zeta(4) - (x (2 pi - x))^2/48 for x in [0, pi], the folded
+    # argument: clausen_cos(4, .) and the engine's image sum both use it
+    v = x * (TWO_PI - x)
+    return ZETA_4 - v * v / 48.0
+
+
 def clausen_cos(s, phi: float) -> float:
     """Sum_{m>=1} cos(m phi)/m^s.
 
@@ -188,8 +195,7 @@ def clausen_cos(s, phi: float) -> float:
     if n == 2:
         return ZETA_2 - math.pi * x / 2.0 + x * x / 4.0
     if n == 4:
-        v = x * (TWO_PI - x)
-        return ZETA_4 - v * v / 48.0
+        return _clausen_cos_4(x)
     return _clausen_cos_3(x)
 
 

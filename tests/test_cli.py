@@ -6,9 +6,11 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import chiral_casimir.oracle
+from chiral_casimir import engine
 from chiral_casimir.cli import (
     AxisSpec,
     COLUMNS,
@@ -20,6 +22,7 @@ from chiral_casimir.cli import (
     run,
     run_sweep,
 )
+from chiral_casimir.engine import EvalResult
 from chiral_casimir.kernel import MediumKind
 
 # temperature giving tau = 40 at l = 1e-6 m, where the requested tolerance
@@ -349,6 +352,67 @@ def test_emit_csv_bytes_match_the_csv_module():
         buf = io.StringIO()
         emit_csv(table, buf, units=units)
         assert buf.getvalue() == _csv_module_rendering(table, units)
+
+
+# ------------------------------------------------------------------ records
+
+def test_records_keep_their_contract():
+    # EvalResult and SweepRow are named tuples: the field order, the repr
+    # text and immutability of the frozen dataclasses they replaced
+    assert EvalResult._fields == ("value", "error_estimate", "terms_used", "converged")
+    assert COLUMNS == SweepRow._fields == (
+        "theta_rad", "theta_eff_rad", "separation_m", "temperature_K", "tau",
+        "reduced_free_energy", "reduced_pressure", "free_energy_J_per_m2", "pressure_Pa",
+        "terms_used", "error_estimate", "converged")
+    res = EvalResult(-1.5, 2e-16, 3, True)
+    assert repr(res) == "EvalResult(value=-1.5, error_estimate=2e-16, terms_used=3, converged=True)"
+    row = SweepRow(0.3, 0.3, 1e-06, 300.0, 0.25, -1.0, -3.0, -2e-10, -6e-4, 2, 1e-15, False)
+    assert repr(row) == (
+        "SweepRow(theta_rad=0.3, theta_eff_rad=0.3, separation_m=1e-06, temperature_K=300.0, "
+        "tau=0.25, reduced_free_energy=-1.0, reduced_pressure=-3.0, "
+        "free_energy_J_per_m2=-2e-10, pressure_Pa=-0.0006, terms_used=2, "
+        "error_estimate=1e-15, converged=False)")
+    for record, name in ((res, "value"), (res, "converged"), (row, "tau"), (row, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0.0)
+    # tuples: they unpack, equal plain tuples, and change by ._replace
+    value, error_estimate, terms_used, converged = res
+    assert (value, terms_used, converged) == (-1.5, 3, True)
+    assert res == (-1.5, 2e-16, 3, True)
+    assert res._replace(converged=False) == (-1.5, 2e-16, 3, False)
+
+
+def test_records_hold_python_scalars_for_numpy_inputs():
+    f64 = np.float64
+    for spec in (SweepSpec(theta=AxisSpec(f64(0.3), f64(0.3), 1),
+                           separation=AxisSpec(f64(1e-6), f64(1e-6), 1),
+                           temperature=AxisSpec(f64(0.0), f64(3000.0), 3), rel_tol=f64(1e-10)),
+                 SweepSpec(medium=MediumKind.FARADAY, verdet=f64(1e5),
+                           bfield=AxisSpec(f64(2.0), f64(2.0), 1),
+                           temperature=AxisSpec(f64(300.0), f64(300.0), 1))):
+        for row in run_sweep(spec).rows:
+            assert [type(v) for v in row] == [float] * 9 + [int, float, bool], row
+            res = engine.physical_pressure(engine.CavityConfig(
+                f64(row.separation_m), f64(row.temperature_K), kind=spec.medium,
+                theta=f64(0.3), verdet=spec.verdet, bfield=f64(2.0)))
+            assert [type(v) for v in res] == [float, float, int, bool]
+
+
+def test_each_axis_is_spaced_once_per_sweep(monkeypatch):
+    calls = []
+    spaced = AxisSpec.values
+
+    def counted(self):
+        calls.append(self)
+        return spaced(self)
+
+    spec = SweepSpec(theta=AxisSpec(0.0, 1.0, 3), temperature=AxisSpec(10.0, 1000.0, 4, log=True))
+    monkeypatch.setattr(AxisSpec, "values", counted)
+    rows = run_sweep(spec).rows
+    assert len(calls) == 4
+    # outer axis slowest, in the listing order theta, separation, temperature, bfield
+    assert [(r.theta_rad, r.temperature_K) for r in rows] == [
+        (th, T) for th in spaced(spec.theta) for T in spaced(spec.temperature)]
 
 
 def test_emit_csv_rejects_unknown_units():

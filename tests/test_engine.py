@@ -960,6 +960,27 @@ def test_n_first_refuses_an_unreachable_target_at_once():
         assert not pres.converged and pres.terms_used == 1
 
 
+def test_n_first_gives_up_on_a_cancelling_sum_once_no_stop_can_come():
+    # |P| = 8.66 here, far below the up-front bound |zero mode| + tail(0) =
+    # 6.4e5, so the up-front refusal lets the sum run; it used to sum all
+    # _MAX_N terms (0.14-0.24 s) and return unconverged with an estimate of
+    # 1.8e-7.  From about n = 5,650 on, stop_tol (|S_n| + tail(n)) is below
+    # tail(_MAX_N), so no stop can come.
+    import time
+
+    point = ReducedPoint(-5.529453610820525, 8.853980017038642e-4)
+    best = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        res = reduced_pressure(point, N_FIRST)
+        best = min(best, time.perf_counter() - t0)
+    assert best < 0.05
+    assert not res.converged and 1 < res.terms_used < engine._MAX_N
+    exact = reduced_pressure(point)
+    assert exact.converged
+    assert abs(res.value - exact.value) <= res.error_estimate  # covers the m_first value
+
+
 @pytest.mark.parametrize("fn, point, pressure", [
     (reduced_free_energy, (0.3, 0.01), False),  # 1,557 terms
     (reduced_pressure, (0.0, 0.05), True),  # 354 terms
