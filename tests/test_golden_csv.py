@@ -47,15 +47,6 @@ def test_sweep_csv_matches_its_golden_file(case, units, tmp_path):
     assert _sweep_csv(case, units, tmp_path / "out.csv") == expected
 
 
-def test_golden_cases_cover_every_path():
-    text = (GOLDEN / "fixed.si.csv").read_text()
-    taus = [float(line.split(",")[4]) for line in text.splitlines()[1:]]
-    assert 0.0 in taus and any(0.0 < t <= 1.5 for t in taus) and any(t > 1.5 for t in taus)
-    for case in CASES:
-        for units in UNITS:
-            assert (GOLDEN / f"{case}.{units}.csv").read_bytes().count(b"\r\n") > 1
-
-
 if __name__ == "__main__":
     import tempfile
 
