@@ -851,12 +851,13 @@ def _units(cfg: CavityConfig, series: _MSeries) -> tuple[float, float, float, fl
     theta is the effective angle, grad the Faraday slope factor -theta (0
     elsewhere), tau the reduced temperature (0 at T = 0) and scale/lift the
     factor to physical units (_unit_scale), checked as _physical needs them.
-    A config is frozen, so they are derived on its first use for the series
-    and kept in its instance dict, outside its fields (equality, hash and
-    repr are unchanged): a second call on the same config, and a sweep row
-    of the cli, read them back.  A config that fails a check raises each time.
-    The inputs are taken as Python floats, so that numpy scalars give float
-    results.
+    A config is frozen, so they are derived on first use and kept in its
+    instance dict, outside its fields (equality, hash and repr are
+    unchanged): theta and tau once per config, the rest once per series.  A
+    second call on the same config, and a sweep row of the cli, read them
+    back.  A config that fails a check raises each time, and only on the
+    calls whose checks it fails.  The inputs are taken as Python floats, so
+    that numpy scalars give float results.
     """
     key = "_pressure_units" if series.pressure else "_energy_units"
     known = cfg.__dict__.get(key)
@@ -868,14 +869,19 @@ def _units(cfg: CavityConfig, series: _MSeries) -> tuple[float, float, float, fl
         raise ValueError(f"the factor to physical units underflows, and a subnormal float keeps "
                          f"too few digits; got separation = {cfg.separation!r} m, "
                          f"temperature = {cfg.temperature!r} K")
-    theta = float(effective_theta(cfg))
+    angle = cfg.__dict__.get("_theta_tau")
+    if angle is None:
+        theta = float(effective_theta(cfg))
+        tau = reduced_temperature(separation, temperature)
+        if temperature != 0.0:
+            _check_tau(tau)
+        angle = cfg.__dict__["_theta_tau"] = (theta, tau)
+    theta, tau = angle
     grad = -theta if series.pressure and cfg.kind is MediumKind.FARADAY else 0.0
-    tau = reduced_temperature(separation, temperature)
-    if temperature != 0.0:
-        _check_tau(tau)
-        if abs(grad) > 1e307 * tau:  # |grad dE/dtheta| <= |grad| (1.02 + 2 zeta(3)/tau)
-            raise ValueError(f"the Faraday pressure overflows its reduced units where "
-                             f"|theta|/tau > 1e307; got theta = {theta!r}, tau = {tau!r}")
+    if temperature != 0.0 and abs(grad) > 1e307 * tau:
+        # |grad dE/dtheta| <= |grad| (1.02 + 2 zeta(3)/tau)
+        raise ValueError(f"the Faraday pressure overflows its reduced units where "
+                         f"|theta|/tau > 1e307; got theta = {theta!r}, tau = {tau!r}")
     known = cfg.__dict__[key] = (theta, grad, tau, scale, lift)
     return known
 

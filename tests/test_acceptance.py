@@ -59,7 +59,7 @@ def test_criterion_01_ideal_metal_limit(capsys):
     gap_e = abs(e + math.pi**2 / 720.0)
     gap_p = abs(p + math.pi**2 / 240.0)
     gap_o = abs(o + math.pi**2 / 720.0)
-    ok = gap_e < 1e-10 and gap_p < 1e-10 and gap_o < 1e-8 and elapsed < 1.0
+    ok = gap_e < 1e-10 and gap_p < 1e-10 and gap_o < 1e-12 and elapsed < 1.0
     report(capsys, 1, ok,
            f"parallel-plate T=0 energy/pressure vs -pi^2/720, -pi^2/240: "
            f"gaps {gap_e:.1e}/{gap_p:.1e}, quadrature gap {gap_o:.1e}, "

@@ -70,15 +70,42 @@ def test_T0_parallel_plates():
 
 
 def test_T0_error_report_covers_truth():
-    val, err = oracle_free_energy_T0(0.0, return_error=True)
-    assert err > 0.0
-    assert abs(val + math.pi**2 / 720.0) <= err + 1e-10
+    # against the 40-digit -Cl4(2 theta)/(8 pi^2) at 201 angles: QUADPACK's
+    # estimate alone fell below the true error (up to 3.5e-15) at about half
+    # of these points; the reported bound covers it everywhere and stays small
+    import mpmath
+
+    with mpmath.workdps(40):
+        for abs_tol in (1e-10, 1e-12):
+            for i in range(201):
+                theta = math.pi / 2 * i / 200
+                val, err = oracle_free_energy_T0(theta, QuadControl(abs_tol), return_error=True)
+                exact = -mpmath.clcos(4, 2 * mpmath.mpf(theta)) / (8 * mpmath.pi**2)
+                assert 0.0 < err <= 1e-12
+                assert abs(val - exact) <= err, (abs_tol, theta)
+
+
+def test_T0_quadrature_call_budget(monkeypatch):
+    # one 1-d quadrature: 168-588 kernel calls, against about 23k nested
+    calls = 0
+    kernel = oracle_module.log_det_kernel
+
+    def counting(x, theta):
+        nonlocal calls
+        calls += 1
+        return kernel(x, theta)
+
+    monkeypatch.setattr(oracle_module, "log_det_kernel", counting)
+    for theta in (0.0, 0.6, math.pi / 4, math.pi / 2):
+        calls = 0
+        oracle_free_energy_T0(theta)
+        assert 0 < calls <= 1000
 
 
 def test_T0_matches_closed_form_across_angles():
     for theta in (0.0, 0.6, math.pi / 4, math.pi / 2):
         assert oracle_free_energy_T0(theta) == pytest.approx(
-            reduced_free_energy_T0(theta), rel=0, abs=1e-8)
+            reduced_free_energy_T0(theta), rel=0, abs=1e-12)
 
 
 # ------------------------------------------------------------ finite temperature
@@ -122,6 +149,21 @@ def test_periodic_in_theta():
 def test_pressure_T0_ideal_metal():
     assert oracle_pressure(0.0, 0.0) == pytest.approx(
         -math.pi**2 / 240.0, rel=0, abs=1e-8)
+
+
+def test_pressure_T0_evaluates_the_quadrature_once(monkeypatch):
+    # E0 does not depend on the stencil's lambda; only 1/lambda^3 does
+    seen = []
+    t0 = oracle_module.oracle_free_energy_T0
+
+    def counting(theta, q=None, return_error=False):
+        seen.append(theta)
+        return t0(theta, q, return_error)
+
+    monkeypatch.setattr(oracle_module, "oracle_free_energy_T0", counting)
+    assert oracle_pressure(0.6, 0.0) == pytest.approx(
+        3.0 * reduced_free_energy_T0(0.6), rel=0, abs=1e-8)
+    assert seen == [0.6]
 
 
 def test_pressure_finite_T_matches_engine():
