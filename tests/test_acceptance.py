@@ -119,10 +119,10 @@ def test_criterion_05_engine_oracle_equivalence(capsys):
             o = oracle_free_energy(point)
             worst = max(worst, abs(e - o) / abs(o))
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-6 and elapsed < 60.0
+    ok = worst <= 1e-9 and elapsed < 60.0
     report(capsys, 5, ok,
            f"series vs quadrature on the 25-point grid: worst relative "
-           f"gap {worst:.2e} (budget 1e-6), {elapsed:.1f}s")
+           f"gap {worst:.2e} (budget 1e-9), {elapsed:.1f}s")
 
 
 def test_criterion_06_dual_evaluation_order(capsys):

@@ -965,17 +965,11 @@ def test_n_first_gives_up_on_a_cancelling_sum_once_no_stop_can_come():
     # 6.4e5, so the up-front refusal lets the sum run; it used to sum all
     # _MAX_N terms (0.14-0.24 s) and return unconverged with an estimate of
     # 1.8e-7.  From about n = 5,650 on, stop_tol (|S_n| + tail(n)) is below
-    # tail(_MAX_N), so no stop can come.
-    import time
-
+    # tail(_MAX_N), so no stop can come, and the sum gives up there (5,655
+    # terms), not at the cap.
     point = ReducedPoint(-5.529453610820525, 8.853980017038642e-4)
-    best = math.inf
-    for _ in range(3):
-        t0 = time.perf_counter()
-        res = reduced_pressure(point, N_FIRST)
-        best = min(best, time.perf_counter() - t0)
-    assert best < 0.05
-    assert not res.converged and 1 < res.terms_used < engine._MAX_N
+    res = reduced_pressure(point, N_FIRST)
+    assert not res.converged and 1 < res.terms_used <= 5_700
     exact = reduced_pressure(point)
     assert exact.converged
     assert abs(res.value - exact.value) <= res.error_estimate  # covers the m_first value

@@ -117,6 +117,65 @@ def test_engine_agreement_spotcheck():
         assert e == pytest.approx(o, rel=1e-6)
 
 
+def _counting_kernel(monkeypatch):
+    calls = [0]
+    kernel = oracle_module.log_det_kernel
+
+    def counting(x, theta):
+        calls[0] += 1
+        return kernel(x, theta)
+
+    monkeypatch.setattr(oracle_module, "log_det_kernel", counting)
+    return calls
+
+
+def test_thermal_quadrature_call_budget(monkeypatch):
+    # one quadrature per point over the whole Matsubara sum: 14,889 kernel
+    # calls on the certify grid, against 42,147 with one quad per window
+    calls = _counting_kernel(monkeypatch)
+    for theta in CERTIFY_THETAS:
+        for tau in CERTIFY_TAUS:
+            oracle_free_energy(ReducedPoint(theta, tau))
+    assert 0 < calls[0] <= 20_000
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.6, math.pi / 2])
+@pytest.mark.parametrize("tau", [0.3, 2.0])
+def test_one_quadrature_is_the_sum_of_matsubara_terms(theta, tau):
+    # (1/2) [J_0/2 + sum_{n=1..N} J_n] term by term, each window [2 n tau,
+    # 2 n tau + C]; the one quadrature runs every window to 2 N tau + C,
+    # at most 2 (C + 1) e^{-C} more in each J_n
+    p = ReducedPoint(theta, tau)
+    n_kept = oracle_module._matsubara_count(tau, QuadControl().abs_tol)
+    assert n_kept > 0
+    terms = [0.5 * oracle_matsubara_term(0, p)]
+    terms += [oracle_matsubara_term(n, p) for n in range(1, n_kept + 1)]
+    c = oracle_module._CUTOFF
+    cut = (n_kept + 1) * 2.0 * (c + 1.0) * math.exp(-c)
+    assert oracle_free_energy(p) == pytest.approx(math.fsum(terms), rel=0, abs=1e-12 + cut)
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi / 2])
+@pytest.mark.parametrize("tau", [0.01, 0.03, 0.1, 0.3])
+def test_truncation_stays_within_abs_tol(theta, tau):
+    # stopping at the first term bound below abs_tol left 1.2e-10 (tau 0.3)
+    # to 3.2e-9 (tau 0.01) out; the engine's estimate here is below 1e-12
+    q = QuadControl()
+    p = ReducedPoint(theta, tau)
+    exact = reduced_free_energy(p)
+    assert exact.converged and exact.error_estimate < 1e-12
+    assert abs(oracle_free_energy(p, q) - exact.value) <= q.abs_tol
+
+
+def test_many_breakpoints_converge():
+    # tau = 0.01 keeps about 1,400 windows, more pieces than the fixed limit
+    # of 200 subintervals would allow; the limit grows with them
+    tau = 0.01
+    assert oracle_module._matsubara_count(tau, QuadControl().abs_tol) > 1000
+    p = ReducedPoint(0.6, tau)
+    assert oracle_free_energy(p) == pytest.approx(reduced_free_energy(p).value, rel=0, abs=1e-10)
+
+
 def test_tightening_the_tolerance_converges():
     p = ReducedPoint(0.4, 0.8)
     loose = oracle_free_energy(p, QuadControl(abs_tol=1e-6))
