@@ -107,8 +107,9 @@ def _matsubara_count(tau: float, abs_tol: float) -> int:
     # the reduced term |J_n|/2 is at most b(a) = e^{-a} (1 + a) pi^2/6 at
     # a = 2 n tau, and b(a + 2 tau)/b(a) = e^{-2 tau} (1 + 2 tau/(1 + a)) falls
     # with a, so after N the bounds fall at least geometrically by r taken at
-    # a_{N+1}: the dropped terms sum to at most b(a_{N+1}) / (1 - r).  A single
-    # term's bound below abs_tol left 1.05e-9 out at abs_tol 1e-10, tau = 0.03.
+    # a_{N+1}: the dropped terms sum to at most b(a_{N+1}) / (1 - r).  One
+    # term's bound below abs_tol is not enough: it leaves 1.05e-9 out at
+    # abs_tol 1e-10 and tau = 0.03.
     decay = math.exp(-2.0 * tau)
     for n in range(_MAX_N + 1):
         a = 2.0 * (n + 1) * tau
@@ -131,9 +132,9 @@ def _free_energy(theta: float, tau: float, q: QuadControl) -> float:
     eps = min(1e-12, q.abs_tol / 100.0)
     pts = tuple(2.0 * n * tau for n in range(1, _matsubara_count(tau, q.abs_tol) + 1))
     top = (pts[-1] if pts else 0.0) + _CUTOFF
-    # epsrel as tight as epsabs: at abs_tol 1e-12 a fixed epsrel of 1e-12 sat
-    # at QUADPACK's rounding floor, which then stopped in varying places, and
-    # the 1e-5 Richardson stencil of a Faraday pressure read that as 3e-8
+    # epsrel as tight as epsabs: at abs_tol 1e-12 an epsrel of 1e-12 sits at
+    # QUADPACK's rounding floor, where it stops in varying places, and the
+    # 1e-5 Richardson stencil of a Faraday pressure reads that as 3e-8
     val, _ = _quad(_summed_integrand, 0.0, top, (theta, pts), eps, epsrel=eps,
                    points=pts or None, limit=200 + 4 * len(pts))
     return 0.5 * val

@@ -117,26 +117,22 @@ def test_engine_agreement_spotcheck():
         assert e == pytest.approx(o, rel=1e-6)
 
 
-def _counting_kernel(monkeypatch):
-    calls = [0]
-    kernel = oracle_module.log_det_kernel
-
-    def counting(x, theta):
-        calls[0] += 1
-        return kernel(x, theta)
-
-    monkeypatch.setattr(oracle_module, "log_det_kernel", counting)
-    return calls
-
-
 def test_thermal_quadrature_call_budget(monkeypatch):
     # one quadrature per point over the whole Matsubara sum: 14,889 kernel
     # calls on the certify grid, against 42,147 with one quad per window
-    calls = _counting_kernel(monkeypatch)
+    calls = 0
+    kernel = oracle_module.log_det_kernel
+
+    def counting(x, theta):
+        nonlocal calls
+        calls += 1
+        return kernel(x, theta)
+
+    monkeypatch.setattr(oracle_module, "log_det_kernel", counting)
     for theta in CERTIFY_THETAS:
         for tau in CERTIFY_TAUS:
             oracle_free_energy(ReducedPoint(theta, tau))
-    assert 0 < calls[0] <= 20_000
+    assert 0 < calls <= 20_000
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.6, math.pi / 2])
