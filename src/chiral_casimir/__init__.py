@@ -5,7 +5,7 @@ angle theta per traversal (Faraday medium: rotations add over the round trip;
 optically active medium: they cancel).  The package evaluates the resulting
 free energy per unit area and the pressure at arbitrary temperature through
 rapidly converging reduced series, cross-checked by an independent
-brute-force quadrature oracle.  The oracle's names load it, and scipy with
+brute-force quadrature oracle.  The oracle's names load it, and numpy with
 it, on first use.
 
 Negative energy/pressure means attraction; theta = pi/2 reproduces the
@@ -53,8 +53,8 @@ _ORACLE_NAMES = (
 
 def __getattr__(name: str):
     # checked before importing anything: `from chiral_casimir import x` looks
-    # up every submodule x here first, which must neither load scipy nor,
-    # through `from . import oracle`, recurse
+    # up every submodule x here first, which must neither load the oracle
+    # (and numpy) nor, through `from . import oracle`, recurse
     if name not in _ORACLE_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(importlib.import_module(".oracle", __name__), name)

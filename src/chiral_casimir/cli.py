@@ -6,7 +6,7 @@ Modes:
            bfield}, emit CSV (outer axis slowest, in that listing order)
   certify  compare the series engine against the quadrature oracle on the
            reference grid; exit 0 only if every comparison passes at 1e-6.
-           Only this mode imports the oracle, and with it scipy.
+           Only this mode imports the oracle, and with it numpy.
 
 Exit codes: 0 success, 1 argument errors, 2 convergence or output failure,
 3 certification failure.
@@ -197,7 +197,7 @@ def emit_csv(table: SweepTable, stream, units: str = "si") -> None:
 
 
 def _certify(rel_tol: float, out) -> int:
-    from . import oracle  # the only user of scipy: load it for this mode alone
+    from . import oracle  # numpy quadrature: load it for this mode alone
 
     ctrl = SeriesControl(rel_tol=rel_tol)
     qc = oracle.QuadControl()

@@ -7,8 +7,10 @@ active case).  The resulting mode-mixing enters the free energy only through
 
     ln det(I - x R(2 theta)) = ln(1 + x^2 - 2 x cos 2 theta),   x = e^{-2 kappa l},
 
-with R the 2x2 rotation matrix, which log_det_kernel evaluates in the
-cancellation-free form ln((1-x)^2 + 4 x sin^2 theta).
+with R the 2x2 rotation matrix, which log_det_kernel evaluates as
+log1p(x (x - 2 cos 2 theta)) for x <= 1/2, where the logarithm is small and
+its error stays relative to it, and in the cancellation-free form
+ln((1-x)^2 + 4 x sin^2 theta) above.
 """
 
 from __future__ import annotations
@@ -29,14 +31,39 @@ class MediumKind(Enum):
     OPTICALLY_ACTIVE = "optically_active"
 
 
-def log_det_kernel(x: float, theta: float) -> float:
+def log_det_kernel(x, theta: float):
     """ln(1 + x^2 - 2 x cos 2 theta) for x = e^{-2 kappa l} in [0, 1).
 
-    Computed as ln((1-x)^2 + 4 x sin^2 theta), exact rearrangement that stays
-    conditioned as x -> 1 for theta away from multiples of pi.
+    x is a float, which returns a float, or a numpy array of them, which
+    returns an array of the same shape (a 0-d array counts as a float);
+    theta is one angle.  For x <= 1/2 it is log1p(x (x - 2 cos 2 theta)):
+    1 + x^2 - 2 x cos 2 theta >= 1/4 there, so the error stays relative to
+    the logarithm as x -> 0.  Above, ln((1-x)^2 + 4 x sin^2 theta), exact
+    rearrangement that stays conditioned as x -> 1 for theta away from
+    multiples of pi.  Every element must lie in [0, X_MAX), or ValueError.
     """
-    if not (0.0 <= x < X_MAX):
-        raise ValueError(f"reflection weight must lie in [0, {X_MAX}), got {x!r}")
-    one_minus = 1.0 - x
+    if isinstance(x, (int, float)):
+        if not (0.0 <= x < X_MAX):
+            raise ValueError(f"reflection weight must lie in [0, {X_MAX}), got {x!r}")
+        if x <= 0.5:
+            return math.log1p(x * (x - 2.0 * math.cos(2.0 * theta)))
+        one_minus = 1.0 - x
+        s = math.sin(theta)
+        return math.log(one_minus * one_minus + 4.0 * x * s * s)
+    import numpy as np
+
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        return log_det_kernel(float(x), theta)
+    # min and max are nan if any element is, and nan fails both tests
+    if x.size and not (x.min() >= 0.0 and x.max() < X_MAX):
+        raise ValueError(f"reflection weights must lie in [0, {X_MAX})")
     s = math.sin(theta)
-    return math.log(one_minus * one_minus + 4.0 * x * s * s)
+    # each branch under its own mask: log1p at x near 1 could meet -1
+    out = x - 2.0 * math.cos(2.0 * theta)
+    out *= x
+    np.log1p(out, out=out, where=x <= 0.5)
+    one_minus = 1.0 - x
+    one_minus *= one_minus
+    one_minus += x * (4.0 * s * s)
+    return np.log(one_minus, out=out, where=x > 0.5)

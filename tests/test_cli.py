@@ -423,11 +423,14 @@ def test_emit_csv_rejects_unknown_units():
 
 
 def test_point_mode_loads_no_scipy(package_env):
-    # scipy serves only the oracle, which only certify uses
+    # the package needs no scipy: the oracle's quadrature, which only
+    # certify uses, is numpy
     code = ("import contextlib, io, sys\n"
             "import chiral_casimir.cli as cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert cli.run(['--mode', 'point']) == 0\n"
+            "    assert cli.run(['--mode', 'certify']) == 0\n"
+            "assert 'chiral_casimir.oracle' in sys.modules\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     proc = subprocess.run([sys.executable, "-c", code], env=package_env, capture_output=True,
                           text=True, timeout=120)

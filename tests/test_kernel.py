@@ -1,6 +1,7 @@
 """The round-trip log determinant and the gap media."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -48,6 +49,45 @@ def test_log_det_bounds_and_symmetry(x, theta):
 def test_log_det_domain(x):
     with pytest.raises(ValueError):
         log_det_kernel(x, 0.4)
+    # one bad element spoils an array
+    with pytest.raises(ValueError):
+        log_det_kernel(np.array([0.3, x, 0.5]), 0.4)
+
+
+def test_log_det_array_and_scalar_paths():
+    x = np.array([[0.0, 0.25, 0.5], [0.5 + 1e-16, 0.9, 0.999999]])
+    out = log_det_kernel(x, 0.7)
+    assert isinstance(out, np.ndarray) and out.shape == x.shape
+    for xi, oi in zip(x.ravel(), out.ravel()):
+        assert oi == pytest.approx(log_det_kernel(float(xi), 0.7), rel=4e-16, abs=1e-300)
+    for scalar in (0.3, np.float64(0.3), np.array(0.3), 0):
+        assert type(log_det_kernel(scalar, 0.7)) is float
+    assert log_det_kernel(np.empty(0), 0.7).shape == (0,)
+
+
+def test_log_det_within_its_rounding_bound():
+    # at a float u and x = exp(-u) rounded, both paths are within
+    # EPS (|L| + 2 x/(1 - x)) of the 40-digit L(e^{-u}); the oracle's
+    # rounding floor (oracle._ROUNDING) rests on this bound
+    import mpmath
+
+    eps = sys.float_info.epsilon
+    rng = np.random.default_rng(20)
+    u = np.exp(rng.uniform(math.log(1e-6), math.log(80.0), 20_000))
+    theta = rng.uniform(0.0, math.pi / 2, u.size)
+    theta[::10] = rng.choice([0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2],
+                             theta[::10].size)
+    worst = 0.0
+    with mpmath.workdps(40):
+        for ui, ti in zip(u.tolist(), theta.tolist()):
+            x = mpmath.exp(-mpmath.mpf(ui))
+            exact = mpmath.log1p(x * (x - 2 * mpmath.cos(2 * mpmath.mpf(ti))))
+            xf = float(x)
+            bound = eps * (abs(float(exact)) + 2.0 * xf / (1.0 - xf))
+            for got in (log_det_kernel(math.exp(-ui), ti),
+                        log_det_kernel(np.exp(-np.array([ui])), ti)[0]):
+                worst = max(worst, abs(float(got - exact)) / bound)
+    assert worst <= 1.0, worst
 
 
 def test_medium_kind_values():

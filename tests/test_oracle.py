@@ -5,7 +5,9 @@ import math
 import re
 import subprocess
 import sys
+import time
 
+import numpy as np
 import pytest
 
 import chiral_casimir.oracle as oracle_module
@@ -85,21 +87,29 @@ def test_T0_error_report_covers_truth():
                 assert abs(val - exact) <= err, (abs_tol, theta)
 
 
-def test_T0_quadrature_call_budget(monkeypatch):
-    # one 1-d quadrature: 168-588 kernel calls, against about 23k nested
-    calls = 0
+def _count_nodes(monkeypatch):
+    # the oracle calls the kernel once per round on an array of nodes
+    seen = {"nodes": 0, "calls": 0}
     kernel = oracle_module.log_det_kernel
 
     def counting(x, theta):
-        nonlocal calls
-        calls += 1
+        seen["nodes"] += np.size(x)
+        seen["calls"] += 1
         return kernel(x, theta)
 
     monkeypatch.setattr(oracle_module, "log_det_kernel", counting)
+    return seen
+
+
+def test_T0_quadrature_call_budget(monkeypatch):
+    # one 1-d quadrature: 189 nodes in one round, against about 23k nested
+    # scalar calls
+    seen = _count_nodes(monkeypatch)
     for theta in (0.0, 0.6, math.pi / 4, math.pi / 2):
-        calls = 0
+        seen.update(nodes=0, calls=0)
         oracle_free_energy_T0(theta)
-        assert 0 < calls <= 1000
+        assert 0 < seen["nodes"] <= 400
+        assert seen["calls"] <= 3
 
 
 def test_T0_matches_closed_form_across_angles():
@@ -118,21 +128,15 @@ def test_engine_agreement_spotcheck():
 
 
 def test_thermal_quadrature_call_budget(monkeypatch):
-    # one quadrature per point over the whole Matsubara sum: 14,889 kernel
-    # calls on the certify grid, against 42,147 with one quad per window
-    calls = 0
-    kernel = oracle_module.log_det_kernel
-
-    def counting(x, theta):
-        nonlocal calls
-        calls += 1
-        return kernel(x, theta)
-
-    monkeypatch.setattr(oracle_module, "log_det_kernel", counting)
+    # one quadrature per point over the whole Matsubara sum: 12,495 nodes
+    # in 25 rounds on the certify grid, against 42,147 scalar calls with
+    # one quadrature per window
+    seen = _count_nodes(monkeypatch)
     for theta in CERTIFY_THETAS:
         for tau in CERTIFY_TAUS:
             oracle_free_energy(ReducedPoint(theta, tau))
-    assert 0 < calls <= 20_000
+    assert 0 < seen["nodes"] <= 15_000
+    assert seen["calls"] <= 50
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.6, math.pi / 2])
@@ -164,12 +168,66 @@ def test_truncation_stays_within_abs_tol(theta, tau):
 
 
 def test_many_breakpoints_converge():
-    # tau = 0.01 keeps about 1,400 windows, more pieces than the fixed limit
-    # of 200 subintervals would allow; the limit grows with them
+    # tau = 0.01 keeps about 1,400 windows, each a piece of the first round
     tau = 0.01
     assert oracle_module._matsubara_count(tau, QuadControl().abs_tol) > 1000
     p = ReducedPoint(0.6, tau)
     assert oracle_free_energy(p) == pytest.approx(reduced_free_energy(p).value, rel=0, abs=1e-10)
+
+
+def _recording_bounds(monkeypatch):
+    # (bound, requested tolerance) of every quadrature the oracle runs
+    seen = []
+    integrate = oracle_module._integrate
+
+    def recording(theta, edges, w0, w1, epsabs, epsrel):
+        val, bound = integrate(theta, edges, w0, w1, epsabs, epsrel)
+        seen.append((bound, max(epsabs, epsrel * abs(val))))
+        return val, bound
+
+    monkeypatch.setattr(oracle_module, "_integrate", recording)
+    return seen
+
+
+def test_every_bound_meets_its_request_at_tight_tolerance(monkeypatch):
+    # at abs_tol 1e-12, as oracle_pressure and criterion 08 ask; QUADPACK's
+    # estimate was 3.9e-12 at (-1.1, 0.5) and 1.1e-12 at (0.3, 1.0) here
+    seen = _recording_bounds(monkeypatch)
+    tight = QuadControl(1e-12)
+    for theta, tau in ((-1.1, 0.5), (0.3, 1.0), (2.4, 2.0), (7.0, 0.7), (0.7, 0.3)):
+        oracle_free_energy(ReducedPoint(theta, tau), tight)
+    for theta in (0.0, 0.6, math.pi / 2):
+        oracle_free_energy_T0(theta, tight)
+        oracle_matsubara_term(1, ReducedPoint(theta, 0.5), tight)
+    oracle_pressure(-1.1, 0.5)
+    assert len(seen) == 5 + 6 + 4
+    for bound, tol in seen:
+        assert 0.0 < bound <= tol
+
+
+def test_unreachable_tolerance_raises_quickly():
+    # no bound can meet 1e-300: the rounding floor alone is above it, and
+    # the oracle says so instead of returning
+    p = ReducedPoint(0.3, 1.0)
+    for call in (lambda: oracle_free_energy(p, QuadControl(1e-300)),
+                 lambda: oracle_matsubara_term(1, p, QuadControl(1e-300))):
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match=r"theta=0\.3: error bound .* above the tolerance"):
+            call()
+        assert time.perf_counter() - start < 1.0
+
+
+def test_gauss_kronrod_constants():
+    # the embedded G10 is numpy's 10-point Gauss-Legendre rule, and K21
+    # integrates x^d over [-1, 1] exactly for d <= 31
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    g10 = oracle_module._G10 > 0.0
+    assert np.allclose(oracle_module._NODES[g10], nodes, rtol=0, atol=1e-15)
+    assert np.allclose(oracle_module._G10[g10], weights, rtol=0, atol=1e-15)
+    x, k21 = oracle_module._NODES, oracle_module._K21
+    for d in range(32):
+        exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+        assert math.fsum(k21 * x**d) == pytest.approx(exact, rel=0, abs=1e-15), d
 
 
 def test_tightening_the_tolerance_converges():
