@@ -18,31 +18,23 @@ import argparse
 import math
 import operator
 import sys
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import engine
+from ._record import _Record, _setattr
 from .engine import CavityConfig, ReducedPoint, SeriesControl, ZeroModePolicy
 from .kernel import MediumKind
 
 __all__ = ["AxisSpec", "SweepSpec", "SweepRow", "SweepTable", "run", "run_sweep", "emit_csv", "main"]
 
 
-class SweepRow(NamedTuple):
+class SweepRow(namedtuple("SweepRow", (
+        "theta_rad", "theta_eff_rad", "separation_m", "temperature_K", "tau",
+        "reduced_free_energy", "reduced_pressure", "free_energy_J_per_m2", "pressure_Pa",
+        "terms_used", "error_estimate", "converged"))):
     """One CSV row: a named tuple, in column order (COLUMNS)."""
 
-    theta_rad: float
-    theta_eff_rad: float
-    separation_m: float
-    temperature_K: float
-    tau: float
-    reduced_free_energy: float
-    reduced_pressure: float
-    free_energy_J_per_m2: float
-    pressure_Pa: float
-    terms_used: int
-    error_estimate: float
-    converged: bool
+    __slots__ = ()
 
 
 COLUMNS = SweepRow._fields
@@ -70,24 +62,25 @@ _CERTIFY_T0_THETAS = (0.0, math.pi / 4, math.pi / 2)
 _CERTIFY_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class AxisSpec:
+class AxisSpec(_Record):
     """One sweep axis; count == 1 pins the axis at `start`."""
 
-    start: float
-    stop: float
-    count: int
-    log: bool = False
+    _fields = ("start", "stop", "count", "log")
+    log = False
 
-    def __post_init__(self):
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+    def __init__(self, start: float, stop: float, count: int, log: bool = log):
+        if not (math.isfinite(start) and math.isfinite(stop)):
             raise ValueError("axis endpoints must be finite")
-        if self.count < 1:
-            raise ValueError(f"axis count must be >= 1, got {self.count!r}")
-        if self.start > self.stop:
-            raise ValueError(f"axis start {self.start!r} exceeds stop {self.stop!r}")
-        if self.log and self.start <= 0.0:
+        if count < 1:
+            raise ValueError(f"axis count must be >= 1, got {count!r}")
+        if start > stop:
+            raise ValueError(f"axis start {start!r} exceeds stop {stop!r}")
+        if log and start <= 0.0:
             raise ValueError("log spacing requires start > 0")
+        _setattr(self, "start", start)
+        _setattr(self, "stop", stop)
+        _setattr(self, "count", count)
+        _setattr(self, "log", log)
 
     def values(self) -> tuple[float, ...]:
         if self.count == 1:
@@ -103,29 +96,44 @@ def _fixed_axis(value: float) -> AxisSpec:
     return AxisSpec(value, value, 1)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(_Record):
     """Resolved sweep request: four axes plus the fixed scenario fields."""
 
-    theta: AxisSpec = _fixed_axis(0.0)
-    separation: AxisSpec = _fixed_axis(1e-6)
-    temperature: AxisSpec = _fixed_axis(0.0)
-    bfield: AxisSpec = _fixed_axis(0.0)
-    verdet: float = 0.0
-    medium: MediumKind = MediumKind.FIXED_ANGLE
-    zero_mode: ZeroModePolicy = ZeroModePolicy.FULL
-    rel_tol: float = SeriesControl.rel_tol
+    _fields = ("theta", "separation", "temperature", "bfield", "verdet", "medium",
+               "zero_mode", "rel_tol")
+    theta = _fixed_axis(0.0)
+    separation = _fixed_axis(1e-6)
+    temperature = _fixed_axis(0.0)
+    bfield = _fixed_axis(0.0)
+    verdet = 0.0
+    medium = MediumKind.FIXED_ANGLE
+    zero_mode = ZeroModePolicy.FULL
+    rel_tol = SeriesControl.rel_tol
 
-    def __post_init__(self):
-        swept = sum(ax.count > 1 for ax in (self.theta, self.separation,
-                                            self.temperature, self.bfield))
+    def __init__(self, theta: AxisSpec = theta, separation: AxisSpec = separation,
+                 temperature: AxisSpec = temperature, bfield: AxisSpec = bfield,
+                 verdet: float = verdet, medium: MediumKind = medium,
+                 zero_mode: ZeroModePolicy = zero_mode, rel_tol: float = rel_tol):
+        swept = sum(ax.count > 1 for ax in (theta, separation, temperature, bfield))
         if swept > 2:
             raise ValueError(f"at most 2 swept axes per run, got {swept}")
+        _setattr(self, "theta", theta)
+        _setattr(self, "separation", separation)
+        _setattr(self, "temperature", temperature)
+        _setattr(self, "bfield", bfield)
+        _setattr(self, "verdet", verdet)
+        _setattr(self, "medium", medium)
+        _setattr(self, "zero_mode", zero_mode)
+        _setattr(self, "rel_tol", rel_tol)
 
 
-@dataclass(frozen=True)
-class SweepTable:
-    rows: tuple[SweepRow, ...]
+class SweepTable(_Record):
+    """The rows of a sweep, a tuple of SweepRow."""
+
+    _fields = ("rows",)
+
+    def __init__(self, rows: tuple):
+        _setattr(self, "rows", rows)
 
 
 def _evaluate_point(theta: float, separation: float, temperature: float,

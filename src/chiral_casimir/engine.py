@@ -71,10 +71,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple
 
+from ._record import _Record, _setattr
 from .kernel import MediumKind, log_det_kernel
 from .special_functions import (TWO_PI, ZETA_2, ZETA_3, ZETA_4, _clausen_cos_4, clausen_cos,
                                 clausen_sin, fold_pi, polylog_exp, polylog_exp_23,
@@ -186,44 +186,54 @@ class ZeroModePolicy(Enum):
     TM_ONLY = "tm_only"
 
 
-@dataclass(frozen=True)
-class CavityConfig:
-    """Physical scenario: plate separation, temperature, and gap medium."""
+class CavityConfig(_Record):
+    """Physical scenario: plate separation, temperature, and gap medium.
 
-    separation: float  # meters
-    temperature: float  # kelvin
-    kind: MediumKind = MediumKind.FIXED_ANGLE
-    theta: float = 0.0  # radians, consulted for FIXED_ANGLE only
-    verdet: float = 0.0  # rad / (T m), consulted for FARADAY
-    bfield: float = 0.0  # tesla, consulted for FARADAY
-    zero_mode: ZeroModePolicy = ZeroModePolicy.FULL
+    separation in meters, temperature in kelvin; theta (radians) is consulted
+    for FIXED_ANGLE only, verdet (rad / (T m)) and bfield (tesla) for FARADAY.
+    """
 
-    def __post_init__(self):
-        if not (math.isfinite(self.separation) and self.separation > 0.0):
-            raise ValueError(f"separation must be positive, got {self.separation!r}")
-        if not (math.isfinite(self.temperature) and self.temperature >= 0.0):
-            raise ValueError(f"temperature must be >= 0, got {self.temperature!r}")
-        for v in (self.theta, self.verdet, self.bfield):
+    _fields = ("separation", "temperature", "kind", "theta", "verdet", "bfield", "zero_mode")
+    kind = MediumKind.FIXED_ANGLE
+    theta = 0.0
+    verdet = 0.0
+    bfield = 0.0
+    zero_mode = ZeroModePolicy.FULL
+
+    def __init__(self, separation: float, temperature: float, kind: MediumKind = kind,
+                 theta: float = theta, verdet: float = verdet, bfield: float = bfield,
+                 zero_mode: ZeroModePolicy = zero_mode):
+        if not (math.isfinite(separation) and separation > 0.0):
+            raise ValueError(f"separation must be positive, got {separation!r}")
+        if not (math.isfinite(temperature) and temperature >= 0.0):
+            raise ValueError(f"temperature must be >= 0, got {temperature!r}")
+        for v in (theta, verdet, bfield):
             if not math.isfinite(v):
                 raise ValueError(f"config fields must be finite, got {v!r}")
+        _setattr(self, "separation", separation)
+        _setattr(self, "temperature", temperature)
+        _setattr(self, "kind", kind)
+        _setattr(self, "theta", theta)
+        _setattr(self, "verdet", verdet)
+        _setattr(self, "bfield", bfield)
+        _setattr(self, "zero_mode", zero_mode)
 
 
-@dataclass(frozen=True)
-class ReducedPoint:
+class ReducedPoint(_Record):
     """Dimensionless evaluation point (theta, tau)."""
 
-    theta: float
-    tau: float
+    _fields = ("theta", "tau")
 
-    def __post_init__(self):
-        if not math.isfinite(self.theta):
-            raise ValueError(f"theta must be finite, got {self.theta!r}")
-        if not (math.isfinite(self.tau) and self.tau >= 0.0):
-            raise ValueError(f"tau must be >= 0, got {self.tau!r}")
+    def __init__(self, theta: float, tau: float):
+        if not math.isfinite(theta):
+            raise ValueError(f"theta must be finite, got {theta!r}")
+        if not (math.isfinite(tau) and tau >= 0.0):
+            raise ValueError(f"tau must be >= 0, got {tau!r}")
+        _setattr(self, "theta", theta)
+        _setattr(self, "tau", tau)
 
 
-@dataclass(frozen=True)
-class SeriesControl:
+class SeriesControl(_Record):
     """Convergence policy for the reduced series.
 
     rel_tol is the relative error a converged result certifies, the final
@@ -235,25 +245,29 @@ class SeriesControl:
     or where no further term can make it do so.
     """
 
-    rel_tol: float = 1e-10
-    order: str = "m_first"  # or "n_first"
+    _fields = ("rel_tol", "order")
+    rel_tol = 1e-10
+    order = "m_first"  # or "n_first"
 
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol < 1.0):
-            raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol!r}")
-        if self.order not in ("m_first", "n_first"):
-            raise ValueError(f"order must be 'm_first' or 'n_first', got {self.order!r}")
+    def __init__(self, rel_tol: float = rel_tol, order: str = order):
+        if not (0.0 < rel_tol < 1.0):
+            raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol!r}")
+        if order not in ("m_first", "n_first"):
+            raise ValueError(f"order must be 'm_first' or 'n_first', got {order!r}")
         # a Python float, so that a numpy rel_tol gives bool verdicts
-        object.__setattr__(self, "rel_tol", float(self.rel_tol))
-        # the tolerance the sums stop at (_stops), set once here: below EPS
-        # no target can be met, and the sums stop at the error floor
-        object.__setattr__(self, "_stop_tol", max(self.rel_tol, _EPS))
+        rel_tol = float(rel_tol)
+        _setattr(self, "rel_tol", rel_tol)
+        _setattr(self, "order", order)
+        # the tolerance the sums stop at (_stops), outside the fields: below
+        # EPS no target can be met, and the sums stop at the error floor
+        _setattr(self, "_stop_tol", max(rel_tol, _EPS))
 
 
 _DEFAULT_CTRL = SeriesControl()  # frozen: one instance serves every call without a ctrl
 
 
-class EvalResult(NamedTuple):
+class EvalResult(namedtuple("EvalResult", ("value", "error_estimate", "terms_used",
+                                          "converged"))):
     """Scalar result with truncation diagnostics.
 
     terms_used counts series terms in the active summation order (for
@@ -268,10 +282,7 @@ class EvalResult(NamedTuple):
     fields, and a changed copy comes from ._replace (not dataclasses.replace).
     """
 
-    value: float
-    error_estimate: float
-    terms_used: int
-    converged: bool
+    __slots__ = ()
 
 
 def _stops(tail: float, floor: float, s: float, rel_tol: float) -> bool:
@@ -347,8 +358,7 @@ def _canonical_theta(theta: float) -> tuple[float, float]:
 _TERM_ULPS = 32.0
 
 
-@dataclass(frozen=True)
-class _MSeries:
+class _MSeries(_Record):
     """One m-series: its closed-form weight and the bound weight(a) <= k/a.
 
     The weight is a Matsubara sum in closed form, written through
@@ -358,8 +368,11 @@ class _MSeries:
     k/(2 tau) sum_{j>m} 1/j^4 <= k/(6 tau m^3).
     """
 
-    pressure: bool
-    k: float
+    _fields = ("pressure", "k")
+
+    def __init__(self, pressure: bool, k: float):
+        _setattr(self, "pressure", pressure)
+        _setattr(self, "k", k)
 
     def weight(self, y: float, q: float, x: float) -> float:
         if self.pressure:
@@ -853,7 +866,7 @@ def _units(cfg: CavityConfig, series: _MSeries) -> tuple[float, float, float, fl
     factor to physical units (_unit_scale), checked as _physical needs them.
     A config is frozen, so they are derived on first use and kept in its
     instance dict, outside its fields (equality, hash and repr are
-    unchanged): theta and tau once per config, the rest once per series.  A
+    unchanged; see _record): theta and tau once per config, the rest once per series.  A
     second call on the same config, and a sweep row of the cli, read them
     back.  A config that fails a check raises each time, and only on the
     calls whose checks it fails.  The inputs are taken as Python floats, so

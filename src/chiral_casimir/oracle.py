@@ -17,19 +17,19 @@ code with the engine is the kernel logarithm itself, so that an agreement
 between the two is a genuine cross-check of the analytic reduction.
 
 One adaptive Gauss-Kronrod loop (_integrate) does every quadrature, in
-numpy: each round evaluates the 21-point rule on every open piece in one
-array call of the kernel and bisects the pieces over their share of the
-tolerance.
+numpy: each round evaluates the 21-point rule on every open piece in array
+calls of the kernel, _SLICE pieces at a time, and bisects the pieces over
+their share of the tolerance.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import _Record, _setattr
 from .kernel import log_det_kernel
 
 __all__ = [
@@ -87,6 +87,11 @@ _MID_HALF = np.array([[0.5, -0.5], [0.5, 0.5]])  # (a, b) -> (centre, half-width
 # the first round
 _GRADING = (1e-3, 1e-2, 0.1, 1.0, 4.0, 10.0, 20.0)
 _MAX_PIECES = 20_000
+# Pieces per _rule call: the rule's node arrays, 21 doubles a piece each,
+# would otherwise grow with the number of pieces, which grows like 1/tau in
+# the thermal oracle's first round (57,569 windows at tau = 3e-4 took the
+# peak RSS up by 80 MB).  A certify point has at most 54 pieces: one call.
+_SLICE = 2048
 
 # Rounding floor of the rule, charged per node on top of |K21 - G10|.  At a
 # float u and x = exp(-u) rounded, log_det_kernel is within
@@ -104,15 +109,16 @@ _MAX_PIECES = 20_000
 _ROUNDING = 4.0 * sys.float_info.epsilon
 
 
-@dataclass(frozen=True)
-class QuadControl:
+class QuadControl(_Record):
     """Tolerance of the quadrature oracle; the window, term cap and step are fixed."""
 
-    abs_tol: float = 1e-10  # reduced units
+    _fields = ("abs_tol",)
+    abs_tol = 1e-10  # reduced units
 
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0):
-            raise ValueError(f"abs_tol must be positive, got {self.abs_tol!r}")
+    def __init__(self, abs_tol: float = abs_tol):
+        if not (abs_tol > 0.0):
+            raise ValueError(f"abs_tol must be positive, got {abs_tol!r}")
+        _setattr(self, "abs_tol", abs_tol)
 
 
 def _rule(theta: float, pieces):
@@ -154,7 +160,8 @@ def _integrate(theta: float, edges, w0, w1, epsabs: float, epsrel: float) -> tup
     span = t_edges[-1] - t_edges[0]
     closed_k = closed_d = closed_f = 0.0
     while True:
-        k, d, f = _rule(theta, pieces)
+        parts = [_rule(theta, pieces[i:i + _SLICE]) for i in range(0, len(pieces), _SLICE)]
+        k, d, f = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
         total = closed_k + k.sum()
         floor = closed_f + f.sum()
         bound = closed_d + d.sum() + floor
@@ -255,8 +262,11 @@ def oracle_free_energy_T0(theta: float, q: QuadControl | None = None,
     q = q or QuadControl()
     edges = _breaks(0.0, 2.0 * _CUTOFF, (_CUTOFF,))
     upper = edges[:-1] >= _CUTOFF
+    # epsrel follows epsabs, as in _free_energy: a fixed epsrel would make
+    # every abs_tol below it void
+    eps = q.abs_tol / 10.0
     val, err = _integrate(float(theta), edges, np.where(upper, 2.0 * _CUTOFF, 0.0),
-                          np.where(upper, -1.0, 1.0), q.abs_tol / 10.0, 1e-11)
+                          np.where(upper, -1.0, 1.0), eps, eps)
     scale = 1.0 / (32.0 * math.pi**2)
     if return_error:
         return val * scale, err * scale
@@ -293,16 +303,19 @@ def oracle_pressure(theta: float, tau: float, q: QuadControl | None = None) -> f
     return -(4.0 * d_h2 - d_h) / 3.0
 
 
-@dataclass(frozen=True)
-class CompareReport:
+class CompareReport(_Record):
     """Outcome of one engine-vs-oracle comparison."""
 
-    engine_value: float
-    oracle_value: float
-    abs_gap: float
-    rel_gap: float
-    rel_tol: float
-    passed: bool
+    _fields = ("engine_value", "oracle_value", "abs_gap", "rel_gap", "rel_tol", "passed")
+
+    def __init__(self, engine_value: float, oracle_value: float, abs_gap: float,
+                 rel_gap: float, rel_tol: float, passed: bool):
+        _setattr(self, "engine_value", engine_value)
+        _setattr(self, "oracle_value", oracle_value)
+        _setattr(self, "abs_gap", abs_gap)
+        _setattr(self, "rel_gap", rel_gap)
+        _setattr(self, "rel_tol", rel_tol)
+        _setattr(self, "passed", passed)
 
 
 def compare(engine_value: float, oracle_value: float, rel_tol: float) -> CompareReport:

@@ -1,8 +1,11 @@
 """Command-line surface: parsing, CSV output, exit codes, determinism."""
 
+import copy
 import csv
 import io
+import json
 import math
+import pickle
 import subprocess
 import sys
 
@@ -22,8 +25,10 @@ from chiral_casimir.cli import (
     run,
     run_sweep,
 )
-from chiral_casimir.engine import EvalResult
+from chiral_casimir.engine import (CavityConfig, EvalResult, ReducedPoint, SeriesControl,
+                                   ZeroModePolicy)
 from chiral_casimir.kernel import MediumKind
+from chiral_casimir.oracle import CompareReport, QuadControl
 
 # temperature giving tau = 40 at l = 1e-6 m, where the requested tolerance
 # sits below the error floor of the near-zero classical prefactor
@@ -356,6 +361,54 @@ def test_emit_csv_bytes_match_the_csv_module():
 
 # ------------------------------------------------------------------ records
 
+# every frozen record: its class, field values and the repr of the frozen
+# dataclass it was
+_RECORDS = (
+    (CavityConfig, (2e-6, 0.0, MediumKind.FARADAY, 0.1, 1e5, 2.0, ZeroModePolicy.TM_ONLY),
+     "CavityConfig(separation=2e-06, temperature=0.0, kind=<MediumKind.FARADAY: 'faraday'>, "
+     "theta=0.1, verdet=100000.0, bfield=2.0, zero_mode=<ZeroModePolicy.TM_ONLY: 'tm_only'>)"),
+    (ReducedPoint, (0.3, 1.5), "ReducedPoint(theta=0.3, tau=1.5)"),
+    (SeriesControl, (1e-12, "n_first"), "SeriesControl(rel_tol=1e-12, order='n_first')"),
+    (engine._MSeries, (True, 6.0), "_MSeries(pressure=True, k=6.0)"),
+    (AxisSpec, (10.0, 1000.0, 5, True), "AxisSpec(start=10.0, stop=1000.0, count=5, log=True)"),
+    (SweepSpec, (AxisSpec(0.0, 1.0, 3), AxisSpec(1e-6, 1e-6, 1), AxisSpec(300.0, 300.0, 1),
+                 AxisSpec(2.0, 2.0, 1), 1e5, MediumKind.FARADAY, ZeroModePolicy.FULL, 1e-9),
+     "SweepSpec(theta=AxisSpec(start=0.0, stop=1.0, count=3, log=False), "
+     "separation=AxisSpec(start=1e-06, stop=1e-06, count=1, log=False), "
+     "temperature=AxisSpec(start=300.0, stop=300.0, count=1, log=False), "
+     "bfield=AxisSpec(start=2.0, stop=2.0, count=1, log=False), verdet=100000.0, "
+     "medium=<MediumKind.FARADAY: 'faraday'>, zero_mode=<ZeroModePolicy.FULL: 'full'>, "
+     "rel_tol=1e-09)"),
+    (SweepTable, ((),), "SweepTable(rows=())"),
+    (QuadControl, (1e-12,), "QuadControl(abs_tol=1e-12)"),
+    (CompareReport, (1.0, 2.0, 1.0, 0.5, 0.5, False),
+     "CompareReport(engine_value=1.0, oracle_value=2.0, abs_gap=1.0, rel_gap=0.5, "
+     "rel_tol=0.5, passed=False)"),
+)
+
+
+@pytest.mark.parametrize("cls, values, text", _RECORDS, ids=[r[0].__name__ for r in _RECORDS])
+def test_frozen_records_keep_the_dataclass_contract(cls, values, text):
+    # frozen dataclasses with these fields pass this test as well
+    fields = cls.__match_args__
+    rec = cls(*values)
+    assert repr(rec) == text
+    assert tuple(getattr(rec, name) for name in fields) == values
+    # equality and hash are those of the field tuple, within one class
+    assert rec == cls(**dict(zip(fields, values)))
+    assert hash(rec) == hash(values)
+    assert rec != values and values != rec
+    for name in fields + ("extra",):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(rec, name, 0.0)
+    for name in fields:
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(rec, name)
+    for copied in (pickle.loads(pickle.dumps(rec)), copy.copy(rec), copy.deepcopy(rec)):
+        assert type(copied) is cls
+        assert copied == rec and hash(copied) == hash(rec) and repr(copied) == text
+
+
 def test_records_keep_their_contract():
     # EvalResult and SweepRow are named tuples: the field order, the repr
     # text and immutability of the frozen dataclasses they replaced
@@ -380,6 +433,55 @@ def test_records_keep_their_contract():
     assert (value, terms_used, converged) == (-1.5, 3, True)
     assert res == (-1.5, 2e-16, 3, True)
     assert res._replace(converged=False) == (-1.5, 2e-16, 3, False)
+    assert type(res._replace(converged=False)) is EvalResult
+    for record in (res, row):
+        assert not hasattr(record, "__dict__")
+        assert pickle.loads(pickle.dumps(record)) == record
+    # the class defaults, which the cli reads, and the constructors' checks
+    assert (SeriesControl.rel_tol, SeriesControl.order, QuadControl.abs_tol) == (
+        1e-10, "m_first", 1e-10)
+    assert CavityConfig(1e-6, 300.0) == CavityConfig(
+        1e-6, 300.0, MediumKind.FIXED_ANGLE, 0.0, 0.0, 0.0, ZeroModePolicy.FULL)
+    assert SeriesControl() == SeriesControl(1e-10, "m_first")
+    assert QuadControl() == QuadControl(1e-10)
+    assert AxisSpec(0.0, 1.0, 3) == AxisSpec(0.0, 1.0, 3, False)
+    assert SweepSpec() == SweepSpec(AxisSpec(0.0, 0.0, 1), AxisSpec(1e-6, 1e-6, 1),
+                                    AxisSpec(0.0, 0.0, 1), AxisSpec(0.0, 0.0, 1), 0.0,
+                                    MediumKind.FIXED_ANGLE, ZeroModePolicy.FULL, 1e-10)
+    assert ReducedPoint(0.3, 1.5) != ReducedPoint(0.3, 1.6)
+    match ReducedPoint(0.3, 1.5):
+        case ReducedPoint(theta, tau):
+            assert (theta, tau) == (0.3, 1.5)
+    ranged = AxisSpec(0.0, 1.0, 2)
+    for make, message in (
+            (lambda: CavityConfig(0.0, 300.0), "separation must be positive, got 0.0"),
+            (lambda: CavityConfig(1e-6, -1.0), "temperature must be >= 0, got -1.0"),
+            (lambda: CavityConfig(1e-6, 1.0, bfield=math.inf), "config fields must be finite, got inf"),
+            (lambda: ReducedPoint(math.nan, 1.0), "theta must be finite, got nan"),
+            (lambda: ReducedPoint(0.3, -1.0), "tau must be >= 0, got -1.0"),
+            (lambda: SeriesControl(1.0), "rel_tol must lie in (0, 1), got 1.0"),
+            (lambda: SeriesControl(order="k_first"),
+             "order must be 'm_first' or 'n_first', got 'k_first'"),
+            (lambda: AxisSpec(0.0, math.inf, 2), "axis endpoints must be finite"),
+            (lambda: AxisSpec(0.0, 1.0, 0), "axis count must be >= 1, got 0"),
+            (lambda: AxisSpec(2.0, 1.0, 2), "axis start 2.0 exceeds stop 1.0"),
+            (lambda: AxisSpec(0.0, 1.0, 2, log=True), "log spacing requires start > 0"),
+            (lambda: SweepSpec(theta=ranged, separation=AxisSpec(1e-7, 1e-6, 2),
+                               temperature=AxisSpec(1.0, 300.0, 2)),
+             "at most 2 swept axes per run, got 3"),
+            (lambda: QuadControl(0.0), "abs_tol must be positive, got 0.0")):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
+    # engine._units keeps what it derives in the config's instance dict,
+    # outside the fields: equality, hash and repr do not see it
+    cfg = CavityConfig(1e-6, 300.0, theta=0.3)
+    seen = (repr(cfg), hash(cfg))
+    engine.physical_free_energy(cfg)
+    engine.physical_pressure(cfg)
+    assert {"_theta_tau", "_energy_units", "_pressure_units"} <= set(vars(cfg))
+    assert (repr(cfg), hash(cfg)) == seen
+    assert cfg == CavityConfig(1e-6, 300.0, theta=0.3) == pickle.loads(pickle.dumps(cfg))
 
 
 def test_records_hold_python_scalars_for_numpy_inputs():
@@ -440,8 +542,10 @@ def test_point_mode_loads_no_scipy(package_env):
 
 def test_point_mode_and_the_m_series_load_no_numpy(package_env):
     # numpy serves ranged sweep axes only: the m-series, the images, n_first,
-    # matsubara_term and the damped polylogarithms are scalar Python
-    code = ("import contextlib, io, sys\n"
+    # matsubara_term and the damped polylogarithms are scalar Python.  No
+    # path introspects anything, so dataclasses and inspect stay out too, and
+    # under -S, where site preloads nothing, so does typing
+    code = ("import contextlib, io, json, sys\n"
             "import chiral_casimir as cc\n"
             "import chiral_casimir.cli as cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -456,11 +560,15 @@ def test_point_mode_and_the_m_series_load_no_numpy(package_env):
             "assert cc.reduced_pressure(cc.ReducedPoint(0.3, 0.5), n_first).converged\n"
             "assert cc.matsubara_term(2, cc.ReducedPoint(0.3, 0.5)) < 0.0\n"
             "assert cc.re_polylog_damped(4, 0.9, 1.0) > 0.0\n"
-            "print(sorted(m for m in sys.modules if m.startswith('numpy')))\n")
-    proc = subprocess.run([sys.executable, "-c", code], env=package_env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in\n"
+            "                        ('numpy', 'dataclasses', 'inspect', 'typing'))))\n")
+    for flags, banned in (((), {"numpy", "dataclasses", "inspect"}),
+                          (("-S",), {"numpy", "dataclasses", "inspect", "typing"})):
+        proc = subprocess.run([sys.executable, *flags, "-c", code], env=package_env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout)
+        assert not {m.split(".")[0] for m in loaded} & banned, (flags, loaded)
 
 
 def test_empty_axis_rejected():

@@ -88,7 +88,8 @@ def test_T0_error_report_covers_truth():
 
 
 def _count_nodes(monkeypatch):
-    # the oracle calls the kernel once per round on an array of nodes
+    # the oracle calls the kernel once per round on an array of nodes, up to
+    # _SLICE pieces at a time
     seen = {"nodes": 0, "calls": 0}
     kernel = oracle_module.log_det_kernel
 
@@ -207,14 +208,32 @@ def test_every_bound_meets_its_request_at_tight_tolerance(monkeypatch):
 
 def test_unreachable_tolerance_raises_quickly():
     # no bound can meet 1e-300: the rounding floor alone is above it, and
-    # the oracle says so instead of returning
+    # the oracle says so instead of returning.  The T = 0 oracle's epsrel
+    # follows its epsabs: a fixed 1e-11 returned a bound near 2e-15 here
     p = ReducedPoint(0.3, 1.0)
     for call in (lambda: oracle_free_energy(p, QuadControl(1e-300)),
-                 lambda: oracle_matsubara_term(1, p, QuadControl(1e-300))):
+                 lambda: oracle_matsubara_term(1, p, QuadControl(1e-300)),
+                 lambda: oracle_free_energy_T0(0.3, QuadControl(1e-300))):
         start = time.perf_counter()
         with pytest.raises(RuntimeError, match=r"theta=0\.3: error bound .* above the tolerance"):
             call()
         assert time.perf_counter() - start < 1.0
+
+
+def test_many_windows_keep_the_peak_memory_bounded(package_env):
+    # at tau = 3e-4 the first round has 57,569 windows; the rule runs on
+    # _SLICE pieces at a time, where one call on them all raised a fresh
+    # interpreter's peak RSS by 80 MB
+    code = ("import resource\n"
+            "from chiral_casimir.engine import ReducedPoint\n"
+            "from chiral_casimir.oracle import oracle_free_energy\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "oracle_free_energy(ReducedPoint(0.6, 3e-4))\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=package_env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 20 * 1024  # ru_maxrss is in KiB
 
 
 def test_gauss_kronrod_constants():
