@@ -5,7 +5,9 @@ once to tests/golden/<case>.<units>.csv.  Any change to a bit of any cell,
 to the column order or to the line endings shows up here as a diff.  The
 cases cover a fixed angle, a Faraday gap, the TM-only zero mode, an
 optically active gap and a separation axis, with rows at T = 0, at
-tau <= 1.5 (the image sum) and at tau > 1.5 (the m-series).
+tau <= 1.5 (the image sum) and at tau > 1.5 (the m-series), and two hot
+sweeps (a fixed angle and a Faraday gap) at tau from 2.74 to 2,744 that
+take the m-series on every row.
 
 To rewrite the files after a deliberate change of the numbers:
 
@@ -30,6 +32,10 @@ CASES = {
     "optical": ("--medium", "optical", "--theta", "0.7", "--temperature-range", "0:2000:3"),
     "separation": ("--theta", "0.4", "--separation-range", "1e-7:1e-5:4:log",
                    "--temperature", "300"),
+    # the m-series alone: tau from 2.74 to 2,744, across its tau = 1e3 cap
+    "hot": ("--theta-range", "0:1.5:4", "--temperature-range", "1000:1e6:6:log"),
+    "hot_faraday": ("--medium", "faraday", "--verdet", "1e5", "--bfield-range", "0.5:6:3",
+                    "--temperature-range", "1000:1e6:4:log"),
 }
 UNITS = ("si", "reduced")
 
