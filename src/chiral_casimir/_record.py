@@ -16,9 +16,10 @@ item) builds the dict object at construction, and CPython 3.11 then leaves
 every read of a field unspecialised: 35-50 ns in place of about 10 ns,
 which cost the certify and domain_points benchmarks 3-8% of their speed.
 
-The instance dict stays, so a record may cache values derived from its
-fields there (engine._units does), outside _fields: they change neither
-equality, hash nor repr.  Pickling and copy.copy fill the dict directly.
+A record may keep values derived from its fields outside _fields, as
+engine._units does on CavityConfig: set by _setattr and read as
+attributes, never through __dict__, they change neither equality, hash
+nor repr.  Pickling and copy.copy fill the dict directly.
 """
 
 _setattr = object.__setattr__

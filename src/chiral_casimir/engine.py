@@ -76,7 +76,7 @@ from enum import Enum
 
 from ._record import _Record, _setattr
 from .kernel import MediumKind, log_det_kernel
-from .special_functions import (TWO_PI, ZETA_2, ZETA_3, ZETA_4, _clausen_cos_4, clausen_cos,
+from .special_functions import (TWO_PI, ZETA_2, ZETA_3, _clausen_cos_4, clausen_cos,
                                 clausen_sin, fold_pi, polylog_exp, polylog_exp_23,
                                 re_polylog_damped)
 
@@ -199,6 +199,7 @@ class CavityConfig(_Record):
     verdet = 0.0
     bfield = 0.0
     zero_mode = ZeroModePolicy.FULL
+    _theta_tau = _energy_units = _pressure_units = None  # set by _units, outside the fields
 
     def __init__(self, separation: float, temperature: float, kind: MediumKind = kind,
                  theta: float = theta, verdet: float = verdet, bfield: float = bfield,
@@ -241,8 +242,9 @@ class SeriesControl(_Record):
     m_first sums the images at tau <= _TAU_C, at most 2 + 745 tau/pi^2 of
     them, and the m-series above, at most 1 + 373/tau terms (250 at _TAU_C);
     n_first at most _MAX_N, and refuses up front, unconverged, where that many
-    terms cannot reach rel_tol, or gives up where no later stop can come.  A sum stops where its estimate meets rel_tol,
-    or where no further term can make it do so.
+    terms cannot reach rel_tol, or gives up where no later stop can come.  A
+    sum stops where its estimate meets rel_tol, or where no further term can
+    make it do so.
     """
 
     _fields = ("rel_tol", "order")
@@ -359,20 +361,18 @@ _TERM_ULPS = 32.0
 
 
 class _MSeries(_Record):
-    """One m-series: its closed-form weight and the bound weight(a) <= k/a.
+    """One m-series, the energy's or the pressure's: its closed-form weight.
 
     The weight is a Matsubara sum in closed form, written through
     q = y/d = 1/(e^a - 1) and x = a/d with y = e^{-a}, d = 1 - y = -expm1(-a),
     which needs no branch: for large a, y underflows to 0, and for small a,
-    x -> 1 and q -> 1/a.  The bound gives the algebraic tail
-    k/(2 tau) sum_{j>m} 1/j^4 <= k/(6 tau m^3).
+    x -> 1 and q -> 1/a.  It falls as a grows.
     """
 
-    _fields = ("pressure", "k")
+    _fields = ("pressure",)
 
-    def __init__(self, pressure: bool, k: float):
+    def __init__(self, pressure: bool):
         _setattr(self, "pressure", pressure)
-        _setattr(self, "k", k)
 
     def weight(self, y: float, q: float, x: float) -> float:
         if self.pressure:
@@ -386,40 +386,9 @@ class _MSeries(_Record):
         dm = math.expm1(-a)
         return self.weight(y, y / -dm, -a / dm)
 
-    def floor(self, theta: float, tau: float, base_err: float) -> float:
-        """Zero-mode error plus the rounding charge of every term the series can sum.
 
-        With mag_m = weight(2 m tau)/m^3 <= min(weight(2 tau)/m^3, k/(2 tau m^4)),
-        sum mag_m and sum m mag_m are bounded in closed form; the charge is
-        EPS sum_m mag_m (_TERM_ULPS + a_m + m phi).
-        """
-        a1 = 2.0 * tau
-        w1 = self.weight_at(a1)
-        # the smaller of each pair, as min() would pick it
-        s0, s0_alg = ZETA_3 * w1, self.k * ZETA_4 / a1  # >= sum mag_m
-        s1, s1_alg = ZETA_2 * w1, self.k * ZETA_3 / a1  # >= sum m mag_m
-        s0 = s0_alg if s0_alg < s0 else s0
-        s1 = s1_alg if s1_alg < s1 else s1
-        return base_err + _EPS * (_TERM_ULPS * s0 + (a1 + 2.0 * theta) * s1)
-
-
-_ENERGY = _MSeries(pressure=False, k=2.0)
-_PRESSURE = _MSeries(pressure=True, k=6.0)
-
-
-def _sine_floor(theta: float, tau: float) -> float:
-    """Rounding charge of the sine terms of dE/dtheta, like _MSeries.floor.
-
-    With g_m = 2 w(2 m tau)/m^2 <= min(2 w(2 tau)/m^2, 2/(tau m^3)),
-    sum g_m <= 2 min(zeta(2) w(2 tau), zeta(3)/tau) and sum m g_m <= 2 zeta(2)/tau.
-    """
-    a1 = 2.0 * tau
-    s0, s0_alg = ZETA_2 * _ENERGY.weight_at(a1), ZETA_3 / tau
-    s0 = 2.0 * (s0_alg if s0_alg < s0 else s0)
-    s1 = 2.0 * ZETA_2 / tau
-    # per m: m phi from rounding m phi, and m (2 theta + 2.3) EPS from the
-    # fold, which leaves theta within EPS theta + 1.3e-16 of its value mod pi
-    return _EPS * (_TERM_ULPS * s0 + (a1 + 4.0 * theta + 2.3) * s1)
+_ENERGY = _MSeries(pressure=False)
+_PRESSURE = _MSeries(pressure=True)
 
 
 def _zero_mode(theta: float, zero_mode: ZeroModePolicy, series: _MSeries,
@@ -450,31 +419,38 @@ def _m_series(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroMode
     pressure, where it adds the sine terms 2 grad sin(2 m theta) w(2 m tau)/m^2,
     w the energy weight.  One term at a time: the weights at m + 1, one exp
     and one expm1, feed the tail at m and are the next term's weights.
-    tail(m) = min(k/(6 tau m^3), weight_{m+1}/(2 m^2)) bounds the cosine
-    terms beyond m, where weight_{m+1} = weight(2(m+1) tau), plus
-    |grad| min(1/(tau m^2), 2 w_{m+1}/m) for the sine terms; floor is
-    _MSeries.floor plus |grad| _sine_floor.  Stops by _stops at its first m;
-    _finish applies the unit factor scale/lift.
+    tail(m) = weight_{m+1}/(2 m^2) + |grad| 2 w_{m+1}/m bounds the terms
+    beyond m, as weight_{m+1} = weight(2(m+1) tau) bounds every later
+    weight.  floor is the zero mode's error plus the rounding of every term
+    the series can sum, bounded in the same way by the weights at m = 1:
+    with mag_m = weight(2 m tau)/m^3, EPS sum_m mag_m (_TERM_ULPS + a_m +
+    m phi) <= EPS weight(2 tau) (zeta(3) _TERM_ULPS + zeta(2) (2 tau + phi)),
+    and the sine terms g_m = 2 w(2 m tau)/m^2 have sum g_m <= 2 zeta(2)
+    w(2 tau) and, as w(a) <= 2/a, sum m g_m <= 2 zeta(2)/tau.  Stops by
+    _stops at its first m; _finish applies the unit factor scale/lift.
     No cap is needed: once 2(m+1) tau > 745 the weights at m + 1 underflow
     to 0, and so does the tail, so the sum stops within 1 + 373/tau terms,
     250 at tau = _TAU_C.  The float running sum only steers the stop:
     _finish sums the zero mode and the terms exactly.
     """
     # from tau = 400 on every weight underflows to exactly 0; capping tau
-    # changes no result and keeps a and a^2 finite in the weights.  Here and
-    # per term a conditional takes the smaller value, as min() would, at a
-    # fifth of min()'s cost
+    # changes no result and keeps a and a^2 finite in the weights (a
+    # conditional costs a fifth of min())
     tau = 1e3 if 1e3 < tau else tau
-    parts, zero_err = _zero_mode(theta, zero_mode, series, grad)
-    floor = series.floor(theta, tau, zero_err)
-    if grad:
-        floor += abs(grad) * _sine_floor(theta, tau)
+    parts, floor = _zero_mode(theta, zero_mode, series, grad)
     s = math.fsum(parts)
     stop_tol = ctrl._stop_tol
-    phi, two_tau, tail_alg, abs_grad = 2.0 * theta, 2.0 * tau, series.k / (6.0 * tau), abs(grad)
+    phi, two_tau, abs_grad = 2.0 * theta, 2.0 * tau, abs(grad)
     # the weights at m + 1; w, the energy weight of the sine terms, only with grad
     m, weight_next = 0, series.weight_at(two_tau)
-    w_next = _ENERGY.weight_at(two_tau) if grad else 0.0
+    floor += _EPS * (_TERM_ULPS * (ZETA_3 * weight_next) + (two_tau + phi) * (ZETA_2 * weight_next))
+    w_next = 0.0
+    if grad:
+        w_next = _ENERGY.weight_at(two_tau)
+        # per m: m phi from rounding m phi, and m (2 theta + 2.3) EPS from the
+        # fold, which leaves theta within EPS theta + 1.3e-16 of its value mod pi
+        floor += abs_grad * (_EPS * (_TERM_ULPS * (2.0 * (ZETA_2 * w_next))
+                                     + (two_tau + 4.0 * theta + 2.3) * (2.0 * ZETA_2 / tau)))
     while True:
         m += 1
         weight = weight_next
@@ -485,14 +461,11 @@ def _m_series(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroMode
         weight_next = series.weight(y, q, x)
         inv_m3 = 1.0 / (m * m * m)
         term = -(math.cos(phi * m) * (weight * inv_m3))
-        tail, tail_w = tail_alg * inv_m3, weight_next * (0.5 / (m * m))
-        if tail_w < tail:
-            tail = tail_w
+        tail = weight_next * (0.5 / (m * m))
         if grad:
             w, w_next = w_next, _ENERGY.weight(y, q, x)
             term += (2.0 * grad * math.sin(phi * m)) * (w * (inv_m3 * m))
-            sine, sine_w = inv_m3 * m / tau, 2.0 * w_next / m
-            tail += abs_grad * (sine_w if sine_w < sine else sine)
+            tail += abs_grad * (2.0 * w_next / m)
         parts.append(term)
         s += term
         if _stops(tail, floor, abs(s), stop_tol):
@@ -864,16 +837,15 @@ def _units(cfg: CavityConfig, series: _MSeries) -> tuple[float, float, float, fl
     theta is the effective angle, grad the Faraday slope factor -theta (0
     elsewhere), tau the reduced temperature (0 at T = 0) and scale/lift the
     factor to physical units (_unit_scale), checked as _physical needs them.
-    A config is frozen, so they are derived on first use and kept in its
-    instance dict, outside its fields (equality, hash and repr are
-    unchanged; see _record): theta and tau once per config, the rest once per series.  A
-    second call on the same config, and a sweep row of the cli, read them
-    back.  A config that fails a check raises each time, and only on the
-    calls whose checks it fails.  The inputs are taken as Python floats, so
-    that numpy scalars give float results.
+    A config is frozen, so they are derived on first use and set on it by
+    _setattr, outside its fields (see _record): theta and tau once per
+    config, the rest once per series.  A second call on the same config,
+    and a sweep row of the cli, read them back.  A config that fails a check
+    raises each time, and only on the calls whose checks it fails.  The
+    inputs are taken as Python floats, so that numpy scalars give float
+    results.
     """
-    key = "_pressure_units" if series.pressure else "_energy_units"
-    known = cfg.__dict__.get(key)
+    known = cfg._pressure_units if series.pressure else cfg._energy_units
     if known is not None:
         return known
     separation, temperature = float(cfg.separation), float(cfg.temperature)
@@ -882,20 +854,20 @@ def _units(cfg: CavityConfig, series: _MSeries) -> tuple[float, float, float, fl
         raise ValueError(f"the factor to physical units underflows, and a subnormal float keeps "
                          f"too few digits; got separation = {cfg.separation!r} m, "
                          f"temperature = {cfg.temperature!r} K")
-    angle = cfg.__dict__.get("_theta_tau")
-    if angle is None:
+    if cfg._theta_tau is None:
         theta = float(effective_theta(cfg))
         tau = reduced_temperature(separation, temperature)
         if temperature != 0.0:
             _check_tau(tau)
-        angle = cfg.__dict__["_theta_tau"] = (theta, tau)
-    theta, tau = angle
+        _setattr(cfg, "_theta_tau", (theta, tau))
+    theta, tau = cfg._theta_tau
     grad = -theta if series.pressure and cfg.kind is MediumKind.FARADAY else 0.0
     if temperature != 0.0 and abs(grad) > 1e307 * tau:
         # |grad dE/dtheta| <= |grad| (1.02 + 2 zeta(3)/tau)
         raise ValueError(f"the Faraday pressure overflows its reduced units where "
                          f"|theta|/tau > 1e307; got theta = {theta!r}, tau = {tau!r}")
-    known = cfg.__dict__[key] = (theta, grad, tau, scale, lift)
+    known = (theta, grad, tau, scale, lift)
+    _setattr(cfg, "_pressure_units" if series.pressure else "_energy_units", known)
     return known
 
 

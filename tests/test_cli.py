@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import gc
 import io
 import json
 import math
@@ -369,7 +370,7 @@ _RECORDS = (
      "theta=0.1, verdet=100000.0, bfield=2.0, zero_mode=<ZeroModePolicy.TM_ONLY: 'tm_only'>)"),
     (ReducedPoint, (0.3, 1.5), "ReducedPoint(theta=0.3, tau=1.5)"),
     (SeriesControl, (1e-12, "n_first"), "SeriesControl(rel_tol=1e-12, order='n_first')"),
-    (engine._MSeries, (True, 6.0), "_MSeries(pressure=True, k=6.0)"),
+    (engine._MSeries, (True,), "_MSeries(pressure=True)"),
     (AxisSpec, (10.0, 1000.0, 5, True), "AxisSpec(start=10.0, stop=1000.0, count=5, log=True)"),
     (SweepSpec, (AxisSpec(0.0, 1.0, 3), AxisSpec(1e-6, 1e-6, 1), AxisSpec(300.0, 300.0, 1),
                  AxisSpec(2.0, 2.0, 1), 1e5, MediumKind.FARADAY, ZeroModePolicy.FULL, 1e-9),
@@ -473,8 +474,8 @@ def test_records_keep_their_contract():
         with pytest.raises(ValueError) as info:
             make()
         assert str(info.value) == message
-    # engine._units keeps what it derives in the config's instance dict,
-    # outside the fields: equality, hash and repr do not see it
+    # engine._units keeps what it derives on the config, outside the
+    # fields: equality, hash and repr do not see it
     cfg = CavityConfig(1e-6, 300.0, theta=0.3)
     seen = (repr(cfg), hash(cfg))
     engine.physical_free_energy(cfg)
@@ -482,6 +483,37 @@ def test_records_keep_their_contract():
     assert {"_theta_tau", "_energy_units", "_pressure_units"} <= set(vars(cfg))
     assert (repr(cfg), hash(cfg)) == seen
     assert cfg == CavityConfig(1e-6, 300.0, theta=0.3) == pickle.loads(pickle.dumps(cfg))
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="inline instance values are CPython 3.11's")
+def test_what_the_engine_keeps_on_a_config_builds_no_instance_dict(monkeypatch):
+    # engine._units keeps the angle, tau and unit factors on the config as
+    # attributes.  Reading or writing cfg.__dict__ for them built the dict,
+    # after which CPython 3.11 read every field of the config about twice
+    # as slowly.  A config whose dict was never built holds its attributes
+    # inline, so the garbage collector sees their values but no dict
+    def no_dict(cfg):
+        return not [ref for ref in gc.get_referents(cfg) if type(ref) is dict]
+
+    cfg = CavityConfig(1e-6, 300.0, theta=0.3)
+    engine.physical_free_energy(cfg)
+    engine.physical_pressure(cfg)
+    assert cfg._theta_tau is not None and cfg._pressure_units is not None
+    assert no_dict(cfg)
+    # a sweep row, fixed angle and Faraday, on the config it makes
+    made, free_energy = [], engine.physical_free_energy
+
+    def keep(cfg, ctrl=None):
+        made.append(cfg)
+        return free_energy(cfg, ctrl)
+
+    monkeypatch.setattr(engine, "physical_free_energy", keep)
+    run_sweep(SweepSpec(theta=AxisSpec(0.3, 0.3, 1), temperature=AxisSpec(300.0, 300.0, 1)))
+    run_sweep(SweepSpec(medium=MediumKind.FARADAY, verdet=1e5, bfield=AxisSpec(2.0, 2.0, 1),
+                        temperature=AxisSpec(1000.0, 1000.0, 1)))
+    assert len(made) == 2
+    for cfg in made:
+        assert cfg._energy_units is not None and no_dict(cfg)
 
 
 def test_records_hold_python_scalars_for_numpy_inputs():
