@@ -209,12 +209,13 @@ def _certify(rel_tol: float, out) -> int:
 
     ctrl = SeriesControl(rel_tol=rel_tol)
     qc = oracle.QuadControl()
-    # (theta, tau as printed, engine value, oracle value)
-    pairs = [(theta, f"{tau:.3f}", engine.reduced_free_energy(ReducedPoint(theta, tau), ctrl).value,
-              oracle.oracle_free_energy(ReducedPoint(theta, tau), qc))
-             for theta in oracle.CERTIFY_THETAS for tau in oracle.CERTIFY_TAUS]
-    pairs += [(theta, "0    ", engine.reduced_free_energy_T0(theta),
-               oracle.oracle_free_energy_T0(theta, qc)) for theta in _CERTIFY_T0_THETAS]
+    points = [ReducedPoint(theta, tau) for theta in oracle.CERTIFY_THETAS for tau in oracle.CERTIFY_TAUS]
+    # (theta, tau as printed, engine value, oracle value); the oracle takes
+    # the thermal grid and the T = 0 angles in one batched call each
+    pairs = [(p.theta, f"{p.tau:.3f}", engine.reduced_free_energy(p, ctrl).value, o)
+             for p, o in zip(points, oracle.oracle_free_energy(points, qc))]
+    pairs += [(theta, "0    ", engine.reduced_free_energy_T0(theta), o)
+              for theta, o in zip(_CERTIFY_T0_THETAS, oracle.oracle_free_energy_T0(_CERTIFY_T0_THETAS, qc))]
     failures = 0
     for theta, tau_text, e, o in pairs:
         rep = oracle.compare(e, o, _CERTIFY_TOL)

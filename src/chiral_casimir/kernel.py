@@ -31,16 +31,18 @@ class MediumKind(Enum):
     OPTICALLY_ACTIVE = "optically_active"
 
 
-def log_det_kernel(x, theta: float):
+def log_det_kernel(x, theta):
     """ln(1 + x^2 - 2 x cos 2 theta) for x = e^{-2 kappa l} in [0, 1).
 
-    x is a float, which returns a float, or a numpy array of them, which
-    returns an array of the same shape (a 0-d array counts as a float);
-    theta is one angle.  For x <= 1/2 it is log1p(x (x - 2 cos 2 theta)):
-    1 + x^2 - 2 x cos 2 theta >= 1/4 there, so the error stays relative to
-    the logarithm as x -> 0.  Above, ln((1-x)^2 + 4 x sin^2 theta), exact
-    rearrangement that stays conditioned as x -> 1 for theta away from
-    multiples of pi.  Every element must lie in [0, X_MAX), or ValueError.
+    x is a float, which returns a float with theta one angle, or a numpy
+    array of them, which returns an array of x's shape (a 0-d array counts
+    as a float); with an array x, theta is one angle or an array of angles
+    that broadcasts to x's shape, or ValueError.  For x <= 1/2 it is
+    log1p(x (x - 2 cos 2 theta)): 1 + x^2 - 2 x cos 2 theta >= 1/4 there,
+    so the error stays relative to the logarithm as x -> 0.  Above,
+    ln((1-x)^2 + 4 x sin^2 theta), exact rearrangement that stays
+    conditioned as x -> 1 for theta away from multiples of pi.  Every
+    element must lie in [0, X_MAX), or ValueError.
     """
     if isinstance(x, (int, float)):
         if not (0.0 <= x < X_MAX):
@@ -58,12 +60,22 @@ def log_det_kernel(x, theta: float):
     # min and max are nan if any element is, and nan fails both tests
     if x.size and not (x.min() >= 0.0 and x.max() < X_MAX):
         raise ValueError(f"reflection weights must lie in [0, {X_MAX})")
-    s = math.sin(theta)
-    # each branch under its own mask: log1p at x near 1 could meet -1
-    out = x - 2.0 * math.cos(2.0 * theta)
-    out *= x
-    np.log1p(out, out=out, where=x <= 0.5)
-    one_minus = 1.0 - x
-    one_minus *= one_minus
-    one_minus += x * (4.0 * s * s)
-    return np.log(one_minus, out=out, where=x > 0.5)
+    # log1p on every element, x clipped to 1/2 so that its argument stays
+    # above -1; the elements above 1/2 are then overwritten by the second
+    # form, computed on them alone (a masked ufunc, where=, runs several
+    # times slower than one on the whole array)
+    small = np.minimum(x, 0.5)
+    out = small - 2.0 * np.cos(2.0 * theta)
+    if out.shape != x.shape:
+        raise ValueError(f"theta of shape {np.shape(theta)} does not broadcast to x's {x.shape}")
+    out *= small
+    np.log1p(out, out=out)
+    near = np.flatnonzero(x > 0.5)
+    if near.size:
+        xn = x.ravel()[near]
+        s = np.sin(np.broadcast_to(theta, x.shape).flat[near])
+        one_minus = 1.0 - xn
+        one_minus *= one_minus
+        one_minus += xn * (4.0 * s * s)
+        out.ravel()[near] = np.log(one_minus)
+    return out

@@ -17,9 +17,13 @@ code with the engine is the kernel logarithm itself, so that an agreement
 between the two is a genuine cross-check of the analytic reduction.
 
 One adaptive Gauss-Kronrod loop (_integrate) does every quadrature, in
-numpy: each round evaluates the 21-point rule on every open piece in array
-calls of the kernel, _SLICE pieces at a time, and bisects the pieces over
-their share of the tolerance.
+numpy, and runs a batch of integrals at once: each round evaluates the
+21-point rule on the open pieces of every open integral in array calls of
+the kernel, _SLICE pieces at a time, and keeps each integral's sums, bound
+and tolerance apart, closing it or bisecting its pieces over their share
+of its tolerance.  oracle_free_energy and oracle_free_energy_T0 take one
+point (or angle) or a sequence of them; a sequence is one batch, and each
+value has the same bits as its single call.
 """
 
 from __future__ import annotations
@@ -80,7 +84,6 @@ _G10[11:] = _G10[9::-1]
 # becomes the smoother 8 t^3 ln t; du = 2 t dt puts the 2 into the weights
 # of K21 and K21 - G10
 _WEIGHTS = 2.0 * np.column_stack((_K21, _K21 - _G10))
-_MID_HALF = np.array([[0.5, -0.5], [0.5, 0.5]])  # (a, b) -> (centre, half-width)
 
 # Initial breakpoints in u besides those of each integral: geometric towards
 # the theta = 0 logarithm at u = 0, so that the certify grid converges in
@@ -90,22 +93,24 @@ _MAX_PIECES = 20_000
 # Pieces per _rule call: the rule's node arrays, 21 doubles a piece each,
 # would otherwise grow with the number of pieces, which grows like 1/tau in
 # the thermal oracle's first round (57,569 windows at tau = 3e-4 took the
-# peak RSS up by 80 MB).  A certify point has at most 54 pieces: one call.
+# peak RSS up by 80 MB).  The certify grid has 595 pieces: one call.
 _SLICE = 2048
 
 # Rounding floor of the rule, charged per node on top of |K21 - G10|.  At a
 # float u and x = exp(-u) rounded, log_det_kernel is within
 # EPS (|L| + 2 x/(1 - x)) of L(e^{-u}): the 2 x/(1 - x) (about 2/u) is
 # x -> 1 at theta = 0, and the log1p form keeps the error relative to L
-# where x is small (at most 0.70 of it, float and array paths, against
-# 40-digit values at 20,000 random u in [1e-6, 80] and theta in [0, pi/2];
-# tests/test_kernel.py).  Rounding the node itself moves x by up to about
-# EPS u x, so L by 2 EPS u x/(1 - x); the weight, the products and the
-# 21-term sums add a few EPS |f|.  Since |L| <= 2 x/(1 - x), a node of
+# where x is small (at most 0.70 of it, float and array paths, the latter
+# with one angle and with an angle per element, against 40-digit values at
+# 20,000 random u in [1e-6, 80] and theta in [0, pi/2]; tests/test_kernel.py).
+# Rounding the node itself moves x by up to about EPS u x, so L by
+# 2 EPS u x/(1 - x); the weight, the products and the 21-term sums add a
+# few EPS |f|.  Since |L| <= 2 x/(1 - x), a node of
 # weight (w0 + w1 u) u is charged _ROUNDING (3 + u) x/(1 - x) times it.
 # Against 40-digit sums of the same rule on 4,979 random pieces (both
 # oracles' weights, theta in [0, pi/2], u up to 120) the rounding error
-# reached 0.57 of this.
+# reached 0.57 of this with BLAS sums over the nodes; on 2,500 other such
+# pieces it reached 0.17 with _rule's fixed-order sums.
 _ROUNDING = 4.0 * sys.float_info.epsilon
 
 
@@ -121,61 +126,94 @@ class QuadControl(_Record):
         _setattr(self, "abs_tol", abs_tol)
 
 
-def _rule(theta: float, pieces):
+def _pieces(edges, w0, w1):
+    """Rows (a, b, w0, w1) in t = sqrt(u) of the pieces between the increasing
+    breakpoints edges in u, piece i weighted by w0[i] + w1[i] u."""
+    t_edges = np.sqrt(edges)
+    return np.column_stack((t_edges[:-1], t_edges[1:], w0, w1))
+
+
+def _rule(pieces):
     """K21, |K21 - G10| and the rounding floor of each piece.
 
-    A row of pieces is (a, b, w0, w1): the integral over t in [a, b] of
-    (w0 + w1 u) u L(e^{-u}, theta) 2 t dt with u = t^2.
+    A row of pieces is (a, b, w0, w1, theta): the integral over t in [a, b]
+    of (w0 + w1 u) u L(e^{-u}, theta) 2 t dt with u = t^2.  The nodes run
+    down the first axis; einsum adds a piece's 21 products in a fixed order,
+    so that the piece gets the same bits wherever it sits in the array (a
+    BLAS product's depend on its position).
     """
-    mid_half = pieces[:, :2] @ _MID_HALF
-    half = mid_half[:, 1]
-    t = mid_half[:, :1] + mid_half[:, 1:] * _NODES
+    a, b = pieces[:, 0], pieces[:, 1]
+    half = 0.5 * (b - a)
+    t = 0.5 * (a + b) + _NODES[:, None] * half
     u = t * t
     x = np.exp(-u)
-    f = pieces[:, 2:3] + pieces[:, 3:4] * u
+    f = pieces[:, 2] + pieces[:, 3] * u
     f *= u
     f *= t
     floor = 3.0 + u
     floor *= x
     floor /= 1.0 - x
     floor *= f
-    f *= log_det_kernel(x, theta)
-    kd = f @ _WEIGHTS
-    return kd[:, 0] * half, np.abs(kd[:, 1]) * half, (floor @ _WEIGHTS[:, 0]) * (_ROUNDING * half)
+    f *= log_det_kernel(x, pieces[:, 4])
+    k, d = np.einsum("jn,jk->kn", f, _WEIGHTS)
+    r = np.einsum("jn,j->n", floor, _WEIGHTS[:, 0])
+    return k * half, np.abs(d) * half, r * (_ROUNDING * half)
 
 
-def _integrate(theta: float, edges, w0, w1, epsabs: float, epsrel: float) -> tuple[float, float]:
-    """Integral over u of (w0 + w1 u) u L(e^{-u}, theta) and a bound on its error.
+def _integrate(jobs, epsabs: float, epsrel: float) -> list[tuple[float, float]]:
+    """Integrals over u of (w0 + w1 u) u L(e^{-u}, theta), each with a bound on its error.
 
-    edges are the increasing breakpoints in u; piece i, [edges[i],
-    edges[i + 1]], has the weight w0[i] + w1[i] u, which must be nonnegative.
-    The bound sums |K21 - G10| and the rounding floor over the pieces.  A
-    round bisects the open pieces whose |K21 - G10| is over their share, by
+    jobs is a sequence of (theta, pieces), pieces as _pieces makes them,
+    whose weights must be nonnegative; the result is one (value, bound) per
+    job, in order.  Every round runs the rule on the open pieces of all the
+    open integrals at once, and keeps each integral's sums, bound,
+    tolerance and piece cap apart (np.bincount over the piece's owner), so
+    that a value has the same bits alone and in any batch.  An integral's
+    bound sums |K21 - G10| and the rounding floor over its pieces.  A round
+    bisects the open pieces whose |K21 - G10| is over their share, by
     length in t, of the tolerance left above the floor; the others close.
-    Returns once the bound meets max(epsabs, epsrel |value|), and raises
-    RuntimeError where it cannot.
+    An integral is done once its bound meets max(epsabs, epsrel |value|);
+    where one cannot, RuntimeError names its theta.
     """
-    t_edges = np.sqrt(edges)
-    pieces = np.column_stack((t_edges[:-1], t_edges[1:], w0, w1))
-    span = t_edges[-1] - t_edges[0]
-    closed_k = closed_d = closed_f = 0.0
+    if not jobs:
+        return []
+    thetas = [float(theta) for theta, _ in jobs]
+    n = len(jobs)
+    sizes = [len(p) for _, p in jobs]
+    owner = np.repeat(np.arange(n), sizes)
+    pieces = np.empty((len(owner), 5))
+    np.concatenate([p for _, p in jobs], out=pieces[:, :4])
+    pieces[:, 4] = np.repeat(thetas, sizes)
+    span = np.array([p[-1, 1] - p[0, 0] for _, p in jobs])
+    closed_k, closed_d, closed_f = np.zeros((3, n))
+    done = np.zeros(n, dtype=bool)
+    out = [None] * n
     while True:
-        parts = [_rule(theta, pieces[i:i + _SLICE]) for i in range(0, len(pieces), _SLICE)]
+        parts = [_rule(pieces[i:i + _SLICE]) for i in range(0, len(pieces), _SLICE)]
         k, d, f = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
-        total = closed_k + k.sum()
-        floor = closed_f + f.sum()
-        bound = closed_d + d.sum() + floor
-        tol = max(epsabs, epsrel * abs(total))
-        if bound <= tol:
-            return float(total), float(bound)
-        over = d > (pieces[:, 1] - pieces[:, 0]) * ((tol - floor) / span)
-        if not floor < tol or 2 * np.count_nonzero(over) > _MAX_PIECES:
-            raise RuntimeError(f"quadrature at theta={theta!r}: error bound {bound:.3g} "
-                               f"above the tolerance {tol:.3g}")
+        total = closed_k + np.bincount(owner, k, n)
+        floor = closed_f + np.bincount(owner, f, n)
+        bound = closed_d + np.bincount(owner, d, n) + floor
+        tol = np.maximum(epsabs, epsrel * np.abs(total))
+        met = ~done & (bound <= tol)
+        for j in np.flatnonzero(met).tolist():
+            out[j] = (float(total[j]), float(bound[j]))
+        done |= met
+        if done.all():
+            return out
+        # a finished integral's pieces neither close nor split
+        share = np.where(done, np.inf, (tol - floor) / span)
+        over = d > (pieces[:, 1] - pieces[:, 0]) * share[owner]
+        stuck = ~done & (~(floor < tol) | (2 * np.bincount(owner, over, n) > _MAX_PIECES))
+        if stuck.any():
+            j = int(np.flatnonzero(stuck)[0])
+            raise RuntimeError(f"quadrature at theta={thetas[j]!r}: error bound {bound[j]:.3g} "
+                               f"above the tolerance {tol[j]:.3g}")
         keep = ~over
-        closed_k += k @ keep
-        closed_d += d @ keep
-        closed_f += f @ keep
+        closed_k += np.bincount(owner[keep], k[keep], n)
+        closed_d += np.bincount(owner[keep], d[keep], n)
+        closed_f += np.bincount(owner[keep], f[keep], n)
+        owner = np.repeat(owner[over], 2)
         pieces = np.repeat(pieces[over], 2, axis=0)
         mid = 0.5 * (pieces[::2, 0] + pieces[::2, 1])
         pieces[::2, 1] = mid
@@ -188,8 +226,12 @@ def _breaks(lo: float, hi: float, inner=()):
     return np.unique(pts[(pts >= lo) & (pts <= hi)])
 
 
-def oracle_free_energy(p, q: QuadControl | None = None) -> float:
+def oracle_free_energy(p, q: QuadControl | None = None):
     """Reduced free energy by one quadrature over the Matsubara sum; requires p.tau > 0.
+
+    p is a ReducedPoint, which returns a float, or a sequence of them, which
+    returns a list of floats in the same order from one batched quadrature
+    (_integrate); each value has the same bits either way.
 
     Keeps the terms n = 1..N, with N the smallest count for which a bound on
     the whole dropped tail, b(a_{N+1}) / (1 - r), is below abs_tol (see
@@ -197,7 +239,10 @@ def oracle_free_energy(p, q: QuadControl | None = None) -> float:
     up to the common top 2 N tau + C (C = _CUTOFF) in one quadrature.  That
     lengthens each window by at most 2 (C + 1) e^{-C} = 3.5e-16 in J_n.
     """
-    return _free_energy(float(p.theta), float(p.tau), q or QuadControl())
+    q = q or QuadControl()
+    if hasattr(p, "tau"):
+        return _free_energy([(p.theta, p.tau)], q)[0]
+    return _free_energy([(s.theta, s.tau) for s in p], q)
 
 
 def _matsubara_count(tau: float, abs_tol: float) -> int:
@@ -216,22 +261,29 @@ def _matsubara_count(tau: float, abs_tol: float) -> int:
     raise RuntimeError(f"Matsubara truncation bound not reached within {_MAX_N} terms")
 
 
-def _free_energy(theta: float, tau: float, q: QuadControl) -> float:
-    if tau <= 0.0:
-        raise ValueError("oracle_free_energy needs tau > 0; use the T0 oracle instead")
+def _free_energy(points, q: QuadControl) -> list[float]:
+    """Reduced free energy at each (theta, tau) of points, in one _integrate call."""
     # a tenth of abs_tol for the quadrature, the truncation takes the rest;
     # at abs_tol 1e-12 (oracle_pressure) a hundredth, 1e-14, sat below the
     # rounding floor near the energy zero at tau < 0.5.  epsrel as tight as
     # epsabs: the 1e-5 Richardson stencil of a Faraday pressure divides the
     # quadrature's error by the step
     eps = min(1e-12, q.abs_tol / 10.0)
-    # window n >= 1 covers u >= 2 n tau, the n = 0 one all u >= 0 at half
-    # weight; each piece starts on or after the windows that cover it
-    starts = 2.0 * tau * np.arange(1, _matsubara_count(tau, q.abs_tol) + 1)
-    edges = _breaks(0.0, (starts[-1] if starts.size else 0.0) + _CUTOFF, starts)
-    w0 = 0.5 + np.searchsorted(starts, edges[:-1], side="right")
-    val, _ = _integrate(theta, edges, w0, np.zeros_like(w0), eps, eps)
-    return 0.5 * val
+    windows = {}  # tau -> its pieces, which do not depend on theta
+    jobs = []
+    for theta, tau in points:
+        tau = float(tau)
+        if tau <= 0.0:
+            raise ValueError("oracle_free_energy needs tau > 0; use the T0 oracle instead")
+        if tau not in windows:
+            # window n >= 1 covers u >= 2 n tau, the n = 0 one all u >= 0 at
+            # half weight; each piece starts on or after the windows that cover it
+            starts = 2.0 * tau * np.arange(1, _matsubara_count(tau, q.abs_tol) + 1)
+            edges = _breaks(0.0, (starts[-1] if starts.size else 0.0) + _CUTOFF, starts)
+            w0 = 0.5 + np.searchsorted(starts, edges[:-1], side="right")
+            windows[tau] = _pieces(edges, w0, np.zeros_like(w0))
+        jobs.append((theta, windows[tau]))
+    return [0.5 * val for val, _ in _integrate(jobs, eps, eps)]
 
 
 def oracle_matsubara_term(n: int, p, q: QuadControl | None = None) -> float:
@@ -243,13 +295,16 @@ def oracle_matsubara_term(n: int, p, q: QuadControl | None = None) -> float:
     edges = _breaks(lo, lo + _CUTOFF)
     w0 = np.ones(edges.size - 1)
     eps = min(1e-12, q.abs_tol)
-    val, _ = _integrate(float(p.theta), edges, w0, np.zeros_like(w0), eps, eps)
+    [(val, _)] = _integrate([(p.theta, _pieces(edges, w0, np.zeros_like(w0)))], eps, eps)
     return 0.5 * val
 
 
-def oracle_free_energy_T0(theta: float, q: QuadControl | None = None,
-                          return_error: bool = False):
+def oracle_free_energy_T0(theta, q: QuadControl | None = None, return_error: bool = False):
     """Zero-temperature reduced free energy by one 1-d quadrature.
+
+    theta is one angle, which returns one value, or a sequence of angles,
+    which returns a list of values in the same order from one batched
+    quadrature (_integrate); each value has the same bits either way.
 
     The energy is 1/(32 pi^2) times the integral over the reduced imaginary
     frequency z = 2 l zeta in [0, C] of the integral over u in [z, z + C] of
@@ -262,15 +317,15 @@ def oracle_free_energy_T0(theta: float, q: QuadControl | None = None,
     q = q or QuadControl()
     edges = _breaks(0.0, 2.0 * _CUTOFF, (_CUTOFF,))
     upper = edges[:-1] >= _CUTOFF
+    pieces = _pieces(edges, np.where(upper, 2.0 * _CUTOFF, 0.0), np.where(upper, -1.0, 1.0))
     # epsrel follows epsabs, as in _free_energy: a fixed epsrel would make
     # every abs_tol below it void
     eps = q.abs_tol / 10.0
-    val, err = _integrate(float(theta), edges, np.where(upper, 2.0 * _CUTOFF, 0.0),
-                          np.where(upper, -1.0, 1.0), eps, eps)
+    one = np.ndim(theta) == 0
     scale = 1.0 / (32.0 * math.pi**2)
-    if return_error:
-        return val * scale, err * scale
-    return val * scale
+    out = [(val * scale, err * scale) if return_error else val * scale
+           for val, err in _integrate([(t, pieces) for t in ([theta] if one else theta)], eps, eps)]
+    return out[0] if one else out
 
 
 def oracle_pressure(theta: float, tau: float, q: QuadControl | None = None) -> float:
@@ -285,21 +340,20 @@ def oracle_pressure(theta: float, tau: float, q: QuadControl | None = None) -> f
         raise ValueError(f"tau must be >= 0, got {tau!r}")
     tight = QuadControl(min(q.abs_tol, 1e-12))
 
+    # P_hat = -(d/dlam) g(lam) at lam = 1, central stencil plus one Richardson level
+    h = _FD_STEP
+    lams = (1.0 + h, 1.0 - h, 1.0 + 0.5 * h, 1.0 - 0.5 * h)
     if tau == 0.0:
         # E(l) ~ E0_hat / l^3 at fixed angle, in units of the base separation
         e0 = oracle_free_energy_T0(theta, tight)
-
-        def g(lam: float) -> float:
-            return e0 / lam**3
+        g = [e0 / lam**3 for lam in lams]
     else:
-        # E(l) ~ E_hat(theta, tau l / l0) / l^2 in units of the base point
-        def g(lam: float) -> float:
-            return _free_energy(theta, tau * lam, tight) / lam**2
-
-    # P_hat = -(d/dlam) g(lam) at lam = 1, central stencil plus one Richardson level
-    h = _FD_STEP
-    d_h = (g(1.0 + h) - g(1.0 - h)) / (2.0 * h)
-    d_h2 = (g(1.0 + 0.5 * h) - g(1.0 - 0.5 * h)) / h
+        # E(l) ~ E_hat(theta, tau l / l0) / l^2 in units of the base point,
+        # the four stencil energies in one batch
+        energies = _free_energy([(theta, tau * lam) for lam in lams], tight)
+        g = [e / lam**2 for e, lam in zip(energies, lams)]
+    d_h = (g[0] - g[1]) / (2.0 * h)
+    d_h2 = (g[2] - g[3]) / h
     return -(4.0 * d_h2 - d_h) / 3.0
 
 

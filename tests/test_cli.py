@@ -288,12 +288,32 @@ def test_certify_passes(capsys):
 
 
 def test_certify_detects_a_broken_engine(capsys, monkeypatch):
-    # sabotage the oracle so every finite-T comparison disagrees
+    # sabotage the oracle so every finite-T comparison disagrees: certify
+    # asks for the whole grid in one call, and gets one wrong value a point
     monkeypatch.setattr(chiral_casimir.oracle, "oracle_free_energy",
-                        lambda p, q=None: 123.456)
+                        lambda points, q=None: [123.456] * len(points))
     code, out, _ = run_cli(capsys, "--mode", "certify")
     assert code == 3
-    assert "FAIL" in out
+    assert out.count("FAIL") == 25
+    assert "certify: 3/28 comparisons passed" in out
+
+
+def test_certify_fails_exactly_the_sabotaged_point(capsys, monkeypatch):
+    # one wrong value in the batch fails its own line and no other, so the
+    # batch keeps the order of its points
+    oracle_free_energy = chiral_casimir.oracle.oracle_free_energy
+
+    def one_wrong(points, q=None):
+        return [2.0 * v if (p.theta, p.tau) == (math.pi / 4, 2.0) else v
+                for p, v in zip(points, oracle_free_energy(points, q))]
+
+    monkeypatch.setattr(chiral_casimir.oracle, "oracle_free_energy", one_wrong)
+    code, out, _ = run_cli(capsys, "--mode", "certify")
+    assert code == 3
+    failed = [line for line in out.splitlines() if line.endswith(" FAIL")]
+    assert len(failed) == 1
+    assert failed[0].startswith("theta=0.7853981634 tau=2.000 ")
+    assert "certify: 27/28 comparisons passed" in out
 
 
 # ------------------------------------------------------------------ emit_csv

@@ -60,13 +60,23 @@ def test_log_det_array_and_scalar_paths():
     assert isinstance(out, np.ndarray) and out.shape == x.shape
     for xi, oi in zip(x.ravel(), out.ravel()):
         assert oi == pytest.approx(log_det_kernel(float(xi), 0.7), rel=4e-16, abs=1e-300)
+    # an array of angles broadcasts against x, each element as the float path
+    thetas = np.array([[0.0], [1.2]]) + np.array([0.0, 0.4, 0.7])
+    for th in (thetas, thetas[:, :1]):
+        out = log_det_kernel(x, th)
+        assert isinstance(out, np.ndarray) and out.shape == x.shape
+        for xi, ti, oi in zip(x.ravel(), np.broadcast_to(th, x.shape).ravel(), out.ravel()):
+            assert oi == pytest.approx(log_det_kernel(float(xi), float(ti)), rel=4e-16, abs=1e-300)
+    with pytest.raises(ValueError):  # the result keeps x's shape
+        log_det_kernel(x[:, :1], thetas)
     for scalar in (0.3, np.float64(0.3), np.array(0.3), 0):
         assert type(log_det_kernel(scalar, 0.7)) is float
     assert log_det_kernel(np.empty(0), 0.7).shape == (0,)
 
 
 def test_log_det_within_its_rounding_bound():
-    # at a float u and x = exp(-u) rounded, both paths are within
+    # at a float u and x = exp(-u) rounded, both paths, and the array path
+    # with an array of angles as the oracle calls it, are within
     # EPS (|L| + 2 x/(1 - x)) of the 40-digit L(e^{-u}); the oracle's
     # rounding floor (oracle._ROUNDING) rests on this bound
     import mpmath
@@ -77,15 +87,16 @@ def test_log_det_within_its_rounding_bound():
     theta = rng.uniform(0.0, math.pi / 2, u.size)
     theta[::10] = rng.choice([0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2],
                              theta[::10].size)
+    batched = log_det_kernel(np.exp(-u), theta).tolist()
     worst = 0.0
     with mpmath.workdps(40):
-        for ui, ti in zip(u.tolist(), theta.tolist()):
+        for ui, ti, bi in zip(u.tolist(), theta.tolist(), batched):
             x = mpmath.exp(-mpmath.mpf(ui))
             exact = mpmath.log1p(x * (x - 2 * mpmath.cos(2 * mpmath.mpf(ti))))
             xf = float(x)
             bound = eps * (abs(float(exact)) + 2.0 * xf / (1.0 - xf))
             for got in (log_det_kernel(math.exp(-ui), ti),
-                        log_det_kernel(np.exp(-np.array([ui])), ti)[0]):
+                        log_det_kernel(np.exp(-np.array([ui])), ti)[0], bi):
                 worst = max(worst, abs(float(got - exact)) / bound)
     assert worst <= 1.0, worst
 

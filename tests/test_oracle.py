@@ -131,13 +131,40 @@ def test_engine_agreement_spotcheck():
 def test_thermal_quadrature_call_budget(monkeypatch):
     # one quadrature per point over the whole Matsubara sum: 12,495 nodes
     # in 25 rounds on the certify grid, against 42,147 scalar calls with
-    # one quadrature per window
+    # one quadrature per window; the grid as one batch takes the same
+    # nodes in one round
     seen = _count_nodes(monkeypatch)
-    for theta in CERTIFY_THETAS:
-        for tau in CERTIFY_TAUS:
-            oracle_free_energy(ReducedPoint(theta, tau))
+    grid = [ReducedPoint(theta, tau) for theta in CERTIFY_THETAS for tau in CERTIFY_TAUS]
+    for p in grid:
+        oracle_free_energy(p)
     assert 0 < seen["nodes"] <= 15_000
     assert seen["calls"] <= 50
+    seen.update(nodes=0, calls=0)
+    oracle_free_energy(grid)
+    assert 0 < seen["nodes"] <= 15_000
+    assert seen["calls"] <= 2
+
+
+def test_batched_values_have_the_bits_of_single_calls():
+    # each value alone and in a batch, in either order: the certify grid
+    # and tau = 0.01 points, whose first round together runs several
+    # _SLICE-sized kernel calls; at abs_tol 1e-12, (0.3, 1.0) and the
+    # T = 0 angle 0.6 bisect in a second round
+    for q, points in (
+            (QuadControl(), [ReducedPoint(theta, tau) for theta in CERTIFY_THETAS
+                             for tau in CERTIFY_TAUS + (0.01,)]),
+            (QuadControl(1e-12), [ReducedPoint(theta, tau) for theta, tau in (
+                (0.0, 0.01), (0.6, 0.01), (-1.1, 0.5), (0.3, 1.0), (2.4, 2.0), (7.0, 0.7))])):
+        windows = sum(oracle_module._matsubara_count(p.tau, q.abs_tol) for p in points)
+        assert windows > oracle_module._SLICE
+        alone = [oracle_free_energy(p, q) for p in points]
+        assert oracle_free_energy(points, q) == alone
+        assert oracle_free_energy(points[::-1], q) == alone[::-1]
+        thetas = list(CERTIFY_THETAS) + [0.6, 0.7550352635972403, -2.0]
+        alone = [oracle_free_energy_T0(theta, q, return_error=True) for theta in thetas]
+        assert oracle_free_energy_T0(thetas, q, return_error=True) == alone
+        assert oracle_free_energy_T0(thetas[::-1], q) == [val for val, _ in alone[::-1]]
+    assert oracle_free_energy([]) == [] and oracle_free_energy_T0([]) == []
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.6, math.pi / 2])
@@ -177,14 +204,15 @@ def test_many_breakpoints_converge():
 
 
 def _recording_bounds(monkeypatch):
-    # (bound, requested tolerance) of every quadrature the oracle runs
+    # (bound, requested tolerance) of every integral the oracle runs, one
+    # entry per integral of a batch
     seen = []
     integrate = oracle_module._integrate
 
-    def recording(theta, edges, w0, w1, epsabs, epsrel):
-        val, bound = integrate(theta, edges, w0, w1, epsabs, epsrel)
-        seen.append((bound, max(epsabs, epsrel * abs(val))))
-        return val, bound
+    def recording(jobs, epsabs, epsrel):
+        out = integrate(jobs, epsabs, epsrel)
+        seen.extend((bound, max(epsabs, epsrel * abs(val))) for val, bound in out)
+        return out
 
     monkeypatch.setattr(oracle_module, "_integrate", recording)
     return seen
@@ -218,6 +246,18 @@ def test_unreachable_tolerance_raises_quickly():
         with pytest.raises(RuntimeError, match=r"theta=0\.3: error bound .* above the tolerance"):
             call()
         assert time.perf_counter() - start < 1.0
+
+
+def test_unreachable_member_of_a_batch_is_named():
+    # at abs_tol 1e-13 the T = 0 rounding floor, 1.2e-14 unscaled at every
+    # angle, is above the 1e-14 tolerance only at the energy zero, where
+    # the integral vanishes; alone the other members converge
+    q = QuadControl(1e-13)
+    zero = 0.7550352635972403
+    for theta in (0.0, math.pi / 2):
+        oracle_free_energy_T0(theta, q)
+    with pytest.raises(RuntimeError, match=r"theta=0\.7550352635972403: error bound"):
+        oracle_free_energy_T0([0.0, zero, math.pi / 2], q)
 
 
 def test_many_windows_keep_the_peak_memory_bounded(package_env):
