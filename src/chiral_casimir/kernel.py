@@ -70,12 +70,13 @@ def log_det_kernel(x, theta):
         raise ValueError(f"theta of shape {np.shape(theta)} does not broadcast to x's {x.shape}")
     out *= small
     np.log1p(out, out=out)
+    # flat indices in C order, which .flat follows whatever the layout
     near = np.flatnonzero(x > 0.5)
     if near.size:
-        xn = x.ravel()[near]
+        xn = x.flat[near]
         s = np.sin(np.broadcast_to(theta, x.shape).flat[near])
         one_minus = 1.0 - xn
         one_minus *= one_minus
         one_minus += xn * (4.0 * s * s)
-        out.ravel()[near] = np.log(one_minus)
+        out.flat[near] = np.log(one_minus)
     return out

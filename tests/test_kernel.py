@@ -69,6 +69,9 @@ def test_log_det_array_and_scalar_paths():
             assert oi == pytest.approx(log_det_kernel(float(xi), float(ti)), rel=4e-16, abs=1e-300)
     with pytest.raises(ValueError):  # the result keeps x's shape
         log_det_kernel(x[:, :1], thetas)
+    # any memory layout: a transposed x gives the transposed result
+    assert np.array_equal(log_det_kernel(x.T, 0.7), log_det_kernel(x, 0.7).T)
+    assert np.array_equal(log_det_kernel(x.T, thetas.T), log_det_kernel(x, thetas).T)
     for scalar in (0.3, np.float64(0.3), np.array(0.3), 0):
         assert type(log_det_kernel(scalar, 0.7)) is float
     assert log_det_kernel(np.empty(0), 0.7).shape == (0,)
