@@ -14,11 +14,11 @@ Exit codes: 0 success, 1 argument errors, 2 convergence or output failure,
 
 from __future__ import annotations
 
-import argparse
 import math
 import operator
 import sys
 from collections import namedtuple
+from functools import cache
 
 from . import engine
 from ._record import _Record, _setattr
@@ -231,13 +231,6 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    # exit code 1 is reserved for argument errors here; argparse defaults
-    # to 2, so route errors through an exception instead
-    def error(self, message):
-        raise _UsageError(message)
-
-
 def _parse_axis(text: str, flag: str) -> AxisSpec:
     parts = text.split(":")
     if len(parts) not in (3, 4):
@@ -251,7 +244,19 @@ def _parse_axis(text: str, flag: str) -> AxisSpec:
         raise _UsageError(f"{flag}: {exc}") from exc
 
 
-def _build_parser() -> _Parser:
+@cache
+def _parser():
+    """The flag parser, built on the first run() and kept: parse_args keeps
+    no state between calls.  Importing argparse here keeps it (and gettext)
+    out of library use of this module."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # exit code 1 is reserved for argument errors here; argparse
+        # defaults to 2, so route errors through an exception instead
+        def error(self, message):
+            raise _UsageError(message)
+
     p = _Parser(prog="chiral-casimir",
                 description="Casimir free energy and pressure across a "
                             "polarization-rotating gap")
@@ -318,7 +323,7 @@ def _spec_from_flags(ns) -> SweepSpec:
 
 def run(argv) -> int:
     """Entry point; returns the process exit code instead of raising."""
-    parser = _build_parser()
+    parser = _parser()
     try:
         ns = parser.parse_args(_attach_ranges(list(argv)))
     except _UsageError as exc:

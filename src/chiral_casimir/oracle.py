@@ -21,7 +21,12 @@ numpy, and runs a batch of integrals at once: each round evaluates the
 21-point rule on the open pieces of every open integral in array calls of
 the kernel, _SLICE pieces at a time, and keeps each integral's sums, bound
 and tolerance apart, closing it or bisecting its pieces over their share
-of its tolerance.  oracle_free_energy and oracle_free_energy_T0 take one
+of its tolerance.  Integrals that share their first-round pieces (one
+array per tau, one for every T = 0 angle) share the rule's node table: the
+angle-free part of each piece (its nodes, x = e^{-u}, weights and rounding
+floor) is made once per piece and taken per integral, so that only the
+kernel and the 21-term sums run per angle; the certify grid's 595 pieces
+rest on 119 such rows.  oracle_free_energy and oracle_free_energy_T0 take one
 point (or angle) or a sequence of them; a sequence is one batch, and each
 value has the same bits as its single call.
 """
@@ -133,31 +138,38 @@ def _pieces(edges, w0, w1):
     return np.column_stack((t_edges[:-1], t_edges[1:], w0, w1))
 
 
-def _rule(pieces):
-    """K21, |K21 - G10| and the rounding floor of each piece.
+def _rule(rows, theta, take=None):
+    """K21, |K21 - G10| and the rounding floor of the pieces rows[take] at angles theta.
 
-    A row of pieces is (a, b, w0, w1, theta): the integral over t in [a, b]
-    of (w0 + w1 u) u L(e^{-u}, theta) 2 t dt with u = t^2.  The nodes run
-    down the first axis; einsum adds a piece's 21 products in a fixed order,
-    so that the piece gets the same bits wherever it sits in the array (a
-    BLAS product's depend on its position).
+    A row is (a, b, w0, w1): the integral over t in [a, b] of
+    (w0 + w1 u) u L(e^{-u}, theta) 2 t dt with u = t^2.  The angle-free
+    part (the nodes, x = e^{-u}, the weight and the rounding floor) is made
+    once per row and then taken per piece, so that several angles share a
+    row's nodes; only the kernel and the sums run per piece.  take is None
+    for every row once.  The nodes run down the first axis; einsum adds a
+    piece's 21 products in a fixed order, so that the piece gets the same
+    bits wherever it sits in the array (a BLAS product's depend on its
+    position).
     """
-    a, b = pieces[:, 0], pieces[:, 1]
+    a, b = rows[:, 0], rows[:, 1]
     half = 0.5 * (b - a)
     t = 0.5 * (a + b) + _NODES[:, None] * half
     u = t * t
     x = np.exp(-u)
-    f = pieces[:, 2] + pieces[:, 3] * u
+    f = rows[:, 2] + rows[:, 3] * u
     f *= u
     f *= t
     floor = 3.0 + u
     floor *= x
     floor /= 1.0 - x
     floor *= f
-    f *= log_det_kernel(x, pieces[:, 4])
-    k, d = np.einsum("jn,jk->kn", f, _WEIGHTS)
     r = np.einsum("jn,j->n", floor, _WEIGHTS[:, 0])
-    return k * half, np.abs(d) * half, r * (_ROUNDING * half)
+    r *= _ROUNDING * half
+    if take is not None:
+        half, x, f, r = half[take], x[:, take], f[:, take], r[take]
+    f *= log_det_kernel(x, theta)
+    k, d = np.einsum("jn,jk->kn", f, _WEIGHTS)
+    return k * half, np.abs(d) * half, r
 
 
 def _integrate(jobs, epsabs: float, epsrel: float) -> list[tuple[float, float]]:
@@ -168,28 +180,49 @@ def _integrate(jobs, epsabs: float, epsrel: float) -> list[tuple[float, float]]:
     job, in order.  Every round runs the rule on the open pieces of all the
     open integrals at once, and keeps each integral's sums, bound,
     tolerance and piece cap apart (np.bincount over the piece's owner), so
-    that a value has the same bits alone and in any batch.  An integral's
-    bound sums |K21 - G10| and the rounding floor over its pieces.  A round
-    bisects the open pieces whose |K21 - G10| is over their share, by
-    length in t, of the tolerance left above the floor; the others close.
-    An integral is done once its bound meets max(epsabs, epsrel |value|);
-    where one cannot, RuntimeError names its theta.
+    that a value has the same bits alone and in any batch.  Jobs that pass
+    the same pieces object share its rows in the first round, where the
+    rule makes their angle-free part once.  An integral's bound sums
+    |K21 - G10| and the rounding floor over its pieces.  A round bisects
+    the open pieces whose |K21 - G10| is over their share, by length in t,
+    of the tolerance left above the floor; the others close.  An integral
+    is done once its bound meets max(epsabs, epsrel |value|); where one
+    cannot, RuntimeError names its theta.
     """
     if not jobs:
         return []
-    thetas = [float(theta) for theta, _ in jobs]
     n = len(jobs)
+    thetas = np.array([float(theta) for theta, _ in jobs])
+    # rows holds each distinct pieces object once, and the open pieces are
+    # rows[col], owned by jobs owner; sorted by row, a _SLICE of them spans
+    # a run of rows, and each job's pieces keep their order (its rows are
+    # distinct and increasing)
+    first, arrays, m = {}, [], 0
+    for _, p in jobs:
+        if id(p) not in first:
+            first[id(p)] = m
+            arrays.append(p)
+            m += len(p)
+    rows = np.concatenate(arrays)
     sizes = [len(p) for _, p in jobs]
     owner = np.repeat(np.arange(n), sizes)
-    pieces = np.empty((len(owner), 5))
-    np.concatenate([p for _, p in jobs], out=pieces[:, :4])
-    pieces[:, 4] = np.repeat(thetas, sizes)
+    col = np.arange(len(owner))
+    if len(arrays) < n:
+        col += np.repeat(np.array([first[id(p)] for _, p in jobs]) - (np.cumsum(sizes) - sizes), sizes)
+        order = np.argsort(col)
+        col, owner = col[order], owner[order]
     span = np.array([p[-1, 1] - p[0, 0] for _, p in jobs])
     closed_k, closed_d, closed_f = np.zeros((3, n))
     done = np.zeros(n, dtype=bool)
     out = [None] * n
     while True:
-        parts = [_rule(pieces[i:i + _SLICE]) for i in range(0, len(pieces), _SLICE)]
+        theta = thetas[owner]
+        parts = []
+        for i in range(0, len(owner), _SLICE):
+            # col has no gaps, so the slice repeats a row iff it is longer than its run
+            c = col[i:i + _SLICE]
+            lo, hi = c[0], c[-1] + 1
+            parts.append(_rule(rows[lo:hi], theta[i:i + _SLICE], None if hi - lo == len(c) else c - lo))
         k, d, f = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
         total = closed_k + np.bincount(owner, k, n)
         floor = closed_f + np.bincount(owner, f, n)
@@ -203,27 +236,37 @@ def _integrate(jobs, epsabs: float, epsrel: float) -> list[tuple[float, float]]:
             return out
         # a finished integral's pieces neither close nor split
         share = np.where(done, np.inf, (tol - floor) / span)
-        over = d > (pieces[:, 1] - pieces[:, 0]) * share[owner]
+        over = d > (rows[:, 1] - rows[:, 0])[col] * share[owner]
         stuck = ~done & (~(floor < tol) | (2 * np.bincount(owner, over, n) > _MAX_PIECES))
         if stuck.any():
             j = int(np.flatnonzero(stuck)[0])
-            raise RuntimeError(f"quadrature at theta={thetas[j]!r}: error bound {bound[j]:.3g} "
+            raise RuntimeError(f"quadrature at theta={float(thetas[j])!r}: error bound {bound[j]:.3g} "
                                f"above the tolerance {tol[j]:.3g}")
         keep = ~over
         closed_k += np.bincount(owner[keep], k[keep], n)
         closed_d += np.bincount(owner[keep], d[keep], n)
         closed_f += np.bincount(owner[keep], f[keep], n)
         owner = np.repeat(owner[over], 2)
-        pieces = np.repeat(pieces[over], 2, axis=0)
-        mid = 0.5 * (pieces[::2, 0] + pieces[::2, 1])
-        pieces[::2, 1] = mid
-        pieces[1::2, 0] = mid
+        rows = np.repeat(rows[col[over]], 2, axis=0)
+        mid = 0.5 * (rows[::2, 0] + rows[::2, 1])
+        rows[::2, 1] = mid
+        rows[1::2, 0] = mid
+        col = np.arange(len(rows))
 
 
 def _breaks(lo: float, hi: float, inner=()):
     """Sorted breakpoints: lo, hi, the _GRADING points between them and inner."""
     pts = np.concatenate(((lo, hi), _GRADING, inner))
     return np.unique(pts[(pts >= lo) & (pts <= hi)])
+
+
+# The pieces of the T = 0 oracle, the same at every angle and tolerance:
+# the weight at u is the length min(u, 2C - u) that z covers there
+# (oracle_free_energy_T0), with a breakpoint at u = C
+_T0_EDGES = _breaks(0.0, 2.0 * _CUTOFF, (_CUTOFF,))
+_T0_PIECES = _pieces(_T0_EDGES, np.where(_T0_EDGES[:-1] >= _CUTOFF, 2.0 * _CUTOFF, 0.0),
+                     np.where(_T0_EDGES[:-1] >= _CUTOFF, -1.0, 1.0))
+_T0_PIECES.flags.writeable = False
 
 
 def oracle_free_energy(p, q: QuadControl | None = None):
@@ -251,14 +294,25 @@ def _matsubara_count(tau: float, abs_tol: float) -> int:
     # with a, so after N the bounds fall at least geometrically by r taken at
     # a_{N+1}: the dropped terms sum to at most b(a_{N+1}) / (1 - r).  One
     # term's bound below abs_tol is not enough: it leaves 1.05e-9 out at
-    # abs_tol 1e-10 and tau = 0.03.
-    decay = math.exp(-2.0 * tau)
-    for n in range(_MAX_N + 1):
+    # abs_tol 1e-10 and tau = 0.03.  Both b(a_{N+1}) and r fall with N, so
+    # the test holds from N on: bisect for the first n <= _MAX_N that passes
+    # it, with lo failing and hi passing (or past _MAX_N), in at most
+    # log2(_MAX_N + 2) tests
+    exp = math.exp
+    decay = exp(-2.0 * tau)
+    zeta2 = math.pi**2 / 6.0
+    lo, hi = -1, _MAX_N + 1
+    while hi - lo > 1:
+        n = (lo + hi) // 2
         a = 2.0 * (n + 1) * tau
         r = decay * (1.0 + 2.0 * tau / (1.0 + a))
-        if math.exp(-a) * (1.0 + a) * (math.pi**2 / 6.0) < abs_tol * (1.0 - r):
-            return n
-    raise RuntimeError(f"Matsubara truncation bound not reached within {_MAX_N} terms")
+        if exp(-a) * (1.0 + a) * zeta2 < abs_tol * (1.0 - r):
+            hi = n
+        else:
+            lo = n
+    if hi > _MAX_N:
+        raise RuntimeError(f"Matsubara truncation bound not reached within {_MAX_N} terms")
+    return hi
 
 
 def _free_energy(points, q: QuadControl) -> list[float]:
@@ -315,16 +369,13 @@ def oracle_free_energy_T0(theta, q: QuadControl | None = None, return_error: boo
     integrand's rounding (_ROUNDING).
     """
     q = q or QuadControl()
-    edges = _breaks(0.0, 2.0 * _CUTOFF, (_CUTOFF,))
-    upper = edges[:-1] >= _CUTOFF
-    pieces = _pieces(edges, np.where(upper, 2.0 * _CUTOFF, 0.0), np.where(upper, -1.0, 1.0))
     # epsrel follows epsabs, as in _free_energy: a fixed epsrel would make
     # every abs_tol below it void
     eps = q.abs_tol / 10.0
     one = np.ndim(theta) == 0
     scale = 1.0 / (32.0 * math.pi**2)
     out = [(val * scale, err * scale) if return_error else val * scale
-           for val, err in _integrate([(t, pieces) for t in ([theta] if one else theta)], eps, eps)]
+           for val, err in _integrate([(t, _T0_PIECES) for t in ([theta] if one else theta)], eps, eps)]
     return out[0] if one else out
 
 

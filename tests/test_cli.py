@@ -1,5 +1,6 @@
 """Command-line surface: parsing, CSV output, exit codes, determinism."""
 
+import contextlib
 import copy
 import csv
 import gc
@@ -13,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+import chiral_casimir.cli as cli_module
 import chiral_casimir.oracle
 from chiral_casimir import engine
 from chiral_casimir.cli import (
@@ -621,6 +623,53 @@ def test_point_mode_and_the_m_series_load_no_numpy(package_env):
         assert proc.returncode == 0, proc.stderr
         loaded = json.loads(proc.stdout)
         assert not {m.split(".")[0] for m in loaded} & banned, (flags, loaded)
+
+
+def test_library_use_of_the_cli_loads_no_argparse(package_env):
+    # run_sweep and emit_csv need no flag parser: argparse (and with it
+    # gettext) loads on the first run() alone, with and without -S
+    code = ("import io, json, sys\n"
+            "import chiral_casimir.cli as cli\n"
+            "spec = cli.SweepSpec(temperature=cli.AxisSpec(300.0, 300.0, 1))\n"
+            "cli.emit_csv(cli.run_sweep(spec), io.StringIO())\n"
+            "before = sorted(m for m in sys.modules if m in ('argparse', 'gettext'))\n"
+            "assert cli.run(['--mode', 'point', '--output', '/dev/null']) == 0\n"
+            "print(json.dumps([before, 'argparse' in sys.modules]))\n")
+    for flags in ((), ("-S",)):
+        proc = subprocess.run([sys.executable, *flags, "-c", code], env=package_env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[], True], flags
+
+
+def test_one_parser_serves_every_run(package_env, monkeypatch):
+    # run() builds its parser once per process and keeps it; no call may
+    # see what an earlier one parsed.  Each call in this process prints
+    # the bytes, and exits with the code, of a fresh process given the same
+    # arguments (help and usage text at a fixed terminal width)
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**package_env, "COLUMNS": "80"}
+    calls = (
+        (1, ("--mode", "orbit")),
+        (0, ("--help",)),
+        (0, ("--mode", "point", "--theta", "0.3")),
+        (0, ("--mode", "point")),
+        (0, ("--mode", "sweep", "--theta-range", "-1:1:3")),
+        (0, ("--mode", "certify")),
+    )
+    for want, argv in calls:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(list(argv))
+        assert code == want, argv
+        fresh = subprocess.run([sys.executable, "-m", "chiral_casimir.cli", *argv], env=env,
+                               capture_output=True, timeout=120)
+        assert (code, out.getvalue(), err.getvalue()) == (
+            fresh.returncode, fresh.stdout.decode(), fresh.stderr.decode()), argv
+        if argv == ("--mode", "point"):
+            _, rows = parse_csv(out.getvalue())
+            assert float(dict(zip(COLUMNS, rows[0]))["theta_rad"]) == 0.0
+    assert cli_module._parser() is cli_module._parser()
 
 
 def test_empty_axis_rejected():

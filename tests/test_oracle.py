@@ -167,6 +167,36 @@ def test_batched_values_have_the_bits_of_single_calls():
     assert oracle_free_energy([]) == [] and oracle_free_energy_T0([]) == []
 
 
+def test_shared_nodes_keep_the_bits_of_single_calls():
+    # the first round makes the angle-free part of the rule once per row of
+    # each distinct piece array (one per tau, one for T = 0) and takes it
+    # per integral; every value keeps the bits of its lone call
+    q = QuadControl()
+    # five angles share tau = 0.01, whose first round alone spans several
+    # _SLICE-sized kernel calls
+    shared = [ReducedPoint(theta, 0.01) for theta in (0.0, 0.3, 0.6, 1.2, -2.0)]
+    assert len(shared) * oracle_module._matsubara_count(0.01, q.abs_tol) > 2 * oracle_module._SLICE
+    # duplicate angles and duplicate tau, as equal points and as one object
+    p = ReducedPoint(0.3, 1.0)
+    dupes = [p, ReducedPoint(0.3, 1.0), ReducedPoint(0.6, 1.0), ReducedPoint(0.3, 0.01), p,
+             ReducedPoint(0.3, 0.7), ReducedPoint(0.6, 1.0)]
+    for points in (shared, dupes, shared + dupes):
+        alone = [oracle_free_energy(point, q) for point in points]
+        assert oracle_free_energy(points, q) == alone
+        assert oracle_free_energy(points[::-1], q) == alone[::-1]
+    # the four stencil energies of oracle_pressure, at its tolerance
+    tight = QuadControl(1e-12)
+    h = oracle_module._FD_STEP
+    for theta, tau in ((0.3, 1.0), (0.7, 0.05), (1.1, 2.0)):
+        stencil = [ReducedPoint(theta, tau * lam) for lam in (1.0 + h, 1.0 - h, 1.0 + 0.5 * h, 1.0 - 0.5 * h)]
+        assert oracle_free_energy(stencil, tight) == [oracle_free_energy(s, tight) for s in stencil]
+    # a T = 0 batch with repeated angles: every angle shares one piece array
+    thetas = [0.3, 0.0, 0.3, math.pi / 2, -1.0, 0.0, 0.7550352635972403]
+    for q in (QuadControl(), tight):
+        alone = [oracle_free_energy_T0(theta, q, return_error=True) for theta in thetas]
+        assert oracle_free_energy_T0(thetas, q, return_error=True) == alone
+
+
 @pytest.mark.parametrize("theta", [0.0, 0.6, math.pi / 2])
 @pytest.mark.parametrize("tau", [0.3, 2.0])
 def test_one_quadrature_is_the_sum_of_matsubara_terms(theta, tau):
@@ -201,6 +231,78 @@ def test_many_breakpoints_converge():
     assert oracle_module._matsubara_count(tau, QuadControl().abs_tol) > 1000
     p = ReducedPoint(0.6, tau)
     assert oracle_free_energy(p) == pytest.approx(reduced_free_energy(p).value, rel=0, abs=1e-10)
+
+
+def _looped_count(tau: float, abs_tol: float) -> int:
+    """The Matsubara count by the per-term loop that _matsubara_count replaced.
+
+    Its test runs in Python, as it did, at every n from the first one at
+    which the same test in numpy does not fail by a relative margin of
+    1e-9.  np.exp and math.exp differ by an ulp or two where the bound is a
+    normal float, far less than the margin, and a subnormal bound passes
+    the test either way, so the n skipped fail the loop's test too; numpy
+    runs them in chunks that double, so that the reference stays affordable
+    down to tau = 1e-4, where the loop ran to _MAX_N.
+    """
+    decay = math.exp(-2.0 * tau)
+    start, size = 0, 256
+    while start <= oracle_module._MAX_N:
+        n = np.arange(start, min(start + size, oracle_module._MAX_N + 1))
+        a = 2.0 * (n + 1) * tau
+        r = decay * (1.0 + 2.0 * tau / (1.0 + a))
+        fails = np.exp(-a) * (1.0 + a) * (math.pi**2 / 6.0) >= abs_tol * (1.0 - r) * (1.0 + 1e-9)
+        if not fails.all():
+            start += int(np.argmin(fails))
+            break
+        start, size = start + size, 2 * size
+    for n in range(start, oracle_module._MAX_N + 1):
+        a = 2.0 * (n + 1) * tau
+        r = decay * (1.0 + 2.0 * tau / (1.0 + a))
+        if math.exp(-a) * (1.0 + a) * (math.pi**2 / 6.0) < abs_tol * (1.0 - r):
+            return n
+    raise RuntimeError(f"Matsubara truncation bound not reached within {oracle_module._MAX_N} terms")
+
+
+class _CountingMath:
+    # math for the oracle module, counting exp: the count takes one exp for
+    # its decay and one per test of the bound
+    def __init__(self):
+        self.exps = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def exp(self, x):
+        self.exps += 1
+        return math.exp(x)
+
+
+def test_matsubara_count_bisects_to_the_loop_count(monkeypatch):
+    # the bound falls with n, so bisection finds the loop's first passing n,
+    # in at most 2 + log2(_MAX_N) tests; where no n <= _MAX_N passes, the
+    # same error
+    counting = _CountingMath()
+    monkeypatch.setattr(oracle_module, "math", counting)
+    rng = np.random.default_rng(20261020)
+    taus = np.exp(rng.uniform(math.log(1e-4), math.log(300.0), 20_000))
+    tols = np.exp(rng.uniform(math.log(1e-15), math.log(1e-5), 20_000))
+    budget = 2 + math.log2(oracle_module._MAX_N)
+    raised = 0
+    for tau, abs_tol in zip(taus.tolist(), tols.tolist()):
+        counting.exps = 0
+        try:
+            want = _looped_count(tau, abs_tol)
+        except RuntimeError as exc:
+            raised += 1
+            with pytest.raises(RuntimeError, match=re.escape(str(exc))):
+                oracle_module._matsubara_count(tau, abs_tol)
+        else:
+            assert oracle_module._matsubara_count(tau, abs_tol) == want, (tau, abs_tol)
+        assert counting.exps - 1 <= budget, (tau, abs_tol)
+    assert 0 < raised < 2_000
+    for tau in (1e-6, 1e-5):
+        with pytest.raises(RuntimeError, match="not reached within 100000 terms"):
+            oracle_module._matsubara_count(tau, 1e-10)
 
 
 def _recording_bounds(monkeypatch):
