@@ -70,13 +70,15 @@ def log_det_kernel(x, theta):
         raise ValueError(f"theta of shape {np.shape(theta)} does not broadcast to x's {x.shape}")
     out *= small
     np.log1p(out, out=out)
-    # flat indices in C order, which .flat follows whatever the layout
-    near = np.flatnonzero(x > 0.5)
-    if near.size:
-        xn = x.flat[near]
-        s = np.sin(np.broadcast_to(theta, x.shape).flat[near])
+    # a boolean mask gathers and scatters in the same (C) order whatever the
+    # layout; sin runs on theta's own shape, which the oracle keeps to one
+    # angle per piece, and is broadcast to the elements
+    near = x > 0.5
+    if near.any():
+        xn = x[near]
+        s = np.broadcast_to(np.sin(theta), x.shape)[near]
         one_minus = 1.0 - xn
         one_minus *= one_minus
         one_minus += xn * (4.0 * s * s)
-        out.flat[near] = np.log(one_minus)
+        out[near] = np.log(one_minus)
     return out
