@@ -138,18 +138,18 @@ def _pieces(edges, w0, w1):
     return np.column_stack((t_edges[:-1], t_edges[1:], w0, w1))
 
 
-def _rule(rows, theta, take=None):
+def _rule(rows, theta, take):
     """K21, |K21 - G10| and the rounding floor of the pieces rows[take] at angles theta.
 
     A row is (a, b, w0, w1): the integral over t in [a, b] of
     (w0 + w1 u) u L(e^{-u}, theta) 2 t dt with u = t^2.  The angle-free
     part (the nodes, x = e^{-u}, the weight and the rounding floor) is made
-    once per row and then taken per piece, so that several angles share a
-    row's nodes; only the kernel and the sums run per piece.  take is None
-    for every row once.  The nodes run down the first axis; einsum adds a
-    piece's 21 products in a fixed order, so that the piece gets the same
-    bits wherever it sits in the array (a BLAS product's depend on its
-    position).
+    once per row, and take gives each piece's row (None: one piece per
+    row), so that pieces at several angles share a row's nodes; only the
+    kernel and the sums run per piece.  The nodes run down the first axis;
+    einsum adds a piece's 21 products in a fixed order, so that the piece
+    gets the same bits wherever it sits in the array (a BLAS product's
+    depend on its position).
     """
     a, b = rows[:, 0], rows[:, 1]
     half = 0.5 * (b - a)
@@ -208,7 +208,8 @@ def _integrate(jobs, epsabs: float, epsrel: float) -> list[tuple[float, float]]:
     owner = np.repeat(np.arange(n), sizes)
     col = np.arange(len(owner))
     if len(arrays) < n:
-        col += np.repeat(np.array([first[id(p)] for _, p in jobs]) - (np.cumsum(sizes) - sizes), sizes)
+        shift = np.array([first[id(p)] for _, p in jobs]) - (np.cumsum(sizes) - sizes)
+        col += np.repeat(shift, sizes)
         order = np.argsort(col)
         col, owner = col[order], owner[order]
     span = np.array([p[-1, 1] - p[0, 0] for _, p in jobs])
@@ -219,7 +220,8 @@ def _integrate(jobs, epsabs: float, epsrel: float) -> list[tuple[float, float]]:
         theta = thetas[owner]
         parts = []
         for i in range(0, len(owner), _SLICE):
-            # col has no gaps, so the slice repeats a row iff it is longer than its run
+            # every row between c[0] and c[-1] is in c, so c takes each row
+            # once exactly when it has c[-1] + 1 - c[0] pieces
             c = col[i:i + _SLICE]
             lo, hi = c[0], c[-1] + 1
             parts.append(_rule(rows[lo:hi], theta[i:i + _SLICE], None if hi - lo == len(c) else c - lo))

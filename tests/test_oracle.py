@@ -146,55 +146,41 @@ def test_thermal_quadrature_call_budget(monkeypatch):
 
 
 def test_batched_values_have_the_bits_of_single_calls():
-    # each value alone and in a batch, in either order: the certify grid
-    # and tau = 0.01 points, whose first round together runs several
-    # _SLICE-sized kernel calls; at abs_tol 1e-12, (0.3, 1.0) and the
-    # T = 0 angle 0.6 bisect in a second round
-    for q, points in (
-            (QuadControl(), [ReducedPoint(theta, tau) for theta in CERTIFY_THETAS
-                             for tau in CERTIFY_TAUS + (0.01,)]),
-            (QuadControl(1e-12), [ReducedPoint(theta, tau) for theta, tau in (
-                (0.0, 0.01), (0.6, 0.01), (-1.1, 0.5), (0.3, 1.0), (2.4, 2.0), (7.0, 0.7))])):
-        windows = sum(oracle_module._matsubara_count(p.tau, q.abs_tol) for p in points)
+    # each value alone and in a batch, in either order.  The first round
+    # makes the angle-free part of the rule once per row of each distinct
+    # piece array (one per tau, one for every T = 0 angle) and takes it per
+    # integral.  Batches: the certify grid with its five angles at
+    # tau = 0.01 too, whose shared first round runs several _SLICE-sized
+    # kernel calls; duplicate angles and tau, as equal points and as one
+    # object; and at abs_tol 1e-12, where (0.3, 1.0) and the T = 0 angle 0.6
+    # bisect in a second round, mixed points and the four stencil energies
+    # of oracle_pressure
+    q, tight = QuadControl(), QuadControl(1e-12)
+    grid = [ReducedPoint(theta, tau) for theta in CERTIFY_THETAS for tau in CERTIFY_TAUS + (0.01,)]
+    mixed = [ReducedPoint(theta, tau) for theta, tau in (
+        (0.0, 0.01), (0.6, 0.01), (-1.1, 0.5), (0.3, 1.0), (2.4, 2.0), (7.0, 0.7))]
+    for abs_tol, points in ((q.abs_tol, grid), (tight.abs_tol, mixed)):
+        windows = sum(oracle_module._matsubara_count(point.tau, abs_tol) for point in points)
         assert windows > oracle_module._SLICE
-        alone = [oracle_free_energy(p, q) for p in points]
+    assert 5 * oracle_module._matsubara_count(0.01, q.abs_tol) > 2 * oracle_module._SLICE
+    p = ReducedPoint(0.3, 1.0)
+    h = oracle_module._FD_STEP
+    for q, points in (
+            (q, grid),
+            (q, [p, ReducedPoint(0.3, 1.0), ReducedPoint(0.6, 1.0), ReducedPoint(0.3, 0.01), p,
+                 ReducedPoint(0.3, 0.7), ReducedPoint(0.6, 1.0)]),
+            (tight, mixed),
+            (tight, [ReducedPoint(theta, tau * lam) for theta, tau in ((0.3, 1.0), (0.7, 0.05), (1.1, 2.0))
+                     for lam in (1.0 + h, 1.0 - h, 1.0 + 0.5 * h, 1.0 - 0.5 * h)])):
+        alone = [oracle_free_energy(point, q) for point in points]
         assert oracle_free_energy(points, q) == alone
         assert oracle_free_energy(points[::-1], q) == alone[::-1]
-        thetas = list(CERTIFY_THETAS) + [0.6, 0.7550352635972403, -2.0]
+    thetas = list(CERTIFY_THETAS) + [0.6, 0.7550352635972403, -2.0, 0.3, 0.0, 0.6]
+    for q in (QuadControl(), tight):
         alone = [oracle_free_energy_T0(theta, q, return_error=True) for theta in thetas]
         assert oracle_free_energy_T0(thetas, q, return_error=True) == alone
         assert oracle_free_energy_T0(thetas[::-1], q) == [val for val, _ in alone[::-1]]
     assert oracle_free_energy([]) == [] and oracle_free_energy_T0([]) == []
-
-
-def test_shared_nodes_keep_the_bits_of_single_calls():
-    # the first round makes the angle-free part of the rule once per row of
-    # each distinct piece array (one per tau, one for T = 0) and takes it
-    # per integral; every value keeps the bits of its lone call
-    q = QuadControl()
-    # five angles share tau = 0.01, whose first round alone spans several
-    # _SLICE-sized kernel calls
-    shared = [ReducedPoint(theta, 0.01) for theta in (0.0, 0.3, 0.6, 1.2, -2.0)]
-    assert len(shared) * oracle_module._matsubara_count(0.01, q.abs_tol) > 2 * oracle_module._SLICE
-    # duplicate angles and duplicate tau, as equal points and as one object
-    p = ReducedPoint(0.3, 1.0)
-    dupes = [p, ReducedPoint(0.3, 1.0), ReducedPoint(0.6, 1.0), ReducedPoint(0.3, 0.01), p,
-             ReducedPoint(0.3, 0.7), ReducedPoint(0.6, 1.0)]
-    for points in (shared, dupes, shared + dupes):
-        alone = [oracle_free_energy(point, q) for point in points]
-        assert oracle_free_energy(points, q) == alone
-        assert oracle_free_energy(points[::-1], q) == alone[::-1]
-    # the four stencil energies of oracle_pressure, at its tolerance
-    tight = QuadControl(1e-12)
-    h = oracle_module._FD_STEP
-    for theta, tau in ((0.3, 1.0), (0.7, 0.05), (1.1, 2.0)):
-        stencil = [ReducedPoint(theta, tau * lam) for lam in (1.0 + h, 1.0 - h, 1.0 + 0.5 * h, 1.0 - 0.5 * h)]
-        assert oracle_free_energy(stencil, tight) == [oracle_free_energy(s, tight) for s in stencil]
-    # a T = 0 batch with repeated angles: every angle shares one piece array
-    thetas = [0.3, 0.0, 0.3, math.pi / 2, -1.0, 0.0, 0.7550352635972403]
-    for q in (QuadControl(), tight):
-        alone = [oracle_free_energy_T0(theta, q, return_error=True) for theta in thetas]
-        assert oracle_free_energy_T0(thetas, q, return_error=True) == alone
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.6, math.pi / 2])
