@@ -264,8 +264,10 @@ def _breaks(lo: float, hi: float, inner=()):
 
 # The pieces of the T = 0 oracle, the same at every angle and tolerance:
 # the weight at u is the length min(u, 2C - u) that z covers there
-# (oracle_free_energy_T0), with a breakpoint at u = C
-_T0_EDGES = _breaks(0.0, 2.0 * _CUTOFF, (_CUTOFF,))
+# (oracle_free_energy_T0), with a breakpoint at u = C.  The edges are
+# _breaks(0, 2C, (C,)) written out, every _GRADING point lying below C:
+# np.unique's first call imports numpy.ma, which the import should not
+_T0_EDGES = np.array((0.0, *_GRADING, _CUTOFF, 2.0 * _CUTOFF))
 _T0_PIECES = _pieces(_T0_EDGES, np.where(_T0_EDGES[:-1] >= _CUTOFF, 2.0 * _CUTOFF, 0.0),
                      np.where(_T0_EDGES[:-1] >= _CUTOFF, -1.0, 1.0))
 _T0_PIECES.flags.writeable = False

@@ -49,7 +49,8 @@ def test_independence_from_series_code():
 
 
 def test_package_resolves_oracle_names_lazily(package_env):
-    # in a fresh interpreter: only the oracle's own names load the oracle
+    # in a fresh interpreter: only the oracle's own names load the oracle,
+    # and its import builds the T = 0 pieces without loading numpy.ma
     code = ("import sys\n"
             "import chiral_casimir\n"
             "import chiral_casimir.special_functions\n"
@@ -57,6 +58,7 @@ def test_package_resolves_oracle_names_lazily(package_env):
             "assert 'chiral_casimir.oracle' not in sys.modules\n"
             "from chiral_casimir import QuadControl, oracle_free_energy\n"
             "import chiral_casimir.oracle as oracle\n"
+            "assert 'numpy.ma' not in sys.modules\n"
             "assert oracle_free_energy is oracle.oracle_free_energy\n"
             "assert QuadControl is oracle.QuadControl\n")
     proc = subprocess.run([sys.executable, "-c", code], env=package_env, capture_output=True,
@@ -65,6 +67,15 @@ def test_package_resolves_oracle_names_lazily(package_env):
 
 
 # ------------------------------------------------------------- zero temperature
+
+def test_T0_pieces_are_built_once():
+    # the T = 0 pieces are a constant of the module, with the breakpoints
+    # _breaks gives the T = 0 integral, shared by every call
+    edges = oracle_module._breaks(0.0, 2.0 * oracle_module._CUTOFF, (oracle_module._CUTOFF,))
+    assert np.array_equal(oracle_module._T0_EDGES, edges)
+    assert np.array_equal(oracle_module._T0_PIECES[:, :2], np.sqrt(np.column_stack((edges[:-1], edges[1:]))))
+    assert not oracle_module._T0_PIECES.flags.writeable
+
 
 def test_T0_parallel_plates():
     val = oracle_free_energy_T0(0.0)
