@@ -6,7 +6,7 @@ Modes:
            bfield}, emit CSV (outer axis slowest, in that listing order)
   certify  compare the series engine against the quadrature oracle on the
            reference grid; exit 0 only if every comparison passes at 1e-6.
-           Only this mode imports the oracle, and with it numpy.
+           Only this mode loads the oracle and numpy: no point or sweep does.
 
 Exit codes: 0 success, 1 argument errors, 2 convergence or output failure,
 3 certification failure.
@@ -83,13 +83,19 @@ class AxisSpec(_Record):
         _setattr(self, "log", log)
 
     def values(self) -> tuple[float, ...]:
-        if self.count == 1:
-            return (float(self.start),)
-        import numpy as np  # only a ranged axis needs it: load it for sweeps alone
-
+        """np.linspace's values, bit for bit; a log axis is spaced so in log10 and
+        raised to 10**v, endpoints exact: np.geomspace's to an ulp where libm's
+        log10 and pow round as numpy's do."""
+        start, stop, div = float(self.start), float(self.stop), self.count - 1
+        if not div:
+            return (start,)
+        lo, hi = (math.log10(start), math.log10(stop)) if self.log else (start, stop)
+        span = hi - lo
+        step = span / div  # where it underflows, np.linspace takes i/div times the span
+        spaced = [i * step + lo if step else i / div * span + lo for i in range(div)]
         if self.log:
-            return tuple(float(v) for v in np.geomspace(self.start, self.stop, self.count))
-        return tuple(float(v) for v in np.linspace(self.start, self.stop, self.count))
+            return (start, *(10.0**v for v in spaced[1:]), stop)
+        return (*spaced, stop)
 
 
 def _fixed_axis(value: float) -> AxisSpec:

@@ -163,8 +163,10 @@ _SL2_ERR = 3.1e-15
 #     7.40u V + u |Cl4| is largest at x = pi:                           <= 1.78e-15
 #   * the fold: theta within 1.9e-16 of its value mod pi, so x within
 #     3.8e-16, and |dCl4/dx| = |Sl3| <= 0.995:                          <= 3.8e-16
-# Sum: 2.42e-15.  At theta* = 0.755, |Cl4(1.51)| = 6.9e-5, so the images
-# certify rel_tol 1e-10 there with room.  A 40-digit mpmath check is in the tests.
+# Sum: 2.42e-15.  At theta = 0.755, |Cl4(1.51)| = 6.9e-5, so the images
+# certify rel_tol 1e-10 there with room, but not within about 1.3e-5 rad of
+# the energy zero theta* = 0.7550352635972403, where |Cl4| < 2.5e-5 and this
+# error alone exceeds rel_tol 1e-10.  A 40-digit mpmath check is in the tests.
 _CL4_ERR = 2.5e-15
 
 # Absolute error of clausen_sin(3, 2 theta), theta folded into [0, pi/2]:
@@ -305,19 +307,15 @@ def _stops(tail: float, floor: float, s: float, rel_tol: float) -> bool:
     return target - tail >= floor * (target >= floor)
 
 
-def _finish(parts, tail: float, floor: float, terms: int, rel_tol: float,
-            scale: float = 1.0, lift: float = 1.0) -> EvalResult:
+def _finish(parts, tail: float, floor: float, terms: int, rel_tol: float) -> EvalResult:
     """The result of a sum that stopped: the exact sum of its parts, rounded once.
 
     Its estimate is tail + floor plus that rounding, EPS |value|, and it is
     converged where the value is finite and the estimate within rel_tol |value|.
-    Value and estimate are returned times scale/lift, the unit factor of
-    _physical (1 for the reduced quantities, where both steps are exact).
     """
     value = math.fsum(parts)
     err = tail + floor + _EPS * abs(value)
-    return EvalResult(value * scale / lift, err * scale / lift, terms,
-                      err <= rel_tol * abs(value) < math.inf)
+    return EvalResult(value, err, terms, err <= rel_tol * abs(value) < math.inf)
 
 
 def _canonical_theta(theta: float) -> tuple[float, float]:
@@ -360,38 +358,31 @@ def _canonical_theta(theta: float) -> tuple[float, float]:
 _TERM_ULPS = 32.0
 
 
-class _MSeries(_Record):
-    """One m-series, the energy's or the pressure's: its closed-form weight.
+_ENERGY, _PRESSURE = False, True  # the pressure flag that every sum takes
+
+
+def _weight(y: float, q: float, x: float, pressure: bool) -> float:
+    """The closed-form weight of the energy's or the pressure's m-series.
 
     The weight is a Matsubara sum in closed form, written through
     q = y/d = 1/(e^a - 1) and x = a/d with y = e^{-a}, d = 1 - y = -expm1(-a),
     which needs no branch: for large a, y underflows to 0, and for small a,
     x -> 1 and q -> 1/a.  It falls as a grows.
     """
-
-    _fields = ("pressure",)
-
-    def __init__(self, pressure: bool):
-        _setattr(self, "pressure", pressure)
-
-    def weight(self, y: float, q: float, x: float) -> float:
-        if self.pressure:
-            # Sum_{n>=1} e^{-nb} (2 + 2nb + (nb)^2); 6/b - 1 + O(b) as b -> 0
-            return q * (2.0 + x * (2.0 + x * (1.0 + y)))
-        # w(a) = Sum_{n>=1} e^{-na} (1 + na); 2/a - O(a^3) as a -> 0
-        return q * (1.0 + x)
-
-    def weight_at(self, a: float) -> float:
-        y = math.exp(-a)
-        dm = math.expm1(-a)
-        return self.weight(y, y / -dm, -a / dm)
+    if pressure:
+        # Sum_{n>=1} e^{-nb} (2 + 2nb + (nb)^2); 6/b - 1 + O(b) as b -> 0
+        return q * (2.0 + x * (2.0 + x * (1.0 + y)))
+    # w(a) = Sum_{n>=1} e^{-na} (1 + na); 2/a - O(a^3) as a -> 0
+    return q * (1.0 + x)
 
 
-_ENERGY = _MSeries(pressure=False)
-_PRESSURE = _MSeries(pressure=True)
+def _weight_at(a: float, pressure: bool) -> float:
+    y = math.exp(-a)
+    dm = math.expm1(-a)
+    return _weight(y, y / -dm, -a / dm, pressure)
 
 
-def _zero_mode(theta: float, zero_mode: ZeroModePolicy, series: _MSeries,
+def _zero_mode(theta: float, zero_mode: ZeroModePolicy, pressure: bool,
                grad: float = 0.0) -> tuple[list[float], float]:
     """The closed-form n=0 parts of the series at a folded theta, and their error.
 
@@ -399,11 +390,11 @@ def _zero_mode(theta: float, zero_mode: ZeroModePolicy, series: _MSeries,
     angle-blind -zeta(3)/4 under TM_ONLY, doubled for the pressure; under
     FULL the Faraday pressure adds its slope grad Sl2(2 theta).
     """
-    scale = 2.0 if series.pressure else 1.0
+    times = 2.0 if pressure else 1.0
     if zero_mode is ZeroModePolicy.TM_ONLY:
-        return [scale * (-0.25 * ZETA_3)], scale * 1e-16
-    parts = [scale * (-0.5 * clausen_cos(3, 2.0 * theta))]
-    err = scale * (0.5 * _CLAUSEN_ERR)
+        return [times * (-0.25 * ZETA_3)], times * 1e-16
+    parts = [times * (-0.5 * clausen_cos(3, 2.0 * theta))]
+    err = times * (0.5 * _CLAUSEN_ERR)
     if grad:
         parts.append(grad * clausen_sin(2, 2.0 * theta))
         err += abs(grad) * _SL2_ERR
@@ -411,8 +402,7 @@ def _zero_mode(theta: float, zero_mode: ZeroModePolicy, series: _MSeries,
 
 
 def _m_series(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePolicy,
-              series: _MSeries, grad: float = 0.0, scale: float = 1.0,
-              lift: float = 1.0) -> EvalResult:
+              pressure: bool, grad: float = 0.0) -> EvalResult:
     """zero mode - sum_m cos(2 m theta) weight(2 m tau)/m^3 + grad dE/dtheta at a folded point.
 
     The zero mode is _zero_mode's.  grad is 0 except for the Faraday
@@ -427,7 +417,7 @@ def _m_series(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroMode
     m phi) <= EPS weight(2 tau) (zeta(3) _TERM_ULPS + zeta(2) (2 tau + phi)),
     and the sine terms g_m = 2 w(2 m tau)/m^2 have sum g_m <= 2 zeta(2)
     w(2 tau) and, as w(a) <= 2/a, sum m g_m <= 2 zeta(2)/tau.  Stops by
-    _stops at its first m; _finish applies the unit factor scale/lift.
+    _stops at its first m.
     No cap is needed: once 2(m+1) tau > 745 the weights at m + 1 underflow
     to 0, and so does the tail, so the sum stops within 1 + 373/tau terms,
     250 at tau = _TAU_C.  The float running sum only steers the stop:
@@ -437,16 +427,16 @@ def _m_series(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroMode
     # changes no result and keeps a and a^2 finite in the weights (a
     # conditional costs a fifth of min())
     tau = 1e3 if 1e3 < tau else tau
-    parts, floor = _zero_mode(theta, zero_mode, series, grad)
+    parts, floor = _zero_mode(theta, zero_mode, pressure, grad)
     s = math.fsum(parts)
     stop_tol = ctrl._stop_tol
     phi, two_tau, abs_grad = 2.0 * theta, 2.0 * tau, abs(grad)
     # the weights at m + 1; w, the energy weight of the sine terms, only with grad
-    m, weight_next = 0, series.weight_at(two_tau)
+    m, weight_next = 0, _weight_at(two_tau, pressure)
     floor += _EPS * (_TERM_ULPS * (ZETA_3 * weight_next) + (two_tau + phi) * (ZETA_2 * weight_next))
     w_next = 0.0
     if grad:
-        w_next = _ENERGY.weight_at(two_tau)
+        w_next = _weight_at(two_tau, _ENERGY)
         # per m: m phi from rounding m phi, and m (2 theta + 2.3) EPS from the
         # fold, which leaves theta within EPS theta + 1.3e-16 of its value mod pi
         floor += abs_grad * (_EPS * (_TERM_ULPS * (2.0 * (ZETA_2 * w_next))
@@ -458,18 +448,18 @@ def _m_series(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroMode
         y = math.exp(-a)
         d = -math.expm1(-a)
         q, x = y / d, a / d
-        weight_next = series.weight(y, q, x)
+        weight_next = _weight(y, q, x, pressure)
         inv_m3 = 1.0 / (m * m * m)
         term = -(math.cos(phi * m) * (weight * inv_m3))
         tail = weight_next * (0.5 / (m * m))
         if grad:
-            w, w_next = w_next, _ENERGY.weight(y, q, x)
+            w, w_next = w_next, _weight(y, q, x, _ENERGY)
             term += (2.0 * grad * math.sin(phi * m)) * (w * (inv_m3 * m))
             tail += abs_grad * (2.0 * w_next / m)
         parts.append(term)
         s += term
         if _stops(tail, floor, abs(s), stop_tol):
-            return _finish(parts, tail, floor, m, ctrl.rel_tol, scale, lift)
+            return _finish(parts, tail, floor, m, ctrl.rel_tol)
 
 
 # m_first sums every point at tau <= _TAU_C by its images, the rest by the
@@ -506,8 +496,7 @@ _LI_ULPS = 17.0
 
 
 def _images(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePolicy,
-            series: _MSeries, grad: float = 0.0, scale: float = 1.0,
-            lift: float = 1.0) -> EvalResult:
+            pressure: bool, grad: float = 0.0) -> EvalResult:
     """The m-series of _m_series summed over its images, at a folded point with tau <= _TAU_C.
 
     Temperature inversion (Mittag-Leffler for coth, then the sum over m in
@@ -528,12 +517,11 @@ def _images(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePo
     floor is the error of the closed forms (_CL4_ERR, _SL3_ERR and, under
     TM_ONLY, the two zero modes) plus that of every image.  Stops by _stops,
     which the tail reaching 0 at mu = pi alpha/tau > 745 ensures within
-    2 + 745 tau/pi^2 images; _finish sums the parts and applies the unit
-    factor scale/lift, and terms_used counts the images.
+    2 + 745 tau/pi^2 images; terms_used counts the images.
     """
     phi = 2.0 * theta
     # -Cl4/tau + tau^3/90 for E, three times the first minus the second for P
-    c4, cube = (3.0, -tau * tau * tau / 90.0) if series.pressure else (1.0, tau * tau * tau / 90.0)
+    c4, cube = (3.0, -tau * tau * tau / 90.0) if pressure else (1.0, tau * tau * tau / 90.0)
     c4_term = -(c4 * _clausen_cos_4(phi)) / tau  # phi in [0, pi]: no fold
     parts = [c4_term, cube]
     floor = c4 * _CL4_ERR / tau + 2.0 * _EPS * abs(c4_term) + 3.0 * _EPS * abs(cube)
@@ -543,13 +531,13 @@ def _images(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePo
         floor += abs(grad) * 2.0 * _SL3_ERR / tau + 2.0 * _EPS * abs(slope)
     if zero_mode is ZeroModePolicy.TM_ONLY:
         # the TM_ONLY zero mode in place of the full one, as the m-series has it
-        tm, tm_err = _zero_mode(theta, zero_mode, series, grad)
-        full, full_err = _zero_mode(theta, ZeroModePolicy.FULL, series, grad)
+        tm, tm_err = _zero_mode(theta, zero_mode, pressure, grad)
+        full, full_err = _zero_mode(theta, ZeroModePolicy.FULL, pressure, grad)
         parts += tm + [-x for x in full]
         floor += tm_err + full_err
     s = math.fsum(parts)
     stop_tol = ctrl._stop_tol
-    pressure, abs_grad = series.pressure, abs(grad)
+    abs_grad = abs(grad)
     pi_tau = math.pi / tau
     c1 = 0.5 * tau / math.pi  # tau/(2 pi)
     c0 = c1 * tau / math.pi  # tau^2/(2 pi^2)
@@ -587,7 +575,7 @@ def _images(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePo
         tail = bound * rho / ((1.0 - rho) * geo)
         if _stops(tail, floor, abs(s), stop_tol):
             break
-    return _finish(parts, tail, floor, i, ctrl.rel_tol, scale, lift)
+    return _finish(parts, tail, floor, i, ctrl.rel_tol)
 
 
 # The n_first term cap.  At rel_tol 1e-10 the up-front refusal starts near
@@ -660,20 +648,19 @@ def reduced_free_energy(p: ReducedPoint, ctrl: SeriesControl | None = None,
 
 
 def _reduced(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePolicy,
-             series: _MSeries, grad: float = 0.0, scale: float = 1.0,
-             lift: float = 1.0) -> EvalResult:
+             pressure: bool, grad: float = 0.0) -> EvalResult:
     """Reduced free energy or pressure, plus grad dE/dtheta (m_first only), at any theta.
 
     theta (by _canonical_theta) and tau become Python floats here, the one
     door of every thermal sum, so that numpy scalar inputs give float and
-    bool results.  The result is in units of scale/lift (see _finish).
+    bool results.
     """
     t, sign = _canonical_theta(theta)
     tau = float(tau)
     if ctrl.order == "m_first":
         path = _images if tau <= _TAU_C else _m_series
-        return path(t, tau, ctrl, zero_mode, series, grad * sign, scale, lift)
-    return _n_first(t, tau, ctrl, zero_mode, series, scale, lift)
+        return path(t, tau, ctrl, zero_mode, pressure, grad * sign)
+    return _n_first(t, tau, ctrl, zero_mode, pressure)
 
 
 def _matsubara_n(n: int, theta: float, tau: float, pressure: bool) -> tuple[float, float]:
@@ -701,7 +688,7 @@ def _matsubara_n(n: int, theta: float, tau: float, pressure: bool) -> tuple[floa
 
 
 def _n_first(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePolicy,
-             series: _MSeries, scale: float = 1.0, lift: float = 1.0) -> EvalResult:
+             pressure: bool) -> EvalResult:
     """Reduced free energy or fixed-angle pressure, one Matsubara term at a time.
 
     Stops by _stops at its first n >= 1, with the floor the error of the
@@ -717,17 +704,17 @@ def _n_first(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModeP
     |zero mode| + tail(0) then stops early, and every sum that would stop
     before _MAX_N stops where it did.
     """
-    parts, acc_err = _zero_mode(theta, zero_mode, series)
+    parts, acc_err = _zero_mode(theta, zero_mode, pressure)
     total = parts[0]
-    tail = _pressure_tail_n if series.pressure else _energy_tail_n
+    tail = _pressure_tail_n if pressure else _energy_tail_n
     whole = tail(0, tau)  # bounds all n >= 1 terms, so |value| <= |zero mode| + whole
     tail_max = tail(_MAX_N, tau)
     if not tail_max + acc_err <= ctrl.rel_tol * (abs(total) + whole) < math.inf:
         # _MAX_N terms cannot meet rel_tol however they cancel: refuse up front
-        return _finish(parts, whole, acc_err, 1, ctrl.rel_tol, scale, lift)
+        return _finish(parts, whole, acc_err, 1, ctrl.rel_tol)
     stop_tol = ctrl._stop_tol
     for n in range(1, _MAX_N + 1):
-        term, term_err = _matsubara_n(n, theta, tau, series.pressure)
+        term, term_err = _matsubara_n(n, theta, tau, pressure)
         parts.append(term)
         total += term
         acc_err += term_err
@@ -735,7 +722,7 @@ def _n_first(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModeP
         s = abs(total)
         if _stops(tail_n, acc_err, s, stop_tol) or stop_tol * (s + tail_n) < tail_max:
             break
-    return _finish(parts, tail_n, acc_err, n + 1, ctrl.rel_tol, scale, lift)
+    return _finish(parts, tail_n, acc_err, n + 1, ctrl.rel_tol)
 
 
 def reduced_free_energy_T0(theta: float) -> float:
@@ -831,7 +818,7 @@ def _unit_scale(separation: float, temperature: float, pressure: bool) -> tuple[
     return temperature * _LIFT * (K_BOLTZMANN / (4.0 * math.pi * power)), _LIFT
 
 
-def _units(cfg: CavityConfig, series: _MSeries) -> tuple[float, float, float, float, float]:
+def _units(cfg: CavityConfig, pressure: bool) -> tuple[float, float, float, float, float]:
     """(theta, grad, tau, scale, lift) of a config, for the energy or the pressure.
 
     theta is the effective angle, grad the Faraday slope factor -theta (0
@@ -839,17 +826,17 @@ def _units(cfg: CavityConfig, series: _MSeries) -> tuple[float, float, float, fl
     factor to physical units (_unit_scale), checked as _physical needs them.
     A config is frozen, so they are derived on first use and set on it by
     _setattr, outside its fields (see _record): theta and tau once per
-    config, the rest once per series.  A second call on the same config,
+    config, the rest once per quantity.  A second call on the same config,
     and a sweep row of the cli, read them back.  A config that fails a check
     raises each time, and only on the calls whose checks it fails.  The
     inputs are taken as Python floats, so that numpy scalars give float
     results.
     """
-    known = cfg._pressure_units if series.pressure else cfg._energy_units
+    known = cfg._pressure_units if pressure else cfg._energy_units
     if known is not None:
         return known
     separation, temperature = float(cfg.separation), float(cfg.temperature)
-    scale, lift = _unit_scale(separation, temperature, series.pressure)
+    scale, lift = _unit_scale(separation, temperature, pressure)
     if scale < sys.float_info.min:
         raise ValueError(f"the factor to physical units underflows, and a subnormal float keeps "
                          f"too few digits; got separation = {cfg.separation!r} m, "
@@ -861,41 +848,42 @@ def _units(cfg: CavityConfig, series: _MSeries) -> tuple[float, float, float, fl
             _check_tau(tau)
         _setattr(cfg, "_theta_tau", (theta, tau))
     theta, tau = cfg._theta_tau
-    grad = -theta if series.pressure and cfg.kind is MediumKind.FARADAY else 0.0
+    grad = -theta if pressure and cfg.kind is MediumKind.FARADAY else 0.0
     if temperature != 0.0 and abs(grad) > 1e307 * tau:
         # |grad dE/dtheta| <= |grad| (1.02 + 2 zeta(3)/tau)
         raise ValueError(f"the Faraday pressure overflows its reduced units where "
                          f"|theta|/tau > 1e307; got theta = {theta!r}, tau = {tau!r}")
     known = (theta, grad, tau, scale, lift)
-    _setattr(cfg, "_pressure_units" if series.pressure else "_energy_units", known)
+    _setattr(cfg, "_pressure_units" if pressure else "_energy_units", known)
     return known
 
 
-def _physical(cfg: CavityConfig, ctrl: SeriesControl, series: _MSeries) -> EvalResult:
+def _physical(cfg: CavityConfig, ctrl: SeriesControl, pressure: bool) -> EvalResult:
     """Free energy in J/m^2 (_ENERGY) or pressure in Pa (_PRESSURE).
 
     In a Faraday gap theta = V B l, so l d/dl = tau d/dtau + theta d/dtheta
     and the pressure gains grad dE/dtheta with grad = -theta.  The sum is
-    taken in reduced units and _finish scales its one result (_units).
+    taken and judged in reduced units, then scaled once by scale/lift (_units).
     """
-    theta, grad, tau, scale, lift = _units(cfg, series)
+    theta, grad, tau, scale, lift = _units(cfg, pressure)
     if cfg.temperature == 0.0:
-        closed_form = reduced_pressure_T0 if series.pressure else reduced_free_energy_T0
+        closed_form = reduced_pressure_T0 if pressure else reduced_free_energy_T0
         parts = [closed_form(theta)]
-        floor = 3e-15 if series.pressure else 1e-15  # polynomial, roundoff level in reduced units
+        floor = 3e-15 if pressure else 1e-15  # polynomial, roundoff level in reduced units
         if grad:
             # dE_0/dtheta = Sl3(2 theta)/(4 pi^2).  The product and the division
             # by the rounded 4 pi^2 add 3.7u of |Sl3| <= 0.995 to _SL3_ERR:
             # (1.6e-15 + 4.1e-16)/(4 pi^2) = 5.1e-17 per unit |grad|.
             parts.append(grad * clausen_sin(3, 2.0 * theta) / (4.0 * math.pi**2))
             floor += abs(grad) * 5.1e-17
-        res = _finish(parts, 0.0, floor, 0, ctrl.rel_tol, scale, lift)
+        value, err, terms, converged = _finish(parts, 0.0, floor, 0, ctrl.rel_tol)
     else:
-        res = _reduced(theta, tau, ctrl, cfg.zero_mode, series, grad, scale, lift)
-    if math.isinf(res.value):
+        value, err, terms, converged = _reduced(theta, tau, ctrl, cfg.zero_mode, pressure, grad)
+    value = value * scale / lift
+    if math.isinf(value):
         raise ValueError(f"the result overflows a float in physical units; got separation = "
                          f"{cfg.separation!r} m, temperature = {cfg.temperature!r} K")
-    return res
+    return EvalResult(value, err * scale / lift, terms, converged)
 
 
 def physical_free_energy(cfg: CavityConfig, ctrl: SeriesControl | None = None) -> EvalResult:

@@ -257,17 +257,17 @@ def _integrate(jobs, epsabs: float, epsrel: float) -> list[tuple[float, float]]:
 
 
 def _breaks(lo: float, hi: float, inner=()):
-    """Sorted breakpoints: lo, hi, the _GRADING points between them and inner."""
+    """Sorted breakpoints, each once: lo, hi, the _GRADING points between them and inner."""
     pts = np.concatenate(((lo, hi), _GRADING, inner))
-    return np.unique(pts[(pts >= lo) & (pts <= hi)])
+    pts = pts[(pts >= lo) & (pts <= hi)]
+    pts.sort()
+    return pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
 
 
 # The pieces of the T = 0 oracle, the same at every angle and tolerance:
 # the weight at u is the length min(u, 2C - u) that z covers there
-# (oracle_free_energy_T0), with a breakpoint at u = C.  The edges are
-# _breaks(0, 2C, (C,)) written out, every _GRADING point lying below C:
-# np.unique's first call imports numpy.ma, which the import should not
-_T0_EDGES = np.array((0.0, *_GRADING, _CUTOFF, 2.0 * _CUTOFF))
+# (oracle_free_energy_T0), with a breakpoint at u = C
+_T0_EDGES = _breaks(0.0, 2.0 * _CUTOFF, (_CUTOFF,))
 _T0_PIECES = _pieces(_T0_EDGES, np.where(_T0_EDGES[:-1] >= _CUTOFF, 2.0 * _CUTOFF, 0.0),
                      np.where(_T0_EDGES[:-1] >= _CUTOFF, -1.0, 1.0))
 _T0_PIECES.flags.writeable = False
@@ -388,7 +388,10 @@ def oracle_pressure(theta: float, tau: float, q: QuadControl | None = None) -> f
 
     Scales the free energy back to physical separation dependence, takes
     -dE/dl numerically, and rescales.  tau > 0 returns P * 4 pi beta l^3;
-    tau = 0 returns P l^4 / (hbar c).
+    tau = 0 returns P l^4 / (hbar c).  At the energy zero theta* =
+    0.7550352635972403 and low tau, the stencil energies' absolute request,
+    1e-13, lies below the quadrature's rounding floor: oracle_pressure(theta*,
+    0.05) raises RuntimeError naming theta, and cannot check the pressure there.
     """
     q = q or QuadControl()
     if tau < 0.0:

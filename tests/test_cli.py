@@ -8,6 +8,7 @@ import io
 import json
 import math
 import pickle
+import random
 import subprocess
 import sys
 
@@ -392,7 +393,6 @@ _RECORDS = (
      "theta=0.1, verdet=100000.0, bfield=2.0, zero_mode=<ZeroModePolicy.TM_ONLY: 'tm_only'>)"),
     (ReducedPoint, (0.3, 1.5), "ReducedPoint(theta=0.3, tau=1.5)"),
     (SeriesControl, (1e-12, "n_first"), "SeriesControl(rel_tol=1e-12, order='n_first')"),
-    (engine._MSeries, (True,), "_MSeries(pressure=True)"),
     (AxisSpec, (10.0, 1000.0, 5, True), "AxisSpec(start=10.0, stop=1000.0, count=5, log=True)"),
     (SweepSpec, (AxisSpec(0.0, 1.0, 3), AxisSpec(1e-6, 1e-6, 1), AxisSpec(300.0, 300.0, 1),
                  AxisSpec(2.0, 2.0, 1), 1e5, MediumKind.FARADAY, ZeroModePolicy.FULL, 1e-9),
@@ -595,16 +595,25 @@ def test_point_mode_loads_no_scipy(package_env):
 
 
 def test_point_mode_and_the_m_series_load_no_numpy(package_env):
-    # numpy serves ranged sweep axes only: the m-series, the images, n_first,
-    # matsubara_term and the damped polylogarithms are scalar Python.  No
-    # path introspects anything, so dataclasses and inspect stay out too, and
-    # under -S, where site preloads nothing, so does typing
+    # numpy serves the oracle only: the m-series, the images, n_first,
+    # matsubara_term, the damped polylogarithms and the spacing of a linear
+    # or log sweep axis are scalar Python.  No path introspects anything, so
+    # dataclasses and inspect stay out too, and under -S, where site
+    # preloads nothing, so does typing
     code = ("import contextlib, io, json, sys\n"
             "import chiral_casimir as cc\n"
             "import chiral_casimir.cli as cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert cli.run(['--mode', 'point', '--temperature', '300']) == 0\n"
+            "    assert cli.run(['--mode', 'sweep', '--theta-range', '-1:1:5']) == 0\n"
+            "    assert cli.run(['--mode', 'sweep', '--temperature-range', '10:1000:5:log',\n"
+            "                    '--medium', 'faraday', '--verdet', '1e5', '--bfield', '2']) == 0\n"
+            "spec = cli.SweepSpec(theta=cli.AxisSpec(0.0, 1.5, 4),\n"
+            "                     temperature=cli.AxisSpec(1.0, 1e3, 4, log=True))\n"
+            "assert len(cli.run_sweep(spec).rows) == 16\n"
+            "assert cc.physical_free_energy(cc.CavityConfig(1e-6, 0.0, theta=0.3)).converged\n"
             "assert cc.reduced_free_energy(cc.ReducedPoint(0.3, 3.0)).converged\n"
+            "assert cc.reduced_pressure(cc.ReducedPoint(0.3, 0.01)).converged\n"
             "cfg = cc.CavityConfig(1e-6, 1000.0, kind=cc.MediumKind.FARADAY, verdet=1e5,\n"
             "                      bfield=2.0)\n"
             "assert cc.reduced_temperature(cfg.separation, cfg.temperature) > 1.5\n"
@@ -623,6 +632,51 @@ def test_point_mode_and_the_m_series_load_no_numpy(package_env):
         assert proc.returncode == 0, proc.stderr
         loaded = json.loads(proc.stdout)
         assert not {m.split(".")[0] for m in loaded} & banned, (flags, loaded)
+
+
+def _random_axis(rng):
+    # wide and tiny spans, subnormal ones and spans the step underflows in
+    kind = rng.randrange(4)
+    if kind == 0:
+        start = rng.uniform(-1e3, 1e3)
+        return start, start + rng.uniform(0.0, 1e3)
+    if kind == 1:
+        start = 10.0 ** rng.uniform(-300, 300) * rng.choice((-1.0, 1.0))
+        return start, start + abs(start) * rng.uniform(0.0, 1e-14) + 10.0 ** rng.uniform(-323, -300)
+    if kind == 2:
+        return 0.0, 5e-324 * rng.randrange(7)
+    start = math.ldexp(rng.random(), rng.randint(-60, 60))
+    return start, start * 10.0 ** rng.uniform(0.0, 12.0)
+
+
+def test_axis_values_space_as_numpy_does():
+    # a linear axis has np.linspace's bits; a log axis is np.linspace in
+    # log10, raised to 10**v, with both endpoints exact.  Against
+    # np.geomspace it is within one ulp wherever math.log10 rounds the
+    # endpoints as np.log10 does: libm's pow and log10 may differ from
+    # numpy's by an ulp, and an ulp of log10 moves 10**v by ln(10) |log10|
+    # ulps of the value
+    rng = random.Random(24)
+    logs_taken = agreed = 0
+    for _ in range(5000):
+        start, stop = _random_axis(rng)
+        n = rng.randint(2, 70)
+        assert AxisSpec(start, stop, n).values() == tuple(np.linspace(start, stop, n).tolist())
+        if start <= 0.0:
+            continue
+        logs_taken += 1
+        values = AxisSpec(start, stop, n, log=True).values()
+        logs = np.linspace(math.log10(start), math.log10(stop), n).tolist()
+        assert values == (start, *(10.0**v for v in logs[1:-1]), stop)
+        if np.log10(start) == math.log10(start) and np.log10(stop) == math.log10(stop):
+            agreed += 1
+            for v, g in zip(values, np.geomspace(start, stop, n).tolist()):
+                assert abs(v - g) <= math.ulp(g), (start, stop, n)
+    assert agreed > 0.8 * logs_taken
+    # the benchmark's temperature axis (three of its 50 values moved by an ulp)
+    values = AxisSpec(10.0, 1000.0, 50, log=True).values()
+    for v, g in zip(values, np.geomspace(10.0, 1000.0, 50).tolist()):
+        assert abs(v - g) <= math.ulp(g)
 
 
 def test_library_use_of_the_cli_loads_no_argparse(package_env):

@@ -71,10 +71,28 @@ def test_package_resolves_oracle_names_lazily(package_env):
 def test_T0_pieces_are_built_once():
     # the T = 0 pieces are a constant of the module, with the breakpoints
     # _breaks gives the T = 0 integral, shared by every call
-    edges = oracle_module._breaks(0.0, 2.0 * oracle_module._CUTOFF, (oracle_module._CUTOFF,))
+    cutoff = oracle_module._CUTOFF
+    edges = oracle_module._breaks(0.0, 2.0 * cutoff, (cutoff,))
     assert np.array_equal(oracle_module._T0_EDGES, edges)
+    assert edges.tolist() == [0.0, *oracle_module._GRADING, cutoff, 2.0 * cutoff]
     assert np.array_equal(oracle_module._T0_PIECES[:, :2], np.sqrt(np.column_stack((edges[:-1], edges[1:]))))
     assert not oracle_module._T0_PIECES.flags.writeable
+
+
+def test_breaks_are_the_sorted_distinct_points():
+    # _breaks sorts and drops repeats by a mask, which loads no numpy.ma;
+    # np.unique, which does, gives the same arrays
+    grading = oracle_module._GRADING
+    cases = [(0.0, 2.0 * oracle_module._CUTOFF, (oracle_module._CUTOFF,)), (5.0, 45.0, ()),
+             (0.0, 40.0, grading + (0.0, 40.0, 1.0)), (1.0, 1.0, (1.0,))]
+    for tau in (*oracle_module.CERTIFY_TAUS, 0.01, 3e-4):
+        starts = 2.0 * tau * np.arange(1, oracle_module._matsubara_count(tau, 1e-10) + 1)
+        cases.append((0.0, starts[-1] + oracle_module._CUTOFF, starts))
+    for lo, hi, inner in cases:
+        pts = np.concatenate(((lo, hi), grading, inner))
+        expected = np.unique(pts[(pts >= lo) & (pts <= hi)])
+        got = oracle_module._breaks(lo, hi, inner)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
 def test_T0_parallel_plates():
@@ -331,6 +349,16 @@ def test_every_bound_meets_its_request_at_tight_tolerance(monkeypatch):
     assert len(seen) == 5 + 6 + 4
     for bound, tol in seen:
         assert 0.0 < bound <= tol
+
+
+def test_pressure_oracle_cannot_reach_the_energy_zero_at_low_tau():
+    # its stencil energies ask each quadrature for an absolute 1e-13, below
+    # the rounding floor where the energy is near 0: a known limit, which
+    # raises naming the angle rather than returning an uncertified value
+    theta = 0.7550352635972403
+    with pytest.raises(RuntimeError, match=rf"theta={re.escape(repr(theta))}: error bound "
+                                           r".* above the tolerance 1e-13"):
+        oracle_pressure(theta, 0.05)
 
 
 def test_unreachable_tolerance_raises_quickly():
