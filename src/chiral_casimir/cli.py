@@ -85,7 +85,7 @@ class AxisSpec(_Record):
     def values(self) -> tuple[float, ...]:
         """np.linspace's values, bit for bit; a log axis is spaced so in log10 and
         raised to 10**v, endpoints exact: np.geomspace's to an ulp where libm's
-        log10 and pow round as numpy's do."""
+        log10 and pow round as numpy's do.  Every value lies in [start, stop]."""
         start, stop, div = float(self.start), float(self.stop), self.count - 1
         if not div:
             return (start,)
@@ -94,7 +94,10 @@ class AxisSpec(_Record):
         step = span / div  # where it underflows, np.linspace takes i/div times the span
         spaced = [i * step + lo if step else i / div * span + lo for i in range(div)]
         if self.log:
-            return (start, *(10.0**v for v in spaced[1:]), stop)
+            # an ulp of log10 (1.3e-13 of the value near 1e300) can exceed a
+            # tiny relative span, and 10**v then leaves the axis: clamp it
+            inner = [10.0**v for v in spaced[1:]]
+            return (start, *[start if x < start else stop if x > stop else x for x in inner], stop)
         return (*spaced, stop)
 
 
@@ -216,20 +219,22 @@ def _certify(rel_tol: float, out) -> int:
     ctrl = SeriesControl(rel_tol=rel_tol)
     qc = oracle.QuadControl()
     points = [ReducedPoint(theta, tau) for theta in oracle.CERTIFY_THETAS for tau in oracle.CERTIFY_TAUS]
+    tau_text = {tau: f"{tau:.3f}" for tau in oracle.CERTIFY_TAUS}
     # (theta, tau as printed, engine value, oracle value); the oracle takes
     # the thermal grid and the T = 0 angles in one batched call each
-    pairs = [(p.theta, f"{p.tau:.3f}", engine.reduced_free_energy(p, ctrl).value, o)
+    pairs = [(p.theta, tau_text[p.tau], engine.reduced_free_energy(p, ctrl).value, o)
              for p, o in zip(points, oracle.oracle_free_energy(points, qc))]
     pairs += [(theta, "0    ", engine.reduced_free_energy_T0(theta), o)
               for theta, o in zip(_CERTIFY_T0_THETAS, oracle.oracle_free_energy_T0(_CERTIFY_T0_THETAS, qc))]
-    failures = 0
+    # one line per comparison and the summary, written at once
+    lines, failures = [], 0
     for theta, tau_text, e, o in pairs:
         rep = oracle.compare(e, o, _CERTIFY_TOL)
         failures += not rep.passed
-        print(f"theta={theta:.10f} tau={tau_text} engine={e:+.12e} "
-              f"oracle={o:+.12e} rel_gap={rep.rel_gap:.3e} "
-              f"{'PASS' if rep.passed else 'FAIL'}", file=out)
-    print(f"certify: {len(pairs) - failures}/{len(pairs)} comparisons passed", file=out)
+        lines.append("theta=%.10f tau=%s engine=%+.12e oracle=%+.12e rel_gap=%.3e %s\n"
+                     % (theta, tau_text, e, o, rep.rel_gap, "PASS" if rep.passed else "FAIL"))
+    lines.append(f"certify: {len(pairs) - failures}/{len(pairs)} comparisons passed\n")
+    out.write("".join(lines))
     return 3 if failures else 0
 
 

@@ -29,12 +29,20 @@ kernel and the 21-term sums run per angle; the certify grid's 595 pieces
 rest on 119 such rows.  oracle_free_energy and oracle_free_energy_T0 take one
 point (or angle) or a sequence of them; a sequence is one batch, and each
 value has the same bits as its single call.
+
+The set-up around the quadrature runs in plain Python, since its cost is
+the count of calls, not the work in them: a tau's pieces (the window
+starts 2 tau k, the sorted distinct breakpoints, their square roots and
+the window count at each) are four lists, of which _integrate makes one
+array per call, and the Matsubara count starts from a guess of where its
+tail bound passes, gallops to a bracket and bisects it.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 
 import numpy as np
 
@@ -132,10 +140,15 @@ class QuadControl(_Record):
 
 
 def _pieces(edges, w0, w1):
-    """Rows (a, b, w0, w1) in t = sqrt(u) of the pieces between the increasing
-    breakpoints edges in u, piece i weighted by w0[i] + w1[i] u."""
-    t_edges = np.sqrt(edges)
-    return np.column_stack((t_edges[:-1], t_edges[1:], w0, w1))
+    """Columns (a, b, w0, w1) in t = sqrt(u) of the pieces between the increasing
+    breakpoints edges in u, piece i weighted by w0[i] + w1[i] u.
+
+    Four lists, not an array: _integrate makes one array of all the
+    distinct pieces of a call, so that a few dozen pieces per tau cost no
+    numpy call of their own.
+    """
+    t = [math.sqrt(u) for u in edges]
+    return t[:-1], t[1:], w0, w1
 
 
 def _rule(rows, theta, take):
@@ -196,23 +209,26 @@ def _integrate(jobs, epsabs: float, epsrel: float) -> list[tuple[float, float]]:
     # rows holds each distinct pieces object once, and the open pieces are
     # rows[col], owned by jobs owner; sorted by row, a _SLICE of them spans
     # a run of rows, and each job's pieces keep their order (its rows are
-    # distinct and increasing)
-    first, arrays, m = {}, [], 0
+    # distinct and increasing).  first maps each distinct object to its
+    # first row and its length in t
+    first, columns, m = {}, ([], [], [], []), 0
     for _, p in jobs:
         if id(p) not in first:
-            first[id(p)] = m
-            arrays.append(p)
-            m += len(p)
-    rows = np.concatenate(arrays)
-    sizes = [len(p) for _, p in jobs]
+            first[id(p)] = m, p[1][-1] - p[0][0]
+            for column, part in zip(columns, p):
+                column += part
+            m += len(p[0])
+    rows = np.array(columns, dtype=float).T
+    sizes = [len(p[0]) for _, p in jobs]
     owner = np.repeat(np.arange(n), sizes)
     col = np.arange(len(owner))
-    if len(arrays) < n:
-        shift = np.array([first[id(p)] for _, p in jobs]) - (np.cumsum(sizes) - sizes)
+    offsets, span = zip(*[first[id(p)] for _, p in jobs])
+    if len(first) < n:
+        shift = np.array(offsets) - (np.cumsum(sizes) - sizes)
         col += np.repeat(shift, sizes)
         order = np.argsort(col)
         col, owner = col[order], owner[order]
-    span = np.array([p[-1, 1] - p[0, 0] for _, p in jobs])
+    span = np.array(span)
     closed_k, closed_d, closed_f = np.zeros((3, n))
     done = np.zeros(n, dtype=bool)
     out = [None] * n
@@ -231,8 +247,9 @@ def _integrate(jobs, epsabs: float, epsrel: float) -> list[tuple[float, float]]:
         bound = closed_d + np.bincount(owner, d, n) + floor
         tol = np.maximum(epsabs, epsrel * np.abs(total))
         met = ~done & (bound <= tol)
+        values, bounds = total.tolist(), bound.tolist()
         for j in np.flatnonzero(met).tolist():
-            out[j] = (float(total[j]), float(bound[j]))
+            out[j] = values[j], bounds[j]
         done |= met
         if done.all():
             return out
@@ -256,21 +273,19 @@ def _integrate(jobs, epsabs: float, epsrel: float) -> list[tuple[float, float]]:
         col = np.arange(len(rows))
 
 
-def _breaks(lo: float, hi: float, inner=()):
-    """Sorted breakpoints, each once: lo, hi, the _GRADING points between them and inner."""
-    pts = np.concatenate(((lo, hi), _GRADING, inner))
-    pts = pts[(pts >= lo) & (pts <= hi)]
-    pts.sort()
-    return pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
+def _breaks(lo: float, hi: float, inner=()) -> list[float]:
+    """Sorted breakpoints, each once: lo, hi, and the _GRADING and inner points between them."""
+    pts = sorted([u for u in (lo, hi, *_GRADING, *inner) if lo <= u <= hi])
+    return [u for u, before in zip(pts, [None, *pts]) if u != before]
 
 
 # The pieces of the T = 0 oracle, the same at every angle and tolerance:
 # the weight at u is the length min(u, 2C - u) that z covers there
 # (oracle_free_energy_T0), with a breakpoint at u = C
 _T0_EDGES = _breaks(0.0, 2.0 * _CUTOFF, (_CUTOFF,))
-_T0_PIECES = _pieces(_T0_EDGES, np.where(_T0_EDGES[:-1] >= _CUTOFF, 2.0 * _CUTOFF, 0.0),
-                     np.where(_T0_EDGES[:-1] >= _CUTOFF, -1.0, 1.0))
-_T0_PIECES.flags.writeable = False
+_T0_PIECES = tuple(map(tuple, _pieces(_T0_EDGES,
+                                      [2.0 * _CUTOFF if u >= _CUTOFF else 0.0 for u in _T0_EDGES[:-1]],
+                                      [-1.0 if u >= _CUTOFF else 1.0 for u in _T0_EDGES[:-1]])))
 
 
 def oracle_free_energy(p, q: QuadControl | None = None):
@@ -299,21 +314,39 @@ def _matsubara_count(tau: float, abs_tol: float) -> int:
     # a_{N+1}: the dropped terms sum to at most b(a_{N+1}) / (1 - r).  One
     # term's bound below abs_tol is not enough: it leaves 1.05e-9 out at
     # abs_tol 1e-10 and tau = 0.03.  Both b(a_{N+1}) and r fall with N, so
-    # the test holds from N on: bisect for the first n <= _MAX_N that passes
-    # it, with lo failing and hi passing (or past _MAX_N), in at most
-    # log2(_MAX_N + 2) tests
-    exp = math.exp
+    # the test holds from N on: search for the first n <= _MAX_N that
+    # passes it, with lo failing and hi passing (or past _MAX_N).  Since
+    # b(a) >= e^{-a} zeta2 and 1 - r <= 1, no n with a_{n+1} <= ln(zeta2/abs_tol)
+    # passes, and N lies near the fixed point of a = ln(zeta2 (1 + a) /
+    # (abs_tol (1 - r))): two steps of that iteration from ln(zeta2/abs_tol)
+    # guess it to within a few terms for tau in [1e-4, 300] and abs_tol in
+    # [1e-15, 1e-5].  The search probes the guess, gallops away from it,
+    # doubling its step, until it brackets N, then bisects, in at most 14
+    # tests there against 17 for a bisection of [0, _MAX_N]; a poor guess
+    # costs tests, never the result
+    exp, log = math.exp, math.log
     decay = exp(-2.0 * tau)
     zeta2 = math.pi**2 / 6.0
+    a = lower = max(0.0, log(zeta2) - log(abs_tol))
+    for _ in range(2):
+        gap = 1.0 - decay * (1.0 + 2.0 * tau / (1.0 + a))
+        if not gap > 0.0:
+            break
+        a = lower + log((1.0 + a) / gap)
+    guess = a / (2.0 * tau)
     lo, hi = -1, _MAX_N + 1
+    n, step = int(guess) if guess < _MAX_N else _MAX_N, 1
     while hi - lo > 1:
-        n = (lo + hi) // 2
+        if not lo < n < hi:
+            # bracketed: bisect from here on
+            n, step = (lo + hi) // 2, hi
         a = 2.0 * (n + 1) * tau
         r = decay * (1.0 + 2.0 * tau / (1.0 + a))
         if exp(-a) * (1.0 + a) * zeta2 < abs_tol * (1.0 - r):
-            hi = n
+            hi, n = n, n - step
         else:
-            lo = n
+            lo, n = n, n + step
+        step *= 2
     if hi > _MAX_N:
         raise RuntimeError(f"Matsubara truncation bound not reached within {_MAX_N} terms")
     return hi
@@ -336,10 +369,11 @@ def _free_energy(points, q: QuadControl) -> list[float]:
         if tau not in windows:
             # window n >= 1 covers u >= 2 n tau, the n = 0 one all u >= 0 at
             # half weight; each piece starts on or after the windows that cover it
-            starts = 2.0 * tau * np.arange(1, _matsubara_count(tau, q.abs_tol) + 1)
-            edges = _breaks(0.0, (starts[-1] if starts.size else 0.0) + _CUTOFF, starts)
-            w0 = 0.5 + np.searchsorted(starts, edges[:-1], side="right")
-            windows[tau] = _pieces(edges, w0, np.zeros_like(w0))
+            step = 2.0 * tau
+            starts = [step * n for n in range(1, _matsubara_count(tau, q.abs_tol) + 1)]
+            edges = _breaks(0.0, (starts[-1] if starts else 0.0) + _CUTOFF, starts)
+            windows[tau] = _pieces(edges, [0.5 + bisect_right(starts, u) for u in edges[:-1]],
+                                   [0.0] * (len(edges) - 1))
         jobs.append((theta, windows[tau]))
     return [0.5 * val for val, _ in _integrate(jobs, eps, eps)]
 
@@ -351,9 +385,9 @@ def oracle_matsubara_term(n: int, p, q: QuadControl | None = None) -> float:
         raise ValueError(f"Matsubara index must be >= 0, got {n!r}")
     lo = 2.0 * n * float(p.tau)
     edges = _breaks(lo, lo + _CUTOFF)
-    w0 = np.ones(edges.size - 1)
+    w0 = [1.0] * (len(edges) - 1)
     eps = min(1e-12, q.abs_tol)
-    [(val, _)] = _integrate([(p.theta, _pieces(edges, w0, np.zeros_like(w0)))], eps, eps)
+    [(val, _)] = _integrate([(p.theta, _pieces(edges, w0, [0.0] * len(w0)))], eps, eps)
     return 0.5 * val
 
 

@@ -208,12 +208,13 @@ def test_criterion_08_derivative_consistency(capsys):
         fd = -(4.0 * d2 - d1) / 3.0
         p = physical_pressure(cfg).value / (K_BOLTZMANN * T / (4.0 * math.pi * l**3))
         worst_far = max(worst_far, abs(p - fd) / abs(p))
-    ok = worst_fd <= 1e-6 and worst_grad <= 1e-8 and worst_far <= 1e-6
+    # budgets at least 40 times the readings (3.03e-12, 2.34e-12, 1.49e-11)
+    ok = worst_fd <= 1e-8 and worst_grad <= 1e-10 and worst_far <= 1e-8
     report(capsys, 8, ok,
            f"pressure vs Richardson dE/dl on 9 points: {worst_fd:.2e} "
-           f"(budget 1e-6); T=0 angle gradient vs closed form: "
-           f"{worst_grad:.2e} (budget 1e-8); Faraday pressure vs Richardson "
-           f"oracle dE/dl on 4 points: {worst_far:.2e} (budget 1e-6)")
+           f"(budget 1e-8); T=0 angle gradient vs closed form: "
+           f"{worst_grad:.2e} (budget 1e-10); Faraday pressure vs Richardson "
+           f"oracle dE/dl on 4 points: {worst_far:.2e} (budget 1e-8)")
 
 
 def test_criterion_09_symmetry_suite(capsys):

@@ -655,7 +655,8 @@ def test_axis_values_space_as_numpy_does():
     # np.geomspace it is within one ulp wherever math.log10 rounds the
     # endpoints as np.log10 does: libm's pow and log10 may differ from
     # numpy's by an ulp, and an ulp of log10 moves 10**v by ln(10) |log10|
-    # ulps of the value
+    # ulps of the value.  Both are clamped into [start, stop], which an ulp
+    # of log10 can leave on a tiny relative span
     rng = random.Random(24)
     logs_taken = agreed = 0
     for _ in range(5000):
@@ -667,16 +668,45 @@ def test_axis_values_space_as_numpy_does():
         logs_taken += 1
         values = AxisSpec(start, stop, n, log=True).values()
         logs = np.linspace(math.log10(start), math.log10(stop), n).tolist()
-        assert values == (start, *(10.0**v for v in logs[1:-1]), stop)
+        assert values == (start, *(min(max(10.0**v, start), stop) for v in logs[1:-1]), stop)
         if np.log10(start) == math.log10(start) and np.log10(stop) == math.log10(stop):
             agreed += 1
             for v, g in zip(values, np.geomspace(start, stop, n).tolist()):
+                g = min(max(g, start), stop)  # np.geomspace too may leave a tiny span
                 assert abs(v - g) <= math.ulp(g), (start, stop, n)
     assert agreed > 0.8 * logs_taken
     # the benchmark's temperature axis (three of its 50 values moved by an ulp)
     values = AxisSpec(10.0, 1000.0, 50, log=True).values()
     for v, g in zip(values, np.geomspace(10.0, 1000.0, 50).tolist()):
         assert abs(v - g) <= math.ulp(g)
+
+
+def test_log_axes_stay_sorted_and_in_range():
+    # one ulp of log10 near 300 is 1.3e-13 of the value, more than these
+    # spans, and 10**v fell below start; clamped, every value is inside
+    # its axis, the axis is sorted with exact endpoints, and a value the
+    # unclamped spacing put inside keeps its bits
+    rng = random.Random(58)
+    axes = [(1e-300, 1.0000000000001e-300, 9), (2.3073182906465436e-300, 2.307318290646554e-300, 58)]
+    for _ in range(4000):
+        start = 10.0 ** rng.uniform(-307, 307)
+        stop = start * (1.0 + rng.choice((0.0, 1e-16, 1e-15, 1e-14, 1e-13, 1e-12)) * rng.random())
+        axes.append((start, stop, rng.randint(2, 70)))
+    moved = 0
+    for start, stop, n in axes:
+        values = AxisSpec(start, stop, n, log=True).values()
+        logs = np.linspace(math.log10(start), math.log10(stop), n).tolist()
+        unclamped = (start, *(10.0**v for v in logs[1:-1]), stop)
+        assert len(values) == n and values[0] == start and values[-1] == stop
+        assert all(a <= b for a, b in zip(values, values[1:])), (start, stop, n)
+        for v, u in zip(values, unclamped):
+            assert start <= v <= stop
+            assert v == u or not start <= u <= stop, (start, stop, n)
+            moved += v != u
+    assert moved > 0
+    for start, stop, n in axes[:2]:
+        assert not all(start <= 10.0**v <= stop
+                       for v in np.linspace(math.log10(start), math.log10(stop), n).tolist()[1:-1])
 
 
 def test_library_use_of_the_cli_loads_no_argparse(package_env):

@@ -70,29 +70,104 @@ def test_package_resolves_oracle_names_lazily(package_env):
 
 def test_T0_pieces_are_built_once():
     # the T = 0 pieces are a constant of the module, with the breakpoints
-    # _breaks gives the T = 0 integral, shared by every call
+    # _breaks gives the T = 0 integral, shared by every call; tuples, so
+    # that no call can change them
     cutoff = oracle_module._CUTOFF
     edges = oracle_module._breaks(0.0, 2.0 * cutoff, (cutoff,))
-    assert np.array_equal(oracle_module._T0_EDGES, edges)
-    assert edges.tolist() == [0.0, *oracle_module._GRADING, cutoff, 2.0 * cutoff]
-    assert np.array_equal(oracle_module._T0_PIECES[:, :2], np.sqrt(np.column_stack((edges[:-1], edges[1:]))))
-    assert not oracle_module._T0_PIECES.flags.writeable
+    assert oracle_module._T0_EDGES == edges == [0.0, *oracle_module._GRADING, cutoff, 2.0 * cutoff]
+    assert all(type(column) is tuple for column in oracle_module._T0_PIECES)
+    assert _bits(oracle_module._T0_PIECES) == _numpy_pieces(np.array(edges), "T0").tobytes()
 
 
 def test_breaks_are_the_sorted_distinct_points():
-    # _breaks sorts and drops repeats by a mask, which loads no numpy.ma;
-    # np.unique, which does, gives the same arrays
+    # _breaks sorts and drops repeats in plain Python; np.unique gives the
+    # same points, in the same order, with the same bits
     grading = oracle_module._GRADING
     cases = [(0.0, 2.0 * oracle_module._CUTOFF, (oracle_module._CUTOFF,)), (5.0, 45.0, ()),
-             (0.0, 40.0, grading + (0.0, 40.0, 1.0)), (1.0, 1.0, (1.0,))]
+             (0.0, 40.0, grading + (0.0, 40.0, 1.0)), (1.0, 1.0, (1.0,)), (2.0, 1.0, (1.5,))]
     for tau in (*oracle_module.CERTIFY_TAUS, 0.01, 3e-4):
-        starts = 2.0 * tau * np.arange(1, oracle_module._matsubara_count(tau, 1e-10) + 1)
+        starts = (2.0 * tau * np.arange(1, oracle_module._matsubara_count(tau, 1e-10) + 1)).tolist()
         cases.append((0.0, starts[-1] + oracle_module._CUTOFF, starts))
     for lo, hi, inner in cases:
         pts = np.concatenate(((lo, hi), grading, inner))
         expected = np.unique(pts[(pts >= lo) & (pts <= hi)])
         got = oracle_module._breaks(lo, hi, inner)
-        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        assert all(type(u) is float for u in got)
+        assert np.array(got, dtype=float).tobytes() == expected.tobytes()
+
+
+def _numpy_pieces(edges, weight, starts=None):
+    """The pieces as the oracle built them in numpy, one row (a, b, w0, w1)
+    per piece: the reference for the plain-Python builders."""
+    cutoff = oracle_module._CUTOFF
+    if weight == "T0":
+        w0 = np.where(edges[:-1] >= cutoff, 2.0 * cutoff, 0.0)
+        w1 = np.where(edges[:-1] >= cutoff, -1.0, 1.0)
+    elif weight == "term":
+        w0 = np.ones(edges.size - 1)
+        w1 = np.zeros_like(w0)
+    else:
+        w0 = 0.5 + np.searchsorted(starts, edges[:-1], side="right")
+        w1 = np.zeros_like(w0)
+    t_edges = np.sqrt(edges)
+    return np.column_stack((t_edges[:-1], t_edges[1:], w0, w1))
+
+
+def _numpy_thermal_pieces(tau, abs_tol):
+    starts = 2.0 * tau * np.arange(1, oracle_module._matsubara_count(tau, abs_tol) + 1)
+    lo, hi = 0.0, (starts[-1] if starts.size else 0.0) + oracle_module._CUTOFF
+    pts = np.concatenate(((lo, hi), oracle_module._GRADING, starts))
+    pts = pts[(pts >= lo) & (pts <= hi)]
+    pts.sort()
+    edges = pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
+    return _numpy_pieces(edges, "thermal", starts)
+
+
+def _bits(pieces):
+    # the bytes of the pieces as rows (a, b, w0, w1), as _integrate stacks them
+    assert len({len(column) for column in pieces}) == 1
+    return np.ascontiguousarray(np.array(pieces, dtype=float).reshape(4, -1).T).tobytes()
+
+
+class _Captured(Exception):
+    pass
+
+
+def _capture_jobs(monkeypatch):
+    # the jobs of the next _integrate call, which then raises instead of
+    # integrating
+    def capturing(jobs, epsabs, epsrel):
+        raise _Captured(jobs)
+
+    monkeypatch.setattr(oracle_module, "_integrate", capturing)
+
+
+def test_pieces_have_the_bits_of_the_numpy_construction(monkeypatch):
+    # every pieces object the oracle passes to _integrate equals, byte for
+    # byte, the array the numpy construction made: taus whose windows start
+    # on a grading point (0.5, 2.0, 5.0), taus and tolerances that keep no
+    # window, and tau = 3e-4, with more than _SLICE pieces; and the single
+    # Matsubara term's pieces, which may start past every grading point
+    _capture_jobs(monkeypatch)
+    taus = (*CERTIFY_TAUS, 0.01, 3e-4, 0.5, 1.5, 0.05, 4.0, 20.0, 300.0, 0.0123456789)
+    for abs_tol in (1e-10, 1e-12, 1e-6, 2.0):
+        for tau in taus:
+            with pytest.raises(_Captured) as caught:
+                oracle_free_energy(ReducedPoint(0.3, tau), QuadControl(abs_tol))
+            [(theta, pieces)] = caught.value.args[0]
+            assert theta == 0.3
+            assert _bits(pieces) == _numpy_thermal_pieces(tau, abs_tol).tobytes(), (tau, abs_tol)
+    assert oracle_module._matsubara_count(300.0, 1e-10) == oracle_module._matsubara_count(1.0, 2.0) == 0
+    assert oracle_module._matsubara_count(3e-4, 1e-10) > oracle_module._SLICE
+    for n in (0, 1, 3, 10, 1000):
+        for tau in (0.5, 0.3, 2.0):
+            with pytest.raises(_Captured) as caught:
+                oracle_matsubara_term(n, ReducedPoint(0.3, tau))
+            [(_, pieces)] = caught.value.args[0]
+            lo = 2.0 * n * tau
+            pts = np.concatenate(((lo, lo + oracle_module._CUTOFF), oracle_module._GRADING))
+            edges = np.unique(pts[(pts >= lo) & (pts <= lo + oracle_module._CUTOFF)])
+            assert _bits(pieces) == _numpy_pieces(edges, "term").tobytes(), (n, tau)
 
 
 def test_T0_parallel_plates():
