@@ -867,9 +867,17 @@ def _physical(cfg: CavityConfig, ctrl: SeriesControl, pressure: bool) -> EvalRes
     """
     theta, grad, tau, scale, lift = _units(cfg, pressure)
     if cfg.temperature == 0.0:
-        closed_form = reduced_pressure_T0 if pressure else reduced_free_energy_T0
-        parts = [closed_form(theta)]
-        floor = 3e-15 if pressure else 1e-15  # polynomial, roundoff level in reduced units
+        # E0 = -Cl4(2 theta)/(8 pi^2) is off by _CL4_ERR/(8 pi^2) from Cl4,
+        # and by 2.7u |E0| from the division by the rounded 8 pi^2 (math.pi
+        # is within 0.36u of pi, its square within 1.7u of pi^2); P0 = 3 E0
+        # triples both and adds u |P0| for the product
+        e0 = reduced_free_energy_T0(theta)
+        if pressure:
+            parts = [3.0 * e0]
+            floor = 3.0 * _CL4_ERR / EIGHT_PI2 + 3.7 * _EPS * abs(parts[0])
+        else:
+            parts = [e0]
+            floor = _CL4_ERR / EIGHT_PI2 + 2.7 * _EPS * abs(e0)
         if grad:
             # dE_0/dtheta = Sl3(2 theta)/(4 pi^2).  The product and the division
             # by the rounded 4 pi^2 add 3.7u of |Sl3| <= 0.995 to _SL3_ERR:

@@ -36,6 +36,18 @@ starts 2 tau k, the sorted distinct breakpoints, their square roots and
 the window count at each) are four lists, of which _integrate makes one
 array per call, and the Matsubara count starts from a guess of where its
 tail bound passes, gallops to a bracket and bisects it.
+
+The pressure takes no derivative of a quadrature.  J_n depends on tau only
+through its lower limit a_n = 2 n tau, so tau dJ_n/dtau = -a_n^2 L(e^{-a_n},
+theta), and the reduced pressure P = 2 E - tau dE/dtau is
+
+    P = 2 E + (1/2) sum_{n>=1} a_n^2 L(e^{-a_n}, theta):
+
+one energy quadrature and a plain sum of kernel values, cut where a
+geometric bound on its tail (from |L| <= 2x/(1 - x)) is within abs_tol.  At
+zero temperature E scales as 1/l^3 at a fixed angle, so P = 3 E exactly.
+Each value carries a bound on its error (_free_energy, _pressure), which
+the public functions do not return.
 """
 
 from __future__ import annotations
@@ -67,7 +79,10 @@ CERTIFY_TAUS = (0.3, 0.7, 1.0, 2.0, 5.0)
 
 _CUTOFF = 40.0  # integration window length in u = 2 kappa l
 _MAX_N = 10**5  # Matsubara terms
-_FD_STEP = 1e-5  # relative step for the finite-difference pressure
+# the part of a window above the common top 2 N tau + C that one quadrature
+# leaves out (oracle_free_energy): the integral of u 2x/(1 - x) over
+# [C, infinity), 2 (C + 1) e^{-C}/(1 - e^{-C}) = 3.48e-16 in J_n, rounded up
+_WINDOW_CUT = 3.5e-16
 
 # The 21-point Gauss-Kronrod rule of QUADPACK's qk21 (Piessens et al. 1983)
 # on [-1, 1]: the nonnegative Kronrod nodes, from the outside in, with their
@@ -128,7 +143,7 @@ _ROUNDING = 4.0 * sys.float_info.epsilon
 
 
 class QuadControl(_Record):
-    """Tolerance of the quadrature oracle; the window, term cap and step are fixed."""
+    """Tolerance of the quadrature oracle; the window and term cap are fixed."""
 
     _fields = ("abs_tol",)
     abs_tol = 1e-10  # reduced units
@@ -303,8 +318,8 @@ def oracle_free_energy(p, q: QuadControl | None = None):
     """
     q = q or QuadControl()
     if hasattr(p, "tau"):
-        return _free_energy([(p.theta, p.tau)], q)[0]
-    return _free_energy([(s.theta, s.tau) for s in p], q)
+        return _free_energy([(p.theta, p.tau)], q)[0][0]
+    return [val for val, _ in _free_energy([(s.theta, s.tau) for s in p], q)]
 
 
 def _matsubara_count(tau: float, abs_tol: float) -> int:
@@ -352,16 +367,21 @@ def _matsubara_count(tau: float, abs_tol: float) -> int:
     return hi
 
 
-def _free_energy(points, q: QuadControl) -> list[float]:
-    """Reduced free energy at each (theta, tau) of points, in one _integrate call."""
+def _free_energy(points, q: QuadControl) -> list[tuple[float, float]]:
+    """Reduced free energy at each (theta, tau) of points and a bound on its error, in one _integrate call.
+
+    The bound is half the quadrature's, plus abs_tol for the dropped
+    windows (_matsubara_count) and half of _WINDOW_CUT for each kept one,
+    n = 0 included.
+    """
     # a tenth of abs_tol for the quadrature, the truncation takes the rest;
-    # at abs_tol 1e-12 (oracle_pressure) a hundredth, 1e-14, sat below the
-    # rounding floor near the energy zero at tau < 0.5.  epsrel as tight as
-    # epsabs: the 1e-5 Richardson stencil of a Faraday pressure divides the
-    # quadrature's error by the step
+    # at abs_tol 1e-12 a hundredth, 1e-14, sat below the rounding floor near
+    # the energy zero at tau < 0.5.  epsrel as tight as epsabs: criterion
+    # 08's Faraday check, a 1e-5 Richardson stencil of these energies,
+    # divides the quadrature's error by the step
     eps = min(1e-12, q.abs_tol / 10.0)
-    windows = {}  # tau -> its pieces, which do not depend on theta
-    jobs = []
+    windows = {}  # tau -> its pieces, which do not depend on theta, and its truncation bound
+    jobs, cuts = [], []
     for theta, tau in points:
         tau = float(tau)
         if tau <= 0.0:
@@ -370,12 +390,67 @@ def _free_energy(points, q: QuadControl) -> list[float]:
             # window n >= 1 covers u >= 2 n tau, the n = 0 one all u >= 0 at
             # half weight; each piece starts on or after the windows that cover it
             step = 2.0 * tau
-            starts = [step * n for n in range(1, _matsubara_count(tau, q.abs_tol) + 1)]
+            count = _matsubara_count(tau, q.abs_tol)
+            starts = [step * n for n in range(1, count + 1)]
             edges = _breaks(0.0, (starts[-1] if starts else 0.0) + _CUTOFF, starts)
-            windows[tau] = _pieces(edges, [0.5 + bisect_right(starts, u) for u in edges[:-1]],
-                                   [0.0] * (len(edges) - 1))
-        jobs.append((theta, windows[tau]))
-    return [0.5 * val for val, _ in _integrate(jobs, eps, eps)]
+            windows[tau] = (_pieces(edges, [0.5 + bisect_right(starts, u) for u in edges[:-1]],
+                                    [0.0] * (len(edges) - 1)),
+                            q.abs_tol + 0.5 * _WINDOW_CUT * (count + 1))
+        pieces, cut = windows[tau]
+        jobs.append((theta, pieces))
+        cuts.append(cut)
+    return [(0.5 * val, 0.5 * bound + cut) for (val, bound), cut in zip(_integrate(jobs, eps, eps), cuts)]
+
+
+def _kernel_sum(theta: float, tau: float, tol: float) -> tuple[float, float]:
+    """S = sum_{n>=1} a_n^2 L(e^{-a_n}, theta), a_n = 2 n tau, and a bound on its error.
+
+    |L| <= 2x/(1 - x) bounds a term by c(a) = 2 a^2 x/(1 - x), x = e^{-a},
+    and c(a_{n+1})/c(a_n) <= (1 + 1/n)^2 e^{-2 tau}, so the terms after M
+    sum to at most c(a_{M+1})/(1 - r), r = (1 + 1/(M + 1))^2 e^{-2 tau},
+    where r < 1.  From a_{M+1} >= 2 on, where c falls, that bound falls
+    with M: the sum keeps the terms up to the first such M whose bound is
+    within tol, found by a gallop and a bisection.  A float term is within
+    EPS (8 + a) a^2 x/(1 - x) of the exact one: the kernel's error
+    (_ROUNDING's comment), the rounding of a = 2 tau n, which moves L by at
+    most EPS a x/(1 - x), and the products.  _ROUNDING (3 + a) a^2 x/(1 - x)
+    covers that, and _ROUNDING |S| the one rounding of math.fsum.
+    """
+    decay = math.exp(-2.0 * tau)
+
+    def tail(m):  # the bound on the terms n > m
+        a, k = 2.0 * tau * (m + 1), 1.0 + 1.0 / (m + 1)
+        r = k * k * decay
+        return 2.0 * a * a * math.exp(-a) / -math.expm1(-a) / (1.0 - r) if r < 1.0 else math.inf
+
+    m, step = max(0, math.ceil(1.0 / tau) - 1), 1
+    lo = m - 1
+    while not tail(m) <= tol:
+        lo, m, step = m, m + step, 2 * step
+    while m - lo > 1:  # lo fails or lies below the start, m passes
+        mid = (lo + m) // 2
+        lo, m = (lo, mid) if tail(mid) <= tol else (mid, m)
+    a = 2.0 * tau * np.arange(1, m + 1)
+    x = np.exp(-a)
+    a2 = a * a
+    s = math.fsum((a2 * log_det_kernel(x, theta)).tolist())
+    rounding = _ROUNDING * float(np.dot(3.0 + a, a2 * x / -np.expm1(-a)))
+    return s, tail(m) + rounding + _ROUNDING * abs(s)
+
+
+def _pressure(points, q: QuadControl) -> list[tuple[float, float]]:
+    """Reduced pressure at each (theta, tau > 0) of points and a bound on its error.
+
+    P = 2 E + S/2 with S the kernel sum (_kernel_sum, cut at abs_tol) and
+    E from one batched _free_energy call: the bound is twice E's, half of
+    S's, and the rounding of the sum.
+    """
+    out = []
+    for (theta, tau), (e, e_bound) in zip(points, _free_energy(points, q)):
+        s, s_bound = _kernel_sum(float(theta), float(tau), q.abs_tol)
+        p = 2.0 * e + 0.5 * s
+        out.append((p, 2.0 * e_bound + 0.5 * s_bound + _ROUNDING * abs(p)))
+    return out
 
 
 def oracle_matsubara_term(n: int, p, q: QuadControl | None = None) -> float:
@@ -418,35 +493,19 @@ def oracle_free_energy_T0(theta, q: QuadControl | None = None, return_error: boo
 
 
 def oracle_pressure(theta: float, tau: float, q: QuadControl | None = None) -> float:
-    """Reduced pressure at fixed angle by Richardson central differences.
+    """Reduced pressure at fixed angle, with no finite difference.
 
-    Scales the free energy back to physical separation dependence, takes
-    -dE/dl numerically, and rescales.  tau > 0 returns P * 4 pi beta l^3;
-    tau = 0 returns P l^4 / (hbar c).  At the energy zero theta* =
-    0.7550352635972403 and low tau, the stencil energies' absolute request,
-    1e-13, lies below the quadrature's rounding floor: oracle_pressure(theta*,
-    0.05) raises RuntimeError naming theta, and cannot check the pressure there.
+    tau > 0 returns P * 4 pi beta l^3 = 2 E + (1/2) sum_{n>=1} a_n^2
+    L(e^{-a_n}, theta), a_n = 2 n tau: one energy quadrature and a sum of
+    kernel values (_pressure, which also bounds its error).  tau = 0 returns
+    P l^4 / (hbar c) = 3 E0, E0 from oracle_free_energy_T0.
     """
     q = q or QuadControl()
     if tau < 0.0:
         raise ValueError(f"tau must be >= 0, got {tau!r}")
-    tight = QuadControl(min(q.abs_tol, 1e-12))
-
-    # P_hat = -(d/dlam) g(lam) at lam = 1, central stencil plus one Richardson level
-    h = _FD_STEP
-    lams = (1.0 + h, 1.0 - h, 1.0 + 0.5 * h, 1.0 - 0.5 * h)
     if tau == 0.0:
-        # E(l) ~ E0_hat / l^3 at fixed angle, in units of the base separation
-        e0 = oracle_free_energy_T0(theta, tight)
-        g = [e0 / lam**3 for lam in lams]
-    else:
-        # E(l) ~ E_hat(theta, tau l / l0) / l^2 in units of the base point,
-        # the four stencil energies in one batch
-        energies = _free_energy([(theta, tau * lam) for lam in lams], tight)
-        g = [e / lam**2 for e, lam in zip(energies, lams)]
-    d_h = (g[0] - g[1]) / (2.0 * h)
-    d_h2 = (g[2] - g[3]) / h
-    return -(4.0 * d_h2 - d_h) / 3.0
+        return 3.0 * oracle_free_energy_T0(theta, q)
+    return _pressure([(theta, tau)], q)[0][0]
 
 
 class CompareReport(_Record):

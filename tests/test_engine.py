@@ -699,6 +699,59 @@ def test_faraday_pressure_within_its_estimate_of_mpmath(theta, tau, zero_mode):
     assert abs(value - ref) <= estimate + ref_bound + 4.0 * 2.0**-53 * abs(value)
 
 
+# angles anywhere up to the fold's 1e15 rad, within 1e-6 of k pi/2 and
+# within 1e-3 of k pi + theta*, the energy zero
+_T0_ANGLES = st.one_of(
+    st.floats(min_value=-1e15, max_value=1e15, allow_nan=False),
+    st.builds(lambda k, d: k * math.pi / 2 + d, st.integers(-10**6, 10**6), st.floats(-1e-6, 1e-6)),
+    st.builds(lambda k, d: k * math.pi + 0.7550352635972403 + d, st.integers(-10**6, 10**6),
+              st.floats(-1e-3, 1e-3)),
+)
+
+
+@given(_T0_ANGLES, st.sampled_from(["E", "P", "F"]))
+@example(0.0, "E")
+@example(math.pi / 2, "P")
+@example(0.7550352635972403, "E")
+@example(0.7552, "P")  # the CLI's default temperature is 0: this point exits 0
+@example(1e15, "F")
+@example(-1e15, "E")
+@example(-3 * math.pi + 0.7550352635972403, "F")
+@example(1001 * math.pi / 2 + 1e-12, "F")
+@settings(max_examples=150, deadline=None)
+def test_T0_results_are_within_their_estimate_of_mpmath(theta, kind):
+    # E0 = -Cl4(2 theta)/(8 pi^2), P0 = 3 E0 and the Faraday P0 - theta
+    # Sl3(2 theta)/(4 pi^2), at 40 digits, against physical results at
+    # l = 1 m, where the Faraday angle V B l is theta itself; 4 ulps for
+    # the unit conversion, as in the thermal Faraday test
+    import mpmath
+
+    if kind == "F":
+        cfg = make_config(kind=MediumKind.FARADAY, theta=0.0, verdet=abs(theta),
+                          bfield=math.copysign(1.0, theta), separation=1.0, temperature=0.0)
+        assert effective_theta(cfg) == theta
+    else:
+        cfg = make_config(theta=theta, separation=1.0, temperature=0.0)
+    res = (physical_free_energy if kind == "E" else physical_pressure)(cfg)
+    scale = HBAR * C_LIGHT
+    value, estimate = res.value / scale, res.error_estimate / scale
+    with mpmath.workdps(40):
+        th = mpmath.mpf(theta)
+        ref = -mpmath.clcos(4, 2 * th) / (8 * mpmath.pi**2)
+        if kind != "E":
+            ref *= 3
+        if kind == "F":
+            ref -= th * mpmath.clsin(3, 2 * th) / (4 * mpmath.pi**2)
+        ref = float(ref)
+    assert res.terms_used == 0
+    assert abs(value - ref) <= estimate + 4.0 * 2.0**-53 * abs(value)
+    if kind != "F":
+        # the derived floor: _CL4_ERR/(8 pi^2) = 3.2e-17 (three times that for
+        # the pressure) plus rounding, which certifies the energy zero's
+        # neighbourhood as narrowly as the thermal sums do
+        assert estimate <= (1.0 if kind == "E" else 3.0) * 4e-17 + 8.0 * 2.0**-53 * abs(value)
+
+
 def test_kernel_certifies_below_the_old_clausen_floor():
     # |E| = 1.38e-3 here; a 5e-13 zero-mode charge left it uncertified
     res = reduced_free_energy(ReducedPoint(0.755, 0.05))

@@ -13,6 +13,7 @@ import pytest
 import chiral_casimir.oracle as oracle_module
 from chiral_casimir.engine import (
     ReducedPoint,
+    SeriesControl,
     matsubara_term,
     reduced_free_energy,
     reduced_free_energy_T0,
@@ -232,6 +233,29 @@ def test_engine_agreement_spotcheck():
         assert e == pytest.approx(o, rel=1e-6)
 
 
+def test_engine_energy_within_both_bounds_of_the_oracle_across_the_domain():
+    # |engine - oracle| <= engine estimate + oracle bound on 300 seeded
+    # draws, theta in [0, pi/2] and log-uniform tau in [0.01, 31.6], in one
+    # batched quadrature, so that the cost follows the draw count; with the
+    # energy zero, k pi/2, either side of the image sum's tau = 1.5 and
+    # tau = 0.01.  The worst ratio reads 0.61
+    rng = np.random.default_rng(1300)
+    points = list(zip(rng.uniform(0.0, math.pi / 2, 300).tolist(),
+                      (10.0 ** rng.uniform(-2.0, 1.5, 300)).tolist()))
+    for theta in (0.7550352635972403, 0.0, math.pi / 2, math.pi, -math.pi / 2):
+        for tau in (0.01, math.nextafter(1.5, 0.0), 1.5, math.nextafter(1.5, 2.0)):
+            points.append((theta, tau))
+    ctrl = SeriesControl(rel_tol=1e-13)
+    worst = 0.0
+    for (theta, tau), (value, bound) in zip(points, oracle_module._free_energy(points, QuadControl())):
+        res = reduced_free_energy(ReducedPoint(theta, tau), ctrl)
+        assert 0.0 < bound < 1e-9
+        gap = abs(res.value - value)
+        assert gap <= res.error_estimate + bound, (theta, tau)
+        worst = max(worst, gap / (res.error_estimate + bound))
+    assert worst > 0.1  # the bounds are not vacuous
+
+
 def test_thermal_quadrature_call_budget(monkeypatch):
     # one quadrature per point over the whole Matsubara sum: 12,495 nodes
     # in 25 rounds on the certify grid, against 42,147 scalar calls with
@@ -257,8 +281,8 @@ def test_batched_values_have_the_bits_of_single_calls():
     # tau = 0.01 too, whose shared first round runs several _SLICE-sized
     # kernel calls; duplicate angles and tau, as equal points and as one
     # object; and at abs_tol 1e-12, where (0.3, 1.0) and the T = 0 angle 0.6
-    # bisect in a second round, mixed points and the four stencil energies
-    # of oracle_pressure
+    # bisect in a second round, mixed points and the four energies of a
+    # Richardson stencil of step 1e-5, as criterion 08's Faraday check takes them
     q, tight = QuadControl(), QuadControl(1e-12)
     grid = [ReducedPoint(theta, tau) for theta in CERTIFY_THETAS for tau in CERTIFY_TAUS + (0.01,)]
     mixed = [ReducedPoint(theta, tau) for theta, tau in (
@@ -268,7 +292,7 @@ def test_batched_values_have_the_bits_of_single_calls():
         assert windows > oracle_module._SLICE
     assert 5 * oracle_module._matsubara_count(0.01, q.abs_tol) > 2 * oracle_module._SLICE
     p = ReducedPoint(0.3, 1.0)
-    h = oracle_module._FD_STEP
+    h = 1e-5
     for q, points in (
             (q, grid),
             (q, [p, ReducedPoint(0.3, 1.0), ReducedPoint(0.6, 1.0), ReducedPoint(0.3, 0.01), p,
@@ -411,8 +435,9 @@ def _recording_bounds(monkeypatch):
 
 
 def test_every_bound_meets_its_request_at_tight_tolerance(monkeypatch):
-    # at abs_tol 1e-12, as oracle_pressure and criterion 08 ask; QUADPACK's
-    # estimate was 3.9e-12 at (-1.1, 0.5) and 1.1e-12 at (0.3, 1.0) here
+    # at abs_tol 1e-12, as criterion 08 asks, and the one energy quadrature
+    # of a pressure at the default abs_tol; QUADPACK's estimate was 3.9e-12
+    # at (-1.1, 0.5) and 1.1e-12 at (0.3, 1.0) here
     seen = _recording_bounds(monkeypatch)
     tight = QuadControl(1e-12)
     for theta, tau in ((-1.1, 0.5), (0.3, 1.0), (2.4, 2.0), (7.0, 0.7), (0.7, 0.3)):
@@ -421,19 +446,22 @@ def test_every_bound_meets_its_request_at_tight_tolerance(monkeypatch):
         oracle_free_energy_T0(theta, tight)
         oracle_matsubara_term(1, ReducedPoint(theta, 0.5), tight)
     oracle_pressure(-1.1, 0.5)
-    assert len(seen) == 5 + 6 + 4
+    assert len(seen) == 5 + 6 + 1
     for bound, tol in seen:
         assert 0.0 < bound <= tol
 
 
-def test_pressure_oracle_cannot_reach_the_energy_zero_at_low_tau():
-    # its stencil energies ask each quadrature for an absolute 1e-13, below
-    # the rounding floor where the energy is near 0: a known limit, which
-    # raises naming the angle rather than returning an uncertified value
+def test_pressure_oracle_reaches_the_energy_zero_at_low_tau():
+    # the pressure takes one energy at the caller's abs_tol, whose request
+    # stays above the quadrature's rounding floor at the energy zero, and
+    # its bound covers the gap to the engine there
     theta = 0.7550352635972403
-    with pytest.raises(RuntimeError, match=rf"theta={re.escape(repr(theta))}: error bound "
-                                           r".* above the tolerance 1e-13"):
-        oracle_pressure(theta, 0.05)
+    points = [(theta, 0.01), (theta, 0.05)]
+    for (theta, tau), (value, bound) in zip(points, oracle_module._pressure(points, QuadControl())):
+        assert value == oracle_pressure(theta, tau)
+        res = reduced_pressure(ReducedPoint(theta, tau), SeriesControl(rel_tol=1e-13))
+        assert 0.0 < bound < 1e-9
+        assert abs(value - res.value) <= res.error_estimate + bound, tau
 
 
 def test_unreachable_tolerance_raises_quickly():
@@ -518,7 +546,7 @@ def test_periodic_in_theta():
     assert a == pytest.approx(b, rel=0, abs=1e-9)
 
 
-# ----------------------------------------------------------------- pressure FD
+# -------------------------------------------------------------------- pressure
 
 def test_pressure_T0_ideal_metal():
     assert oracle_pressure(0.0, 0.0) == pytest.approx(
@@ -526,7 +554,8 @@ def test_pressure_T0_ideal_metal():
 
 
 def test_pressure_T0_evaluates_the_quadrature_once(monkeypatch):
-    # E0 does not depend on the stencil's lambda; only 1/lambda^3 does
+    # E0 l^3 does not depend on l at a fixed angle, so P0 = 3 E0 exactly,
+    # from one quadrature at the caller's control
     seen = []
     t0 = oracle_module.oracle_free_energy_T0
 
@@ -538,13 +567,37 @@ def test_pressure_T0_evaluates_the_quadrature_once(monkeypatch):
     assert oracle_pressure(0.6, 0.0) == pytest.approx(
         3.0 * reduced_free_energy_T0(0.6), rel=0, abs=1e-8)
     assert seen == [0.6]
+    for q in (QuadControl(), QuadControl(1e-12)):
+        for theta in (0.0, 0.6, 0.7550352635972403, math.pi / 2, -2.0):
+            assert oracle_pressure(theta, 0.0, q) == 3.0 * t0(theta, q)
+
+
+def test_pressure_bound_covers_a_40_digit_reference():
+    # P = 2 E + (1/2) sum a_n^2 L(e^{-a_n}) against the 40-digit m-series:
+    # 60 seeded draws, theta in [-pi, pi] and log-uniform tau in [0.01, 5],
+    # and the energy zero, in one batched call
+    from test_engine import mp_series
+
+    rng = np.random.default_rng(2611)
+    points = list(zip(rng.uniform(-math.pi, math.pi, 60).tolist(),
+                      (10.0 ** rng.uniform(-2.0, math.log10(5.0), 60)).tolist()))
+    points += [(0.7550352635972403, 0.05), (0.0, 0.01), (math.pi / 2, 5.0)]
+    worst = 0.0
+    for (theta, tau), (value, bound) in zip(points, oracle_module._pressure(points, QuadControl())):
+        ref, ref_bound = mp_series(theta, tau, pressure=True, rel=1e-13)
+        assert 0.0 < bound < 1e-9
+        assert abs(value - ref) <= bound + ref_bound, (theta, tau)
+        worst = max(worst, abs(value - ref) / (bound + ref_bound))
+    assert worst > 0.1  # the bound is not vacuous
 
 
 def test_pressure_finite_T_matches_engine():
+    # within the engine's estimate plus the oracle's bound
     for theta, tau in [(0.0, 1.0), (0.3, 0.8)]:
-        o = oracle_pressure(theta, tau)
-        e = reduced_pressure(ReducedPoint(theta, tau)).value
-        assert e == pytest.approx(o, rel=1e-6)
+        [(o, bound)] = oracle_module._pressure([(theta, tau)], QuadControl())
+        assert o == oracle_pressure(theta, tau)
+        e = reduced_pressure(ReducedPoint(theta, tau))
+        assert abs(e.value - o) <= e.error_estimate + bound
 
 
 def test_pressure_negative_tau_rejected():
