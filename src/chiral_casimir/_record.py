@@ -17,9 +17,13 @@ every read of a field unspecialised: 35-50 ns in place of about 10 ns,
 which cost the certify and domain_points benchmarks 3-8% of their speed.
 
 A record may keep values derived from its fields outside _fields, as
-engine._units does on CavityConfig: set by _setattr and read as
-attributes, never through __dict__, they change neither equality, hash
-nor repr.  Pickling and copy.copy fill the dict directly.
+engine._units does on CavityConfig: the effective angle, the reduced
+temperature and the fold of the angle once per config (_theta_tau), and
+with them the Faraday slope factor and the factor to physical units once
+per quantity (_energy_units, _pressure_units), which a sweep row of the
+cli reads back.  Set by _setattr and read as attributes, never through
+__dict__, they change neither equality, hash nor repr.  Pickling and
+copy.copy fill the dict directly.
 """
 
 _setattr = object.__setattr__

@@ -152,15 +152,16 @@ def _evaluate_point(theta: float, separation: float, temperature: float,
     cfg = CavityConfig(separation, temperature, spec.medium, theta, spec.verdet,
                        bfield, spec.zero_mode)
 
-    # one evaluation per quantity; the reduced columns (E l^3/(hbar c) and
-    # P l^4/(hbar c) at T=0) and the error column are the same results
-    # divided back to reduced units, by the factors the calls derived and
-    # kept on cfg (engine._units), as are the effective angle and tau
+    # one evaluation per quantity.  Each call keeps its units on cfg
+    # (engine._units: the effective angle, tau, the fold and the factor to
+    # physical units), and the row reads them back once, with no call: the
+    # reduced columns (E l^3/(hbar c) and P l^4/(hbar c) at T=0) and the
+    # error column are the same results divided back to reduced units
     e_res = engine.physical_free_energy(cfg, ctrl)
     p_res = engine.physical_pressure(cfg, ctrl)
-    theta_eff, _, tau, e_scale, lift = engine._units(cfg, engine._ENERGY)
+    theta_eff, tau, _, _, _, e_scale, lift = cfg._energy_units
     converged = e_res.converged and p_res.converged
-    if spec.medium is MediumKind.FARADAY:
+    if spec.medium is engine._FARADAY:
         # the column holds the fixed-angle pressure; physical_pressure adds
         # the angle's dependence on the separation
         if temperature == 0.0:
@@ -170,8 +171,7 @@ def _evaluate_point(theta: float, separation: float, temperature: float,
                                             zero_mode=spec.zero_mode)
             red_p, converged = fixed.value, converged and fixed.converged
     else:
-        p_scale = engine._units(cfg, engine._PRESSURE)[3]
-        red_p = p_res.value / p_scale * lift
+        red_p = p_res.value / cfg._pressure_units[5] * lift
 
     return SweepRow(theta, theta_eff, separation, temperature, tau, e_res.value / e_scale * lift,
                     red_p, e_res.value, p_res.value, e_res.terms_used,
@@ -203,14 +203,28 @@ def emit_csv(table: SweepTable, stream, units: str = "si") -> None:
     cols = _UNIT_COLUMNS.get(units)
     if cols is None:
         raise ValueError(f"units must be one of {tuple(_UNIT_COLUMNS)}, got {units!r}")
+    rows = table.rows
     # one %-format per row: every column is a float but terms_used and the
-    # last, converged, which is written true or false; no cell needs quoting
+    # last, converged, which is written true or false; no cell needs quoting.
+    # A column that holds the same object in every row (a pinned axis) is
+    # formatted once, into the format: identity, not equality, so 0.0 and
+    # -0.0 never share a text, and each cell reads as it would on its own
     *numeric, _ = cols
-    fmt = ",".join("%d" if c == "terms_used" else "%.17g" for c in numeric) + ","
-    numbers = operator.itemgetter(*(COLUMNS.index(c) for c in numeric))  # rows are tuples
+    cells, free = [], []
+    for c in numeric:
+        i, form = COLUMNS.index(c), "%d" if c == "terms_used" else "%.17g"
+        v = rows[0][i] if rows else None
+        if rows and all(row[i] is v for row in rows):
+            cells.append(form % v)
+        else:
+            cells.append(form)
+            free.append(i)
+    fmt = ",".join(cells) + ","
+    # rows are tuples; an itemgetter of one index returns the bare cell
+    numbers = operator.itemgetter(*free) if free else lambda row: ()
     stream.write(",".join(cols) + "\r\n")
     stream.writelines(fmt % numbers(row) + ("true\r\n" if row[-1] else "false\r\n")
-                      for row in table.rows)
+                      for row in rows)
 
 
 def _certify(rel_tol: float, out) -> int:

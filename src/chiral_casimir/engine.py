@@ -188,6 +188,13 @@ class ZeroModePolicy(Enum):
     TM_ONLY = "tm_only"
 
 
+# An enum member read from its class goes through EnumType.__getattr__ on
+# CPython 3.11, about 90 ns a read; the code that runs per call compares
+# with these names
+_FARADAY, _OPTICALLY_ACTIVE = MediumKind.FARADAY, MediumKind.OPTICALLY_ACTIVE
+_TM_ONLY = ZeroModePolicy.TM_ONLY
+
+
 class CavityConfig(_Record):
     """Physical scenario: plate separation, temperature, and gap medium.
 
@@ -307,15 +314,19 @@ def _stops(tail: float, floor: float, s: float, rel_tol: float) -> bool:
     return target - tail >= floor * (target >= floor)
 
 
-def _finish(parts, tail: float, floor: float, terms: int, rel_tol: float) -> EvalResult:
+def _finish(parts, tail: float, floor: float, terms: int, rel_tol: float,
+            scale: float = 1.0, lift: float = 1.0) -> EvalResult:
     """The result of a sum that stopped: the exact sum of its parts, rounded once.
 
     Its estimate is tail + floor plus that rounding, EPS |value|, and it is
     converged where the value is finite and the estimate within rel_tol |value|.
+    Value and estimate are then scaled by scale/lift, the factor to physical
+    units of _physical (_unit_scale); the default 1/1 changes no bit.
     """
     value = math.fsum(parts)
     err = tail + floor + _EPS * abs(value)
-    return EvalResult(value, err, terms, err <= rel_tol * abs(value) < math.inf)
+    return EvalResult(value * scale / lift, err * scale / lift, terms,
+                      err <= rel_tol * abs(value) < math.inf)
 
 
 def _canonical_theta(theta: float) -> tuple[float, float]:
@@ -391,7 +402,7 @@ def _zero_mode(theta: float, zero_mode: ZeroModePolicy, pressure: bool,
     FULL the Faraday pressure adds its slope grad Sl2(2 theta).
     """
     times = 2.0 if pressure else 1.0
-    if zero_mode is ZeroModePolicy.TM_ONLY:
+    if zero_mode is _TM_ONLY:
         return [times * (-0.25 * ZETA_3)], times * 1e-16
     parts = [times * (-0.5 * clausen_cos(3, 2.0 * theta))]
     err = times * (0.5 * _CLAUSEN_ERR)
@@ -402,7 +413,8 @@ def _zero_mode(theta: float, zero_mode: ZeroModePolicy, pressure: bool,
 
 
 def _m_series(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePolicy,
-              pressure: bool, grad: float = 0.0) -> EvalResult:
+              pressure: bool, grad: float = 0.0, scale: float = 1.0,
+              lift: float = 1.0) -> EvalResult:
     """zero mode - sum_m cos(2 m theta) weight(2 m tau)/m^3 + grad dE/dtheta at a folded point.
 
     The zero mode is _zero_mode's.  grad is 0 except for the Faraday
@@ -417,7 +429,7 @@ def _m_series(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroMode
     m phi) <= EPS weight(2 tau) (zeta(3) _TERM_ULPS + zeta(2) (2 tau + phi)),
     and the sine terms g_m = 2 w(2 m tau)/m^2 have sum g_m <= 2 zeta(2)
     w(2 tau) and, as w(a) <= 2/a, sum m g_m <= 2 zeta(2)/tau.  Stops by
-    _stops at its first m.
+    _stops at its first m; _finish scales the result by scale/lift.
     No cap is needed: once 2(m+1) tau > 745 the weights at m + 1 underflow
     to 0, and so does the tail, so the sum stops within 1 + 373/tau terms,
     250 at tau = _TAU_C.  The float running sum only steers the stop:
@@ -459,16 +471,21 @@ def _m_series(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroMode
         parts.append(term)
         s += term
         if _stops(tail, floor, abs(s), stop_tol):
-            return _finish(parts, tail, floor, m, ctrl.rel_tol)
+            return _finish(parts, tail, floor, m, ctrl.rel_tol, scale, lift)
 
 
 # m_first sums every point at tau <= _TAU_C by its images, the rest by the
-# m-series.  On a 2-CPU host, over 4 angles, an image call takes 12-19 us
-# at tau = 1.5 against 19-27 us for the m-series (7-9 terms); the two are
-# about even at tau = 2 and the m-series takes half the time at tau = 3,
-# where E needs 9 images.  At tau = 1.5 (4 images) the slowest call on a
-# grid of 13 angles and tau in [1e-9, 1.5] costs 2.5 times the median call,
-# at tau = 2 (6 images) 2.9 times.
+# m-series.  On a 2-CPU host (Python 3.11, best of 9 timeit repeats, theta
+# in {0.1, 0.5, 1, 1.5}), at tau = 1.5 an energy call takes 5.7-7.3 us by
+# its 3-4 images against 6.4-7.9 us by the m-series (7 terms), a pressure
+# call 4.7-6.0 us (4-5 images) against 7.4-9.0 us (8 terms).  At tau = 2
+# the m-series is ahead for E (5.2-6.7 us against 8.0-9.2 us, 5-6 images)
+# and about even for P; at tau = 3, where E needs 8-9 images, it takes
+# half the time or less (4.1-6.2 us against 8.8-14.7 us).  On a grid of 13
+# angles and tau in {1e-9, 1e-8, ..., 1, 1.5} the median image call takes
+# 1.9 us and the slowest, at tau = 1.5, 4.1 times that for E and 2.9 times
+# for P; with tau = 2 in place of 1.5, 4.8 and 3.5 times.  Moving _TAU_C
+# would move the bits of every result between the old and the new value.
 _TAU_C = 1.5
 
 # Relative error of special_functions.polylog_exp and polylog_exp_23,
@@ -496,7 +513,8 @@ _LI_ULPS = 17.0
 
 
 def _images(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePolicy,
-            pressure: bool, grad: float = 0.0) -> EvalResult:
+            pressure: bool, grad: float = 0.0, scale: float = 1.0,
+            lift: float = 1.0) -> EvalResult:
     """The m-series of _m_series summed over its images, at a folded point with tau <= _TAU_C.
 
     Temperature inversion (Mittag-Leffler for coth, then the sum over m in
@@ -517,7 +535,8 @@ def _images(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePo
     floor is the error of the closed forms (_CL4_ERR, _SL3_ERR and, under
     TM_ONLY, the two zero modes) plus that of every image.  Stops by _stops,
     which the tail reaching 0 at mu = pi alpha/tau > 745 ensures within
-    2 + 745 tau/pi^2 images; terms_used counts the images.
+    2 + 745 tau/pi^2 images; terms_used counts the images.  _finish scales
+    the result by scale/lift.
     """
     phi = 2.0 * theta
     # -Cl4/tau + tau^3/90 for E, three times the first minus the second for P
@@ -529,7 +548,7 @@ def _images(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePo
         slope = grad * (2.0 * clausen_sin(3, phi) / tau)
         parts.append(slope)
         floor += abs(grad) * 2.0 * _SL3_ERR / tau + 2.0 * _EPS * abs(slope)
-    if zero_mode is ZeroModePolicy.TM_ONLY:
+    if zero_mode is _TM_ONLY:
         # the TM_ONLY zero mode in place of the full one, as the m-series has it
         tm, tm_err = _zero_mode(theta, zero_mode, pressure, grad)
         full, full_err = _zero_mode(theta, ZeroModePolicy.FULL, pressure, grad)
@@ -575,7 +594,7 @@ def _images(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePo
         tail = bound * rho / ((1.0 - rho) * geo)
         if _stops(tail, floor, abs(s), stop_tol):
             break
-    return _finish(parts, tail, floor, i, ctrl.rel_tol)
+    return _finish(parts, tail, floor, i, ctrl.rel_tol, scale, lift)
 
 
 # The n_first term cap.  At rel_tol 1e-10 the up-front refusal starts near
@@ -651,16 +670,26 @@ def _reduced(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModeP
              pressure: bool, grad: float = 0.0) -> EvalResult:
     """Reduced free energy or pressure, plus grad dE/dtheta (m_first only), at any theta.
 
-    theta (by _canonical_theta) and tau become Python floats here, the one
-    door of every thermal sum, so that numpy scalar inputs give float and
-    bool results.
+    theta (by _canonical_theta) and tau become Python floats here, so that
+    numpy scalar inputs give float and bool results; _physical takes both
+    from _units instead.
     """
     t, sign = _canonical_theta(theta)
-    tau = float(tau)
+    return _summed(t, float(tau), ctrl, zero_mode, pressure, grad * sign)
+
+
+def _summed(t: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePolicy,
+            pressure: bool, grad: float, scale: float = 1.0, lift: float = 1.0) -> EvalResult:
+    """The thermal sum at an angle t folded by _canonical_theta, grad signed by its fold.
+
+    The one door of every thermal sum: m_first takes the images at
+    tau <= _TAU_C and the m-series above, n_first its own sum.  The result
+    is scaled by scale/lift (_finish).
+    """
     if ctrl.order == "m_first":
         path = _images if tau <= _TAU_C else _m_series
-        return path(t, tau, ctrl, zero_mode, pressure, grad * sign)
-    return _n_first(t, tau, ctrl, zero_mode, pressure)
+        return path(t, tau, ctrl, zero_mode, pressure, grad, scale, lift)
+    return _n_first(t, tau, ctrl, zero_mode, pressure, scale, lift)
 
 
 def _matsubara_n(n: int, theta: float, tau: float, pressure: bool) -> tuple[float, float]:
@@ -688,12 +717,13 @@ def _matsubara_n(n: int, theta: float, tau: float, pressure: bool) -> tuple[floa
 
 
 def _n_first(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePolicy,
-             pressure: bool) -> EvalResult:
+             pressure: bool, scale: float = 1.0, lift: float = 1.0) -> EvalResult:
     """Reduced free energy or fixed-angle pressure, one Matsubara term at a time.
 
     Stops by _stops at its first n >= 1, with the floor the error of the
     terms so far, or at n = _MAX_N.  The float running total only steers
-    the stop: _finish sums the zero mode and the terms exactly.
+    the stop: _finish sums the zero mode and the terms exactly, and scales
+    the result by scale/lift.
 
     It refuses up front, unconverged, where _MAX_N terms cannot meet rel_tol
     however they cancel, and gives up, unconverged, at the first n where
@@ -711,7 +741,7 @@ def _n_first(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModeP
     tail_max = tail(_MAX_N, tau)
     if not tail_max + acc_err <= ctrl.rel_tol * (abs(total) + whole) < math.inf:
         # _MAX_N terms cannot meet rel_tol however they cancel: refuse up front
-        return _finish(parts, whole, acc_err, 1, ctrl.rel_tol)
+        return _finish(parts, whole, acc_err, 1, ctrl.rel_tol, scale, lift)
     stop_tol = ctrl._stop_tol
     for n in range(1, _MAX_N + 1):
         term, term_err = _matsubara_n(n, theta, tau, pressure)
@@ -722,7 +752,7 @@ def _n_first(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModeP
         s = abs(total)
         if _stops(tail_n, acc_err, s, stop_tol) or stop_tol * (s + tail_n) < tail_max:
             break
-    return _finish(parts, tail_n, acc_err, n + 1, ctrl.rel_tol)
+    return _finish(parts, tail_n, acc_err, n + 1, ctrl.rel_tol, scale, lift)
 
 
 def reduced_free_energy_T0(theta: float) -> float:
@@ -774,9 +804,9 @@ def effective_theta(cfg: CavityConfig) -> float:
     active return pass undoes the rotation exactly, so the effective angle
     is identically zero there.
     """
-    if cfg.kind is MediumKind.FARADAY:
+    if cfg.kind is _FARADAY:
         return cfg.verdet * cfg.bfield * cfg.separation
-    if cfg.kind is MediumKind.OPTICALLY_ACTIVE:
+    if cfg.kind is _OPTICALLY_ACTIVE:
         return 0.0
     return cfg.theta
 
@@ -818,19 +848,20 @@ def _unit_scale(separation: float, temperature: float, pressure: bool) -> tuple[
     return temperature * _LIFT * (K_BOLTZMANN / (4.0 * math.pi * power)), _LIFT
 
 
-def _units(cfg: CavityConfig, pressure: bool) -> tuple[float, float, float, float, float]:
-    """(theta, grad, tau, scale, lift) of a config, for the energy or the pressure.
+def _units(cfg: CavityConfig, pressure: bool) -> tuple[float, ...]:
+    """(theta, tau, t, sign, grad, scale, lift) of a config, for the energy or the pressure.
 
-    theta is the effective angle, grad the Faraday slope factor -theta (0
-    elsewhere), tau the reduced temperature (0 at T = 0) and scale/lift the
-    factor to physical units (_unit_scale), checked as _physical needs them.
-    A config is frozen, so they are derived on first use and set on it by
-    _setattr, outside its fields (see _record): theta and tau once per
-    config, the rest once per quantity.  A second call on the same config,
-    and a sweep row of the cli, read them back.  A config that fails a check
-    raises each time, and only on the calls whose checks it fails.  The
-    inputs are taken as Python floats, so that numpy scalars give float
-    results.
+    theta is the effective angle, tau the reduced temperature (0 at T = 0),
+    t and sign the fold of theta (_canonical_theta), grad the Faraday slope
+    factor -theta (0 elsewhere) and scale/lift the factor to physical units
+    (_unit_scale), checked as _physical needs them.  A config is frozen, so
+    they are derived on first use and set on it by _setattr, outside its
+    fields (see _record): theta, tau and the fold once per config, as
+    _theta_tau, and the whole tuple once per quantity, as _energy_units and
+    _pressure_units.  A second call on the same config, and a sweep row of
+    the cli, read them back.  A config that fails a check raises each time,
+    and only on the calls whose checks it fails.  The inputs are taken as
+    Python floats, so that numpy scalars give float results.
     """
     known = cfg._pressure_units if pressure else cfg._energy_units
     if known is not None:
@@ -841,19 +872,21 @@ def _units(cfg: CavityConfig, pressure: bool) -> tuple[float, float, float, floa
         raise ValueError(f"the factor to physical units underflows, and a subnormal float keeps "
                          f"too few digits; got separation = {cfg.separation!r} m, "
                          f"temperature = {cfg.temperature!r} K")
-    if cfg._theta_tau is None:
+    derived = cfg._theta_tau
+    if derived is None:
         theta = float(effective_theta(cfg))
         tau = reduced_temperature(separation, temperature)
         if temperature != 0.0:
             _check_tau(tau)
-        _setattr(cfg, "_theta_tau", (theta, tau))
-    theta, tau = cfg._theta_tau
-    grad = -theta if pressure and cfg.kind is MediumKind.FARADAY else 0.0
+        derived = (theta, tau, *_canonical_theta(theta))
+        _setattr(cfg, "_theta_tau", derived)
+    theta, tau, t, sign = derived
+    grad = -theta if pressure and cfg.kind is _FARADAY else 0.0
     if temperature != 0.0 and abs(grad) > 1e307 * tau:
         # |grad dE/dtheta| <= |grad| (1.02 + 2 zeta(3)/tau)
         raise ValueError(f"the Faraday pressure overflows its reduced units where "
                          f"|theta|/tau > 1e307; got theta = {theta!r}, tau = {tau!r}")
-    known = (theta, grad, tau, scale, lift)
+    known = (theta, tau, t, sign, grad, scale, lift)
     _setattr(cfg, "_pressure_units" if pressure else "_energy_units", known)
     return known
 
@@ -863,15 +896,16 @@ def _physical(cfg: CavityConfig, ctrl: SeriesControl, pressure: bool) -> EvalRes
 
     In a Faraday gap theta = V B l, so l d/dl = tau d/dtau + theta d/dtheta
     and the pressure gains grad dE/dtheta with grad = -theta.  The sum is
-    taken and judged in reduced units, then scaled once by scale/lift (_units).
+    taken at the fold that _units keeps and judged in reduced units, then
+    scaled by scale/lift as _finish builds the one result.
     """
-    theta, grad, tau, scale, lift = _units(cfg, pressure)
+    theta, tau, t, sign, grad, scale, lift = _units(cfg, pressure)
     if cfg.temperature == 0.0:
         # E0 = -Cl4(2 theta)/(8 pi^2) is off by _CL4_ERR/(8 pi^2) from Cl4,
         # and by 2.7u |E0| from the division by the rounded 8 pi^2 (math.pi
         # is within 0.36u of pi, its square within 1.7u of pi^2); P0 = 3 E0
         # triples both and adds u |P0| for the product
-        e0 = reduced_free_energy_T0(theta)
+        e0 = -clausen_cos(4, 2.0 * t) / EIGHT_PI2  # reduced_free_energy_T0 at the fold
         if pressure:
             parts = [3.0 * e0]
             floor = 3.0 * _CL4_ERR / EIGHT_PI2 + 3.7 * _EPS * abs(parts[0])
@@ -884,14 +918,13 @@ def _physical(cfg: CavityConfig, ctrl: SeriesControl, pressure: bool) -> EvalRes
             # (1.6e-15 + 4.1e-16)/(4 pi^2) = 5.1e-17 per unit |grad|.
             parts.append(grad * clausen_sin(3, 2.0 * theta) / (4.0 * math.pi**2))
             floor += abs(grad) * 5.1e-17
-        value, err, terms, converged = _finish(parts, 0.0, floor, 0, ctrl.rel_tol)
+        res = _finish(parts, 0.0, floor, 0, ctrl.rel_tol, scale, lift)
     else:
-        value, err, terms, converged = _reduced(theta, tau, ctrl, cfg.zero_mode, pressure, grad)
-    value = value * scale / lift
-    if math.isinf(value):
+        res = _summed(t, tau, ctrl, cfg.zero_mode, pressure, grad * sign, scale, lift)
+    if math.isinf(res.value):
         raise ValueError(f"the result overflows a float in physical units; got separation = "
                          f"{cfg.separation!r} m, temperature = {cfg.temperature!r} K")
-    return EvalResult(value, err * scale / lift, terms, converged)
+    return res
 
 
 def physical_free_energy(cfg: CavityConfig, ctrl: SeriesControl | None = None) -> EvalResult:
@@ -909,7 +942,7 @@ def physical_pressure(cfg: CavityConfig, ctrl: SeriesControl | None = None) -> E
     Faraday config with order="n_first" is a ValueError.
     """
     ctrl = ctrl or _DEFAULT_CTRL
-    if cfg.kind is MediumKind.FARADAY and ctrl.order != "m_first":
+    if cfg.kind is _FARADAY and ctrl.order != "m_first":
         raise ValueError("the Faraday pressure is evaluated by order='m_first' only, "
                          f"got order={ctrl.order!r}")
     return _physical(cfg, ctrl, _PRESSURE)

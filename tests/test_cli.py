@@ -377,10 +377,26 @@ def test_emit_csv_bytes_match_the_csv_module():
     table = SweepTable(fixed.rows + faraday.rows + unconverged.rows + (odd,))
     assert fixed.rows[0].temperature_K == 0.0 and str(fixed.rows[0].theta_rad) == "-0.0"
     assert not unconverged.rows[0].converged
-    for units in ("si", "reduced"):
-        buf = io.StringIO()
-        emit_csv(table, buf, units=units)
-        assert buf.getvalue() == _csv_module_rendering(table, units)
+    # emit_csv formats a column once where every row holds the same object:
+    # a pinned -0.0 (one object in all rows of the fixed sweep), equal
+    # values in distinct objects, 0.0 and -0.0 (equal, but not one text),
+    # a one-row table, whose every cell is pinned (nan and inf included),
+    # and an empty table, which writes the header alone
+    assert fixed.rows[0].theta_rad is fixed.rows[-1].theta_eff_rad
+    halves = (float.fromhex("0x1p-1"), float.fromhex("0x1p-1"))
+    assert halves[0] is not halves[1]
+    equal = SweepTable((odd._replace(theta_rad=halves[0]), odd._replace(theta_rad=halves[1])))
+    signed = SweepTable((odd._replace(separation_m=0.0), odd._replace(separation_m=-0.0)))
+    assert signed.rows[0].separation_m == signed.rows[1].separation_m
+    tables = (table, fixed, faraday, equal, signed, SweepTable((odd,)), SweepTable(()))
+    for tab in tables:
+        for units in ("si", "reduced"):
+            buf = io.StringIO()
+            emit_csv(tab, buf, units=units)
+            assert buf.getvalue() == _csv_module_rendering(tab, units)
+    header = io.StringIO()
+    emit_csv(SweepTable(()), header)
+    assert header.getvalue() == ",".join(COLUMNS) + "\r\n"
 
 
 # ------------------------------------------------------------------ records
@@ -569,6 +585,26 @@ def test_each_axis_is_spaced_once_per_sweep(monkeypatch):
     # outer axis slowest, in the listing order theta, separation, temperature, bfield
     assert [(r.theta_rad, r.temperature_K) for r in rows] == [
         (th, T) for th in spaced(spec.theta) for T in spaced(spec.temperature)]
+
+
+def test_a_sweep_row_folds_its_angle_once(monkeypatch):
+    # engine._units folds the row's angle once, and both quantities sum at
+    # that fold; the Faraday row's fixed-angle reduced_pressure folds its own
+    calls = []
+    fold = engine._canonical_theta
+
+    def counted(theta):
+        calls.append(theta)
+        return fold(theta)
+
+    monkeypatch.setattr(engine, "_canonical_theta", counted)
+    t_axis = AxisSpec(10.0, 1000.0, 50, log=True)
+    run_sweep(SweepSpec(theta=AxisSpec(0.6, 0.6, 1), temperature=t_axis))
+    assert len(calls) == 50
+    calls.clear()
+    run_sweep(SweepSpec(medium=MediumKind.FARADAY, verdet=1e6, bfield=AxisSpec(0.3, 0.3, 1),
+                        temperature=t_axis))
+    assert len(calls) == 100
 
 
 def test_emit_csv_rejects_unknown_units():

@@ -556,6 +556,25 @@ def test_faraday_pressure_refuses_to_overflow_by_name():
                                          bfield=1.0, separation=1.0, temperature=1e-294)).converged
 
 
+def test_each_quantity_raises_only_on_its_own_checks():
+    # l = 1e-80 m at T = 0: l^3 is a normal float, l^4 is not.  The pressure
+    # raises by name on every call, and the energy evaluates, whichever of
+    # the two a config sees first
+    expected = physical_free_energy(make_config(separation=1e-80, temperature=0.0))
+    assert expected.converged and math.isfinite(expected.value)
+    for order in ("PEP", "EPEP"):
+        cfg = make_config(separation=1e-80, temperature=0.0)
+        messages = []
+        for quantity in order:
+            if quantity == "E":
+                assert physical_free_energy(cfg) == expected
+                continue
+            with pytest.raises(ValueError, match=r"separation\*\*4 must be a normal float") as info:
+                physical_pressure(cfg)
+            messages.append(str(info.value))
+        assert len(messages) == 2 and messages[0] == messages[1], order
+
+
 def test_faraday_pressure_differs_from_fixed_angle():
     v, b, l = 3.0e4, 2.0, 1e-6
     far = make_config(kind=MediumKind.FARADAY, theta=0.0, verdet=v, bfield=b,
