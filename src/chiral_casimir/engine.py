@@ -233,6 +233,7 @@ class ReducedPoint(_Record):
     """Dimensionless evaluation point (theta, tau)."""
 
     _fields = ("theta", "tau")
+    _fold = None  # (t, sign, tau), set by _point_fold, outside the fields
 
     def __init__(self, theta: float, tau: float):
         if not math.isfinite(theta):
@@ -275,6 +276,9 @@ class SeriesControl(_Record):
 
 
 _DEFAULT_CTRL = SeriesControl()  # frozen: one instance serves every call without a ctrl
+
+
+_new_tuple = tuple.__new__
 
 
 class EvalResult(namedtuple("EvalResult", ("value", "error_estimate", "terms_used",
@@ -325,8 +329,9 @@ def _finish(parts, tail: float, floor: float, terms: int, rel_tol: float,
     """
     value = math.fsum(parts)
     err = tail + floor + _EPS * abs(value)
-    return EvalResult(value * scale / lift, err * scale / lift, terms,
-                      err <= rel_tol * abs(value) < math.inf)
+    # the object EvalResult(...) returns, without its Python-level __new__
+    return _new_tuple(EvalResult, (value * scale / lift, err * scale / lift, terms,
+                                   err <= rel_tol * abs(value) < math.inf))
 
 
 def _canonical_theta(theta: float) -> tuple[float, float]:
@@ -599,7 +604,8 @@ def _images(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePo
 
 # The n_first term cap.  At rel_tol 1e-10 the up-front refusal starts near
 # tau = 7e-4, and 20k terms (each two constant-cost damped polylogarithms)
-# take 0.21-0.24 s on a 2-CPU host.
+# take 0.07-0.13 s on a noisy 2-CPU host (the energy at theta = 0.3,
+# tau = 6.6e-4: 19,963 terms, best of 3 in each of five runs).
 _MAX_N = 20_000
 
 # Absolute error of li1 = -log1p(r (r - 2c))/2, c = cos 2 theta, against
@@ -616,29 +622,24 @@ _MAX_N = 20_000
 _LI1_ULPS = 21.0
 
 
-def _geometric_tails(tau: float, n: int) -> tuple[float, float, float]:
-    # exact tails of sum y^k, sum k y^k, sum k^2 y^k over k > n, y = e^{-2 tau}
-    y = math.exp(-2.0 * tau)
-    om = -math.expm1(-2.0 * tau)
+def _n_tail(n: int, y: float, om: float, tau: float, tau_om: float, pressure: bool) -> float:
+    """Bound on the n-series terms beyond n, from _n_first's per-call constants.
+
+    y = e^{-2 tau}, om = 1 - y = -expm1(-2 tau) and tau_om = tau/om.  The
+    per-term bounds e^{-2 k tau} (1 + 2 k tau) zeta(2) of the energy and
+    e^{-2 k tau} (2 zeta(3) + 4 k tau zeta(2) + 4 k^2 tau^2/om) of the
+    pressure are summed exactly over k > n through the geometric tails
+    s0, s1, s2 of sum y^k, sum k y^k, sum k^2 y^k.
+    """
     ynp = y ** (n + 1)
     s0 = ynp / om
     # one om at a time: tiny tau overflows to inf instead of dividing by an
     # underflown om^3
     s1 = ynp * ((n + 1) - n * y) / om / om
+    if not pressure:
+        return ZETA_2 * (s0 + 2.0 * tau * s1)
     s2 = ynp * ((n + 1) ** 2 - (2 * n * n + 2 * n - 1) * y + n * n * y * y) / om / om / om
-    return s0, s1, s2
-
-
-def _energy_tail_n(n: int, tau: float) -> float:
-    # per-term bound e^{-2 n tau} (1 + 2 n tau) zeta(2), summed exactly
-    s0, s1, _ = _geometric_tails(tau, n)
-    return (math.pi**2 / 6.0) * (s0 + 2.0 * tau * s1)
-
-
-def _pressure_tail_n(n: int, tau: float) -> float:
-    s0, s1, s2 = _geometric_tails(tau, n)
-    z2 = math.pi**2 / 6.0
-    return 2.0 * ZETA_3 * s0 + 4.0 * tau * z2 * s1 + 4.0 * tau * (tau / -math.expm1(-2.0 * tau)) * s2
+    return 2.0 * ZETA_3 * s0 + 4.0 * tau * ZETA_2 * s1 + 4.0 * tau * tau_om * s2
 
 
 def _check_tau(tau: float) -> None:
@@ -656,14 +657,32 @@ def _validate_point(p: ReducedPoint) -> None:
     _check_tau(p.tau)
 
 
+def _point_fold(p: ReducedPoint) -> tuple[float, float, float]:
+    """(t, sign, tau) of a point: the fold of theta (_canonical_theta) and tau, checked.
+
+    Both are Python floats, so that numpy scalar inputs give float and bool
+    results.  A point is frozen, so the first thermal call on it sets them on
+    it by _setattr, outside its fields (see _record), and a later call, the
+    pressure after the energy say, reads them back.  A point that fails a
+    check raises on every call and keeps nothing.
+    """
+    fold = p._fold
+    if fold is None:
+        _validate_point(p)
+        fold = (*_canonical_theta(p.theta), float(p.tau))
+        _setattr(p, "_fold", fold)
+    return fold
+
+
 def reduced_free_energy(p: ReducedPoint, ctrl: SeriesControl | None = None,
                         zero_mode: ZeroModePolicy = ZeroModePolicy.FULL) -> EvalResult:
     """Reduced free energy E(theta, tau) = E_c * 4 pi beta l^2 (signed).
 
-    Requires tau > 0; zero temperature is a separate closed form.
+    Requires tau > 0; zero temperature is a separate closed form.  The fold
+    of theta is taken once per point and kept on it (_point_fold).
     """
-    _validate_point(p)
-    return _reduced(p.theta, p.tau, ctrl or _DEFAULT_CTRL, zero_mode, _ENERGY)
+    t, _, tau = _point_fold(p)
+    return _summed(t, tau, ctrl or _DEFAULT_CTRL, zero_mode, _ENERGY, 0.0)
 
 
 def _reduced(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePolicy,
@@ -672,7 +691,8 @@ def _reduced(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModeP
 
     theta (by _canonical_theta) and tau become Python floats here, so that
     numpy scalar inputs give float and bool results; _physical takes both
-    from _units instead.
+    from _units, and reduced_free_energy and reduced_pressure from
+    _point_fold, instead.
     """
     t, sign = _canonical_theta(theta)
     return _summed(t, float(tau), ctrl, zero_mode, pressure, grad * sign)
@@ -692,21 +712,25 @@ def _summed(t: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePolicy
     return _n_first(t, tau, ctrl, zero_mode, pressure, scale, lift)
 
 
-def _matsubara_n(n: int, theta: float, tau: float, pressure: bool) -> tuple[float, float]:
-    """Term n >= 1 of the Matsubara sum of the reduced free energy or pressure, and its error."""
+def _matsubara_n(n: int, theta: float, phi: float, two_cos: float, tau: float,
+                 pressure: bool) -> tuple[float, float]:
+    """Term n >= 1 of the Matsubara sum of the reduced free energy or pressure, and its error.
+
+    theta is folded; phi = 2 theta and, for the pressure, two_cos = 2 cos phi
+    are taken once per sum by the caller.
+    """
     a = 2.0 * n * tau
     if a > 745.0:  # e^{-a} underflows; term is identically zero at double precision
         return 0.0, 0.0
     r = math.exp(-a)
-    phi = 2.0 * theta
-    li2, b2 = re_polylog_damped(2, r, phi, with_bound=True)
-    li3, b3 = re_polylog_damped(3, r, phi, with_bound=True)
+    li2, b2 = re_polylog_damped(2, r, phi, True)
+    li3, b3 = re_polylog_damped(3, r, phi, True)
     if not pressure:
         term = -(li3 + a * li2)
         return term, b3 + a * b2 + 2e-16 * abs(term)
     # Re Li_1(r e^{2 i theta}) = -ln(1 + r^2 - 2 r cos 2 theta)/2, closed form
     if r <= 0.5:
-        li1 = -0.5 * math.log1p(r * (r - 2.0 * math.cos(2.0 * theta)))
+        li1 = -0.5 * math.log1p(r * (r - two_cos))
         li1_err = _LI1_ULPS * _EPS * r + 5e-324
     else:
         li1 = -0.5 * log_det_kernel(r, theta)
@@ -736,19 +760,25 @@ def _n_first(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModeP
     """
     parts, acc_err = _zero_mode(theta, zero_mode, pressure)
     total = parts[0]
-    tail = _pressure_tail_n if pressure else _energy_tail_n
-    whole = tail(0, tau)  # bounds all n >= 1 terms, so |value| <= |zero mode| + whole
-    tail_max = tail(_MAX_N, tau)
+    # what no term changes, taken once: the tails' y = e^{-2 tau}, om = 1 - y
+    # and tau/om, and the terms' phi = 2 theta and 2 cos phi
+    y, om = math.exp(-2.0 * tau), -math.expm1(-2.0 * tau)
+    tau_om = tau / om
+    phi = 2.0 * theta
+    two_cos = 2.0 * math.cos(phi) if pressure else 0.0
+    # whole bounds all n >= 1 terms, so |value| <= |zero mode| + whole
+    whole = _n_tail(0, y, om, tau, tau_om, pressure)
+    tail_max = _n_tail(_MAX_N, y, om, tau, tau_om, pressure)
     if not tail_max + acc_err <= ctrl.rel_tol * (abs(total) + whole) < math.inf:
         # _MAX_N terms cannot meet rel_tol however they cancel: refuse up front
         return _finish(parts, whole, acc_err, 1, ctrl.rel_tol, scale, lift)
     stop_tol = ctrl._stop_tol
     for n in range(1, _MAX_N + 1):
-        term, term_err = _matsubara_n(n, theta, tau, pressure)
+        term, term_err = _matsubara_n(n, theta, phi, two_cos, tau, pressure)
         parts.append(term)
         total += term
         acc_err += term_err
-        tail_n = tail(n, tau)
+        tail_n = _n_tail(n, y, om, tau, tau_om, pressure)
         s = abs(total)
         if _stops(tail_n, acc_err, s, stop_tol) or stop_tol * (s + tail_n) < tail_max:
             break
@@ -766,10 +796,12 @@ def reduced_pressure(p: ReducedPoint, ctrl: SeriesControl | None = None,
     """Reduced pressure P * 4 pi beta l^3 at fixed temperature and fixed angle.
 
     Term-wise l-derivative of the free-energy series: P_hat = 2 E_hat -
-    tau dE_hat/dtau.  Negative means attraction.
+    tau dE_hat/dtau.  Negative means attraction.  The fold of theta is
+    taken once per point and kept on it (_point_fold): the energy and then
+    the pressure of one point fold it once.
     """
-    _validate_point(p)
-    return _reduced(p.theta, p.tau, ctrl or _DEFAULT_CTRL, zero_mode, _PRESSURE)
+    t, _, tau = _point_fold(p)
+    return _summed(t, tau, ctrl or _DEFAULT_CTRL, zero_mode, _PRESSURE, 0.0)
 
 
 def reduced_pressure_T0(theta: float) -> float:
@@ -794,7 +826,8 @@ def matsubara_term(n: int, p: ReducedPoint) -> float:
     theta, _ = _canonical_theta(p.theta)
     if p.tau <= 0.0:
         raise ValueError("positive tau required for n >= 1 Matsubara terms")
-    return _matsubara_n(n, theta, float(p.tau), pressure=False)[0]
+    # the energy term reads no cosine
+    return _matsubara_n(n, theta, 2.0 * theta, 0.0, float(p.tau), _ENERGY)[0]
 
 
 def effective_theta(cfg: CavityConfig) -> float:

@@ -230,6 +230,9 @@ _LOG_MU = 1.0
 # sums of 1 + int(42/mu) <= 43 terms; polylog_exp_23 takes s = 2 and 3 in pairs
 _INV_POW = {s: [1.0 / k**s for k in range(1, 44)] for s in (2, 3, 4)}
 _INV_POW_23 = list(zip(_INV_POW[2], _INV_POW[3]))
+# re_polylog_damped's direct sums, built once: _DAMPED_HORNER[s][K - 1] is
+# 1/K^s, ..., 1/1^s, the Horner sequence of its first K = 1 + int(42/a) terms
+_DAMPED_HORNER = {s: [tuple(inv[k::-1]) for k in range(43)] for s, inv in _INV_POW.items()}
 # (sin2[j], cos3[j+1]) for j = 12 down to 1: below mu = 1 the alternating
 # tails fall by more than (2 pi)^2 a term, so what the 12 leave out is below
 # (2 pi)^-24 = 7e-20 of their first terms (Li_2's below 0.014, Li_3's below
@@ -352,7 +355,8 @@ def re_polylog_damped(s, r: float, phi: float, with_bound: bool = False):
     6e-16 for r <= 1/e, and 3.4e-14 anywhere (near r = 1/e and x = pi,
     where the log expansion cancels most).  |phi| <= 2e15.
     """
-    n = _order(s)
+    if s not in (2, 3, 4):
+        _order(s)  # raises
     if not (0.0 <= r < 1.0):
         raise ValueError(f"damping must satisfy 0 <= r < 1, got {r!r}")
     if r == 0.0:
@@ -364,7 +368,7 @@ def re_polylog_damped(s, r: float, phi: float, with_bound: bool = False):
     a = -math.log(r)
     if a >= _LOG_MU:
         rho, acc = complex(r * math.cos(x), r * math.sin(x)), 0j
-        for inv in _INV_POW[n][int(42.0 / a)::-1]:
+        for inv in _DAMPED_HORNER[s][int(42.0 / a)]:
             acc = acc * rho + inv
         value = (acc * rho).real
         if not with_bound:
@@ -373,10 +377,10 @@ def re_polylog_damped(s, r: float, phi: float, with_bound: bool = False):
     mu = complex(a, -x)
     mu2 = mu * mu
     z, t = -mu2, 0j
-    for c in _DAMPED_TAILS[n]:
+    for c in _DAMPED_TAILS[s]:
         t = t * z + c
     log_mu = complex(math.log(math.hypot(a, x)), -math.atan2(x, a))
-    if n == 2:
+    if s == 2:
         # zeta(2) - mu (1 - ln mu) - mu^2/4 + Sum_{j>=1} (-1)^{j+1} sin2[j] mu^{2j+1}
         p1, p2, p3 = -mu * (1.0 - log_mu), -0.25 * mu2, t * (mu2 * mu)
         value = (ZETA_2 + p1 + p2 + p3).real
@@ -384,7 +388,7 @@ def re_polylog_damped(s, r: float, phi: float, with_bound: bool = False):
             return value
         rnd = 3.2 * ZETA_2 + 8.3 * abs(p1) + 4.0 * abs(mu) + 4.3 * abs(p2) + 14.7 * abs(p3)
         li_prev = 0.5 * math.pi - math.log1p(-r)
-    elif n == 3:
+    elif s == 3:
         # zeta(3) - zeta(2) mu + (mu^2/2)(3/2 - ln mu) + mu^3/12
         #     + Sum_{j>=2} (-1)^{j+1} cos3[j] mu^{2j}
         p1, p2 = -ZETA_2 * mu, 0.5 * mu2 * (1.5 - log_mu)

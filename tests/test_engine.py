@@ -831,6 +831,39 @@ def test_numpy_scalar_inputs_give_python_results():
     assert type(matsubara_term(2, ReducedPoint(f64(0.3), f64(0.5)))) is float
 
 
+@pytest.mark.parametrize("ctrl", [None, N_FIRST])
+def test_a_point_folds_its_angle_once(monkeypatch, ctrl):
+    # the energy and then the pressure of one point share the fold that the
+    # first call keeps on it; numpy inputs still give Python results
+    calls = []
+    fold = engine._canonical_theta
+
+    def counted(theta):
+        calls.append(theta)
+        return fold(theta)
+
+    monkeypatch.setattr(engine, "_canonical_theta", counted)
+    point = ReducedPoint(np.float64(-2.5), np.float64(0.7))
+    results = [reduced_free_energy(point, ctrl), reduced_pressure(point, ctrl),
+               reduced_free_energy(point, ctrl)]
+    assert len(calls) == 1
+    assert results[2] == results[0]
+    for res in results:
+        assert [type(v) for v in res] == [float, float, int, bool]
+    # the fold is kept outside the fields
+    fresh = ReducedPoint(np.float64(-2.5), np.float64(0.7))
+    assert point == fresh and hash(point) == hash(fresh) and repr(point) == repr(fresh)
+
+
+@pytest.mark.parametrize("tau", [0.0, 1e-301])
+def test_a_point_that_fails_its_checks_raises_on_every_call(tau):
+    point = ReducedPoint(0.3, tau)
+    for fn in (reduced_free_energy, reduced_pressure, reduced_free_energy):
+        with pytest.raises(ValueError, match="tau"):
+            fn(point)
+    assert point._fold is None
+
+
 def mp_images(theta, tau, pressure=False, faraday=False, tm_only=False, rel=1e-12):
     """40-digit sum over the images with a bound on its own error: mp_series' twin at small tau.
 
@@ -1077,7 +1110,9 @@ def test_n_first_value_is_the_exact_sum_of_its_terms(fn, point, pressure):
     res = fn(ReducedPoint(theta, tau), SeriesControl(rel_tol=1e-12, order="n_first"))
     assert res.converged
     zero = matsubara_term(0, ReducedPoint(theta, tau)) * (1.0 if pressure else 0.5)
-    terms = [engine._matsubara_n(n, theta, tau, pressure)[0] for n in range(1, res.terms_used)]
+    phi = 2.0 * theta
+    terms = [engine._matsubara_n(n, theta, phi, 2.0 * math.cos(phi), tau, pressure)[0]
+             for n in range(1, res.terms_used)]
     assert res.value == math.fsum([zero, *terms])
 
 

@@ -371,7 +371,8 @@ def test_polylog_near_one_evaluates_at_constant_cost():
     theta, tau = 0.8, 1.3e-9
     term, took = _best_of_three(lambda: matsubara_term(3, ReducedPoint(theta, tau)))
     assert took < 1e-3
-    value, bound = engine._matsubara_n(3, theta, tau, pressure=False)
+    value, bound = engine._matsubara_n(3, theta, 2.0 * theta, 2.0 * math.cos(2.0 * theta), tau,
+                                       pressure=False)
     assert term == value
     a = 6.0 * tau
     r = math.exp(-a)
@@ -447,6 +448,22 @@ def test_polylog_zero_damping():
 def test_order_out_of_range(bad):
     with pytest.raises(ValueError):
         clausen_cos(bad, 1.0)
+
+
+@pytest.mark.parametrize("s", [1, 5])
+def test_polylog_order_out_of_range(s):
+    with pytest.raises(ValueError, match="polylog order must be 2, 3 or 4"):
+        re_polylog_damped(s, 0.5, 0.3)
+
+
+def test_damped_horner_sequences_are_the_reversed_inverse_powers():
+    # re_polylog_damped walks these, built once, in place of a slice per call
+    from chiral_casimir.special_functions import _DAMPED_HORNER, _INV_POW
+
+    for s in (2, 3, 4):
+        assert len(_DAMPED_HORNER[s]) == 43
+        for k in range(1, 44):
+            assert list(_DAMPED_HORNER[s][k - 1]) == _INV_POW[s][k - 1::-1], (s, k)
 
 
 @pytest.mark.parametrize("r", [-0.1, 1.0, 1.5])

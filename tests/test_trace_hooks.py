@@ -55,11 +55,10 @@ def test_trace_hooks_see_the_engine_calls():
     assert ("special_functions.re_polylog_damped", "") in under("engine.reduced_free_energy")
 
 
-def test_traced_certify_run_reports_every_metric():
-    # a short traced certify run of the benchmark itself: it exits 0, its
-    # outputs check, and every per-layer metric is a finite number
-    pytest.importorskip("scipy")  # the benchmark's quadrature normaliser
-    proc = subprocess.run([sys.executable, str(BENCH / "run.py"), "--workload", "certify", "--seed", "1",
+def _traced_run(workload: str) -> dict:
+    # a short traced run of the benchmark itself: it exits 0, its outputs
+    # check, and every per-layer metric is a finite number
+    proc = subprocess.run([sys.executable, str(BENCH / "run.py"), "--workload", workload, "--seed", "1",
                            "--seconds", "0.2", "--trace", "1"],
                           cwd=BENCH.parent, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]
@@ -68,3 +67,18 @@ def test_traced_certify_run_reports_every_metric():
     assert result["metrics"]
     for name, metric in result["metrics"].items():
         assert math.isfinite(metric["value"]), name
+    return result["metrics"]
+
+
+def test_traced_certify_run_reports_every_metric():
+    pytest.importorskip("scipy")  # the benchmark's quadrature normaliser
+    _traced_run("certify")
+
+
+def test_traced_domain_points_run_reports_every_metric():
+    # n_first's spans feed the n-first energy and the damped-polylog metrics
+    pytest.importorskip("mpmath")  # the benchmark's reference values
+    metrics = _traced_run("domain_points")
+    for name in ("engine.energy_us.n_first", "special_functions.re_polylog_damped_us",
+                 "special_functions.re_polylog_damped_calls"):
+        assert metrics[name]["value"] > 0.0, name
