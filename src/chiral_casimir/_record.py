@@ -23,9 +23,10 @@ with them the Faraday slope factor and the factor to physical units once
 per quantity (_energy_units, _pressure_units), which a sweep row of the
 cli reads back; and engine._point_fold on ReducedPoint: the fold of theta,
 its sign and tau as a Python float (_fold), from the first thermal call on
-the point, so that its energy and then its pressure fold once.  Set by _setattr and read as attributes, never through
-__dict__, they change neither equality, hash nor repr.  Pickling and
-copy.copy fill the dict directly.
+the point, so that its energy and then its pressure fold once.  Set by
+_setattr and read as attributes, never through __dict__, they change
+neither equality, hash nor repr.  Pickling and copy.copy fill the dict
+directly.
 """
 
 _setattr = object.__setattr__
