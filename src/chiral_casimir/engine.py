@@ -604,8 +604,9 @@ def _images(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePo
 
 # The n_first term cap.  At rel_tol 1e-10 the up-front refusal starts near
 # tau = 7e-4, and 20k terms (each two constant-cost damped polylogarithms)
-# take 0.07-0.13 s on a noisy 2-CPU host (the energy at theta = 0.3,
-# tau = 6.6e-4: 19,963 terms, best of 3 in each of five runs).
+# take 0.064-0.067 s on a 2-CPU host (the energy at theta = 0.3,
+# tau = 6.6e-4: 19,963 terms, best of 3 in each of eight runs; up to 0.11 s
+# when the host is busy).
 _MAX_N = 20_000
 
 # Absolute error of li1 = -log1p(r (r - 2c))/2, c = cos 2 theta, against
