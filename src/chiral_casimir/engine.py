@@ -19,7 +19,8 @@ Sign convention: negative free energy / pressure means attraction.
 
 At tau = 0 the sum becomes an integral and both quantities have exact
 Bernoulli-polynomial closed forms (reduced_free_energy_T0 and
-reduced_pressure_T0, in units of hbar c / l^3 and hbar c / l^4).
+reduced_pressure_T0, in units of hbar c / l^3 and hbar c / l^4); inside
+the engine the closed form is a fourth sum (_closed_form), with its floor.
 
 In a Faraday gap theta = V B l grows with the separation, so the pressure
 gains -theta dE/dtheta = -theta [Sl_2(2 theta) + 2 Sum sin(2 m theta) w(2 m tau)/m^2],
@@ -58,13 +59,15 @@ tail bounds of the others reach 0 where their terms underflow, within
 the closed-form zero mode (_zero_mode) plus a charge for rounding every term
 for the m-series, the error of the closed forms plus a charge for every
 image so far for the images, and the error accumulated so far for n_first.
-Every result leaves through _finish: its value is the exact sum
-(math.fsum) of its parts, rounded once, and it is converged where
-tail + floor + EPS |value| is within rel_tol |value|, the inequality the stop
-tested.  n_first refuses up front, unconverged, when its tail beyond _MAX_N
-already exceeds rel_tol, and stops unconverged at the first n where that tail
-exceeds the stop tolerance of |S| + tail(n), a bound on |value| that no
-later term can pass.
+Each sum, and the T = 0 closed form (_closed_form), returns its parts, tail,
+floor and term count, and _summed picks which one runs.  Every result leaves
+through _finish, once: its value is the exact sum (math.fsum) of the parts,
+rounded once, and it is converged where tail + floor + EPS |value| is within
+rel_tol |value|, the inequality the stop tested.  Only _physical passes
+_finish the factor to physical units.  n_first refuses up front,
+unconverged, when its tail beyond _MAX_N already exceeds rel_tol, and stops
+unconverged at the first n where that tail exceeds the stop tolerance of
+|S| + tail(n), a bound on |value| that no later term can pass.
 """
 
 from __future__ import annotations
@@ -318,15 +321,18 @@ def _stops(tail: float, floor: float, s: float, rel_tol: float) -> bool:
     return target - tail >= floor * (target >= floor)
 
 
-def _finish(parts, tail: float, floor: float, terms: int, rel_tol: float,
-            scale: float = 1.0, lift: float = 1.0) -> EvalResult:
+def _finish(sum_, rel_tol: float, scale: float = 1.0, lift: float = 1.0) -> EvalResult:
     """The result of a sum that stopped: the exact sum of its parts, rounded once.
 
-    Its estimate is tail + floor plus that rounding, EPS |value|, and it is
-    converged where the value is finite and the estimate within rel_tol |value|.
-    Value and estimate are then scaled by scale/lift, the factor to physical
-    units of _physical (_unit_scale); the default 1/1 changes no bit.
+    sum_ is the (parts, tail, floor, terms) that every sum returns (_summed).
+    The estimate is tail + floor plus that rounding, EPS |value|, and the
+    result is converged where the value is finite and the estimate within
+    rel_tol |value|.  Value and estimate are then scaled by scale/lift, the
+    factor to physical units that only _physical passes (_unit_scale); the
+    default 1/1 changes no bit.  reduced_free_energy, reduced_pressure,
+    _reduced and _physical each call it once per result.
     """
+    parts, tail, floor, terms = sum_
     value = math.fsum(parts)
     err = tail + floor + _EPS * abs(value)
     # the object EvalResult(...) returns, without its Python-level __new__
@@ -418,8 +424,7 @@ def _zero_mode(theta: float, zero_mode: ZeroModePolicy, pressure: bool,
 
 
 def _m_series(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePolicy,
-              pressure: bool, grad: float = 0.0, scale: float = 1.0,
-              lift: float = 1.0) -> EvalResult:
+              pressure: bool, grad: float = 0.0) -> tuple[list[float], float, float, int]:
     """zero mode - sum_m cos(2 m theta) weight(2 m tau)/m^3 + grad dE/dtheta at a folded point.
 
     The zero mode is _zero_mode's.  grad is 0 except for the Faraday
@@ -434,7 +439,7 @@ def _m_series(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroMode
     m phi) <= EPS weight(2 tau) (zeta(3) _TERM_ULPS + zeta(2) (2 tau + phi)),
     and the sine terms g_m = 2 w(2 m tau)/m^2 have sum g_m <= 2 zeta(2)
     w(2 tau) and, as w(a) <= 2/a, sum m g_m <= 2 zeta(2)/tau.  Stops by
-    _stops at its first m; _finish scales the result by scale/lift.
+    _stops at its first m, and returns (parts, tail, floor, m) for _finish.
     No cap is needed: once 2(m+1) tau > 745 the weights at m + 1 underflow
     to 0, and so does the tail, so the sum stops within 1 + 373/tau terms,
     250 at tau = _TAU_C.  The float running sum only steers the stop:
@@ -476,7 +481,7 @@ def _m_series(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroMode
         parts.append(term)
         s += term
         if _stops(tail, floor, abs(s), stop_tol):
-            return _finish(parts, tail, floor, m, ctrl.rel_tol, scale, lift)
+            return parts, tail, floor, m
 
 
 # m_first sums every point at tau <= _TAU_C by its images, the rest by the
@@ -518,8 +523,7 @@ _LI_ULPS = 17.0
 
 
 def _images(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePolicy,
-            pressure: bool, grad: float = 0.0, scale: float = 1.0,
-            lift: float = 1.0) -> EvalResult:
+            pressure: bool, grad: float = 0.0) -> tuple[list[float], float, float, int]:
     """The m-series of _m_series summed over its images, at a folded point with tau <= _TAU_C.
 
     Temperature inversion (Mittag-Leffler for coth, then the sum over m in
@@ -540,8 +544,8 @@ def _images(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePo
     floor is the error of the closed forms (_CL4_ERR, _SL3_ERR and, under
     TM_ONLY, the two zero modes) plus that of every image.  Stops by _stops,
     which the tail reaching 0 at mu = pi alpha/tau > 745 ensures within
-    2 + 745 tau/pi^2 images; terms_used counts the images.  _finish scales
-    the result by scale/lift.
+    2 + 745 tau/pi^2 images.  Returns (parts, tail, floor, images) for
+    _finish, whose terms_used counts the images.
     """
     phi = 2.0 * theta
     # -Cl4/tau + tau^3/90 for E, three times the first minus the second for P
@@ -598,8 +602,7 @@ def _images(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePo
         bound = alpha * (0.5 * alpha + abs_grad) if pressure else c1 * alpha + c0
         tail = bound * rho / ((1.0 - rho) * geo)
         if _stops(tail, floor, abs(s), stop_tol):
-            break
-    return _finish(parts, tail, floor, i, ctrl.rel_tol, scale, lift)
+            return parts, tail, floor, i
 
 
 # The n_first term cap.  At rel_tol 1e-10 the up-front refusal starts near
@@ -682,8 +685,9 @@ def reduced_free_energy(p: ReducedPoint, ctrl: SeriesControl | None = None,
     Requires tau > 0; zero temperature is a separate closed form.  The fold
     of theta is taken once per point and kept on it (_point_fold).
     """
+    ctrl = ctrl or _DEFAULT_CTRL
     t, _, tau = _point_fold(p)
-    return _summed(t, tau, ctrl or _DEFAULT_CTRL, zero_mode, _ENERGY, 0.0)
+    return _finish(_summed(t, tau, ctrl, zero_mode, _ENERGY, 0.0), ctrl.rel_tol)
 
 
 def _reduced(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePolicy,
@@ -696,21 +700,23 @@ def _reduced(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModeP
     _point_fold, instead.
     """
     t, sign = _canonical_theta(theta)
-    return _summed(t, float(tau), ctrl, zero_mode, pressure, grad * sign)
+    return _finish(_summed(t, float(tau), ctrl, zero_mode, pressure, grad * sign), ctrl.rel_tol)
 
 
 def _summed(t: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePolicy,
-            pressure: bool, grad: float, scale: float = 1.0, lift: float = 1.0) -> EvalResult:
-    """The thermal sum at an angle t folded by _canonical_theta, grad signed by its fold.
+            pressure: bool, grad: float) -> tuple[list[float], float, float, int]:
+    """The (parts, tail, floor, terms) of a sum at an angle t folded by _canonical_theta.
 
-    The one door of every thermal sum: m_first takes the images at
-    tau <= _TAU_C and the m-series above, n_first its own sum.  The result
-    is scaled by scale/lift (_finish).
+    grad is signed by the fold.  The one door of every sum, whose parts
+    _finish turns into the result: tau = 0 takes the closed form
+    (_closed_form) under either order, m_first the images at
+    0 < tau <= _TAU_C and the m-series above, n_first its own sum.
     """
+    if not tau:
+        return _closed_form(t, pressure, grad)
     if ctrl.order == "m_first":
-        path = _images if tau <= _TAU_C else _m_series
-        return path(t, tau, ctrl, zero_mode, pressure, grad, scale, lift)
-    return _n_first(t, tau, ctrl, zero_mode, pressure, scale, lift)
+        return (_images if tau <= _TAU_C else _m_series)(t, tau, ctrl, zero_mode, pressure, grad)
+    return _n_first(t, tau, ctrl, zero_mode, pressure)
 
 
 def _matsubara_n(n: int, theta: float, phi: float, two_cos: float, tau: float,
@@ -742,13 +748,13 @@ def _matsubara_n(n: int, theta: float, phi: float, two_cos: float, tau: float,
 
 
 def _n_first(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePolicy,
-             pressure: bool, scale: float = 1.0, lift: float = 1.0) -> EvalResult:
+             pressure: bool) -> tuple[list[float], float, float, int]:
     """Reduced free energy or fixed-angle pressure, one Matsubara term at a time.
 
     Stops by _stops at its first n >= 1, with the floor the error of the
-    terms so far, or at n = _MAX_N.  The float running total only steers
-    the stop: _finish sums the zero mode and the terms exactly, and scales
-    the result by scale/lift.
+    terms so far, or at n = _MAX_N, and returns (parts, tail, floor, terms)
+    with the zero mode counted as a term.  The float running total only
+    steers the stop: _finish sums the zero mode and the terms exactly.
 
     It refuses up front, unconverged, where _MAX_N terms cannot meet rel_tol
     however they cancel, and gives up, unconverged, at the first n where
@@ -772,7 +778,7 @@ def _n_first(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModeP
     tail_max = _n_tail(_MAX_N, y, om, tau, tau_om, pressure)
     if not tail_max + acc_err <= ctrl.rel_tol * (abs(total) + whole) < math.inf:
         # _MAX_N terms cannot meet rel_tol however they cancel: refuse up front
-        return _finish(parts, whole, acc_err, 1, ctrl.rel_tol, scale, lift)
+        return parts, whole, acc_err, 1
     stop_tol = ctrl._stop_tol
     for n in range(1, _MAX_N + 1):
         term, term_err = _matsubara_n(n, theta, phi, two_cos, tau, pressure)
@@ -783,11 +789,35 @@ def _n_first(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModeP
         s = abs(total)
         if _stops(tail_n, acc_err, s, stop_tol) or stop_tol * (s + tail_n) < tail_max:
             break
-    return _finish(parts, tail_n, acc_err, n + 1, ctrl.rel_tol, scale, lift)
+    return parts, tail_n, acc_err, n + 1
+
+
+def _closed_form(t: float, pressure: bool, grad: float) -> tuple[list[float], float, float, int]:
+    """The (parts, 0, floor, 0) of E0 = -Cl4(2 t)/(8 pi^2) or P0 = 3 E0 at T = 0, t folded.
+
+    grad, signed by the fold, adds the Faraday slope grad dE0/dtheta =
+    grad Sl3(2 t)/(4 pi^2).  E0 is off by _CL4_ERR/(8 pi^2) from Cl4, and by
+    2.7u |E0| from the division by the rounded 8 pi^2 (math.pi is within
+    0.36u of pi, its square within 1.7u of pi^2); P0 triples both and adds
+    u |P0| for the product.  The slope's product and its division by the
+    rounded 4 pi^2 add 3.7u of |Sl3| <= 0.995 to _SL3_ERR:
+    (1.6e-15 + 4.1e-16)/(4 pi^2) = 5.1e-17 per unit |grad|.
+    """
+    times, ulps = (3.0, 3.7) if pressure else (1.0, 2.7)
+    parts = [times * (-clausen_cos(4, 2.0 * t) / EIGHT_PI2)]  # times reduced_free_energy_T0
+    floor = times * _CL4_ERR / EIGHT_PI2 + ulps * _EPS * abs(parts[0])
+    if grad:
+        parts.append(grad * clausen_sin(3, 2.0 * t) / (4.0 * math.pi**2))
+        floor += abs(grad) * 5.1e-17
+    return parts, 0.0, floor, 0
 
 
 def reduced_free_energy_T0(theta: float) -> float:
-    """Zero-temperature reduced free energy E_c l^3 / (hbar c), exact closed form."""
+    """Zero-temperature reduced free energy E_c l^3 / (hbar c), exact closed form.
+
+    The value of _closed_form, without its floor; _physical's T = 0 results
+    carry the estimate.
+    """
     t, _ = _canonical_theta(theta)
     return -clausen_cos(4, 2.0 * t) / EIGHT_PI2
 
@@ -801,8 +831,9 @@ def reduced_pressure(p: ReducedPoint, ctrl: SeriesControl | None = None,
     taken once per point and kept on it (_point_fold): the energy and then
     the pressure of one point fold it once.
     """
+    ctrl = ctrl or _DEFAULT_CTRL
     t, _, tau = _point_fold(p)
-    return _summed(t, tau, ctrl or _DEFAULT_CTRL, zero_mode, _PRESSURE, 0.0)
+    return _finish(_summed(t, tau, ctrl, zero_mode, _PRESSURE, 0.0), ctrl.rel_tol)
 
 
 def reduced_pressure_T0(theta: float) -> float:
@@ -818,15 +849,16 @@ def classical_limit_reduced(theta: float) -> float:
 def matsubara_term(n: int, p: ReducedPoint) -> float:
     """Reduced contribution of Matsubara index n (before the n=0 half weight).
 
-    n = 0 gives -clausen_cos(3, 2 theta) (full policy); n >= 1 needs tau > 0.
+    n = 0 gives -clausen_cos(3, 2 theta) (full policy); n >= 1 needs
+    e^{-2 n tau} < 1 as a float, that is tau > 0 and 2 n tau >= 2^-54.
     """
     if n < 0:
         raise ValueError(f"Matsubara index must be >= 0, got {n!r}")
     if n == 0:  # twice the half-weighted zero mode
         return 2.0 * classical_limit_reduced(p.theta)
     theta, _ = _canonical_theta(p.theta)
-    if p.tau <= 0.0:
-        raise ValueError("positive tau required for n >= 1 Matsubara terms")
+    if not math.exp(-2.0 * n * p.tau) < 1.0:  # the damping re_polylog_damped takes
+        raise ValueError(f"terms n >= 1 need e^(-2 n tau) < 1, got n = {n!r}, tau = {p.tau!r}")
     # the energy term reads no cosine
     return _matsubara_n(n, theta, 2.0 * theta, 0.0, float(p.tau), _ENERGY)[0]
 
@@ -929,32 +961,14 @@ def _physical(cfg: CavityConfig, ctrl: SeriesControl, pressure: bool) -> EvalRes
     """Free energy in J/m^2 (_ENERGY) or pressure in Pa (_PRESSURE).
 
     In a Faraday gap theta = V B l, so l d/dl = tau d/dtau + theta d/dtheta
-    and the pressure gains grad dE/dtheta with grad = -theta.  The sum is
-    taken at the fold that _units keeps and judged in reduced units, then
-    scaled by scale/lift as _finish builds the one result.
+    and the pressure gains grad dE/dtheta with grad = -theta.  The sum
+    (_summed, which takes the closed form at T = 0, where tau = 0) is taken
+    at the fold that _units keeps, with grad signed by it, and judged in
+    reduced units; _finish then scales value and estimate by scale/lift.
     """
-    theta, tau, t, sign, grad, scale, lift = _units(cfg, pressure)
-    if cfg.temperature == 0.0:
-        # E0 = -Cl4(2 theta)/(8 pi^2) is off by _CL4_ERR/(8 pi^2) from Cl4,
-        # and by 2.7u |E0| from the division by the rounded 8 pi^2 (math.pi
-        # is within 0.36u of pi, its square within 1.7u of pi^2); P0 = 3 E0
-        # triples both and adds u |P0| for the product
-        e0 = -clausen_cos(4, 2.0 * t) / EIGHT_PI2  # reduced_free_energy_T0 at the fold
-        if pressure:
-            parts = [3.0 * e0]
-            floor = 3.0 * _CL4_ERR / EIGHT_PI2 + 3.7 * _EPS * abs(parts[0])
-        else:
-            parts = [e0]
-            floor = _CL4_ERR / EIGHT_PI2 + 2.7 * _EPS * abs(e0)
-        if grad:
-            # dE_0/dtheta = Sl3(2 theta)/(4 pi^2).  The product and the division
-            # by the rounded 4 pi^2 add 3.7u of |Sl3| <= 0.995 to _SL3_ERR:
-            # (1.6e-15 + 4.1e-16)/(4 pi^2) = 5.1e-17 per unit |grad|.
-            parts.append(grad * clausen_sin(3, 2.0 * theta) / (4.0 * math.pi**2))
-            floor += abs(grad) * 5.1e-17
-        res = _finish(parts, 0.0, floor, 0, ctrl.rel_tol, scale, lift)
-    else:
-        res = _summed(t, tau, ctrl, cfg.zero_mode, pressure, grad * sign, scale, lift)
+    _, tau, t, sign, grad, scale, lift = _units(cfg, pressure)
+    res = _finish(_summed(t, tau, ctrl, cfg.zero_mode, pressure, grad * sign), ctrl.rel_tol,
+                  scale, lift)
     if math.isinf(res.value):
         raise ValueError(f"the result overflows a float in physical units; got separation = "
                          f"{cfg.separation!r} m, temperature = {cfg.temperature!r} K")

@@ -215,12 +215,15 @@ def _integrate(jobs, epsabs: float, epsrel: float) -> list[tuple[float, float]]:
     the open pieces whose |K21 - G10| is over their share, by length in t,
     of the tolerance left above the floor; the others close.  An integral
     is done once its bound meets max(epsabs, epsrel |value|); where one
-    cannot, RuntimeError names its theta.
+    cannot, RuntimeError names its theta.  A theta that is not finite is a
+    ValueError, as ReducedPoint makes it.
     """
     if not jobs:
         return []
     n = len(jobs)
     thetas = np.array([float(theta) for theta, _ in jobs])
+    if not np.isfinite(thetas).all():
+        raise ValueError(f"theta must be finite, got {float(thetas[~np.isfinite(thetas)][0])!r}")
     # rows holds each distinct pieces object once, and the open pieces are
     # rows[col], owned by jobs owner; sorted by row, a _SLICE of them spans
     # a run of rows, and each job's pieces keep their order (its rows are
@@ -454,11 +457,18 @@ def _pressure(points, q: QuadControl) -> list[tuple[float, float]]:
 
 
 def oracle_matsubara_term(n: int, p, q: QuadControl | None = None) -> float:
-    """Single reduced Matsubara term J_n/2 by adaptive quadrature."""
+    """Single reduced Matsubara term J_n/2 by adaptive quadrature.
+
+    The window starts at u = 2 n tau, and from 746 on e^{-u} is 0 over all
+    of it, so the term is 0.0 there without a quadrature (whose window
+    lo + _CUTOFF rounds to lo itself once lo reaches 2^59).
+    """
     q = q or QuadControl()
     if n < 0:
         raise ValueError(f"Matsubara index must be >= 0, got {n!r}")
     lo = 2.0 * n * float(p.tau)
+    if lo >= 746.0:
+        return 0.0
     edges = _breaks(lo, lo + _CUTOFF)
     w0 = [1.0] * (len(edges) - 1)
     eps = min(1e-12, q.abs_tol)
@@ -501,7 +511,7 @@ def oracle_pressure(theta: float, tau: float, q: QuadControl | None = None) -> f
     P l^4 / (hbar c) = 3 E0, E0 from oracle_free_energy_T0.
     """
     q = q or QuadControl()
-    if tau < 0.0:
+    if not (math.isfinite(tau) and tau >= 0.0):
         raise ValueError(f"tau must be >= 0, got {tau!r}")
     if tau == 0.0:
         return 3.0 * oracle_free_energy_T0(theta, q)

@@ -43,6 +43,12 @@ N_FIRST = SeriesControl(order="n_first")
 # below every error floor: a sum stops once its tail is within EPS of it
 BELOW_FLOOR = SeriesControl(rel_tol=1e-300)
 
+
+def finished(path, theta, tau, ctrl, *args):
+    """The result of a private sum (_images, _m_series): its parts, finished at ctrl's rel_tol."""
+    return engine._finish(path(theta, tau, ctrl, *args), ctrl.rel_tol)
+
+
 # engine outputs cross-checked against the independent quadrature oracle,
 # frozen at more digits than the oracle's 1e-10 budget
 ENERGY_REFS = {
@@ -178,6 +184,9 @@ def test_matsubara_validation():
         matsubara_term(-1, ReducedPoint(0.3, 1.0))
     with pytest.raises(ValueError):
         matsubara_term(2, ReducedPoint(0.3, 0.0))
+    # e^{-2 n tau} rounds to 1: re_polylog_damped's "damping" error named neither
+    with pytest.raises(ValueError, match="n = 1, tau = 1e-17"):
+        matsubara_term(1, ReducedPoint(0.3, 1e-17))
     assert matsubara_term(1000, ReducedPoint(0.3, 1.0)) == 0.0  # underflown
 
 
@@ -263,9 +272,10 @@ def test_truncation_reports_non_convergence():
         for theta in np.linspace(0.0, math.pi / 2, 30).tolist():
             for kind in "EPF":
                 series, grad = _series_and_grad(kind, theta)
-                most = engine._m_series(theta, tau, BELOW_FLOOR, ZeroModePolicy.FULL, series, grad)
-                res = engine._m_series(theta, tau, SeriesControl(), ZeroModePolicy.FULL, series,
-                                       grad)
+                most = finished(engine._m_series, theta, tau, BELOW_FLOOR, ZeroModePolicy.FULL,
+                                series, grad)
+                res = finished(engine._m_series, theta, tau, SeriesControl(), ZeroModePolicy.FULL,
+                               series, grad)
                 assert most.converged is False, (tau, theta, kind)
                 assert most.terms_used <= 1 + 373.0 / tau, (tau, theta, kind)
                 assert abs(res.value - most.value) <= res.error_estimate + most.error_estimate
@@ -317,7 +327,7 @@ def test_converged_is_a_python_bool(fn, point, ctrl, converged):
 
 def m_series_energy(p, ctrl, zero_mode):
     """The m-series alone, at a folded point that the images would take."""
-    return engine._m_series(p.theta, p.tau, ctrl, zero_mode, engine._ENERGY)
+    return finished(engine._m_series, p.theta, p.tau, ctrl, zero_mode, engine._ENERGY)
 
 
 @pytest.mark.parametrize("fn, point, zero_mode, terms, converged", [
@@ -344,7 +354,7 @@ def test_an_infinite_value_is_not_converged():
     # the estimate inf <= rel_tol * inf held: both calls were called converged
     grown = engine._reduced(1e15, 1e-300, SeriesControl(), ZeroModePolicy.FULL,
                             engine._PRESSURE, -1e15)
-    alone = engine._finish([math.inf], 0.0, 0.0, 1, 1e-10)
+    alone = engine._finish(([math.inf], 0.0, 0.0, 1), 1e-10)
     for res in (grown, alone):
         assert math.isinf(res.value)
         assert res.converged is False
@@ -803,9 +813,9 @@ def test_a_rel_tol_below_eps_stops_at_the_error_floor():
         for kind in "EPF":
             series, grad = _series_and_grad(kind, theta)
             for path in (engine._m_series, engine._images):
-                need = path(theta, tau, SeriesControl(rel_tol=1e-17), ZeroModePolicy.FULL, series,
-                            grad)
-                most = path(theta, tau, BELOW_FLOOR, ZeroModePolicy.FULL, series, grad)
+                need = finished(path, theta, tau, SeriesControl(rel_tol=1e-17), ZeroModePolicy.FULL,
+                                series, grad)
+                most = finished(path, theta, tau, BELOW_FLOOR, ZeroModePolicy.FULL, series, grad)
                 assert most.terms_used <= 2 * need.terms_used, (path, theta, kind)
                 assert most.converged is False
                 assert abs(most.value - need.value) <= most.error_estimate + need.error_estimate
@@ -953,8 +963,9 @@ def test_images_sum_at_most_their_bound():
         for tau in (1e-3, 0.3, 1.0, engine._TAU_C):
             for kind in "EPF":
                 series, grad = _series_and_grad(kind, theta)
-                res = engine._images(theta, tau, ctrl, ZeroModePolicy.FULL, series, grad)
-                most = engine._images(theta, tau, endless, ZeroModePolicy.FULL, series, grad)
+                res = finished(engine._images, theta, tau, ctrl, ZeroModePolicy.FULL, series, grad)
+                most = finished(engine._images, theta, tau, endless, ZeroModePolicy.FULL, series,
+                                grad)
                 assert res.converged and res.terms_used <= 5
                 assert not most.converged and most.terms_used <= 2 + 745 * tau / math.pi**2
                 assert abs(res.value - most.value) <= res.error_estimate + most.error_estimate
@@ -982,8 +993,8 @@ def test_dual_and_m_series_agree_on_their_overlap(kind, zero_mode):
     for theta in (0.0, 0.2, 0.5, 0.755, 1.0, 1.3, math.pi / 2):
         for tau in (0.3, 0.5, 0.7, 1.0, 1.25, engine._TAU_C):
             series, grad = _series_and_grad(kind, theta)
-            img = engine._images(theta, tau, ctrl, zero_mode, series, grad)
-            m = engine._m_series(theta, tau, ctrl, zero_mode, series, grad)
+            img = finished(engine._images, theta, tau, ctrl, zero_mode, series, grad)
+            m = finished(engine._m_series, theta, tau, ctrl, zero_mode, series, grad)
             served += img.converged and m.converged  # not so near a zero of the result
             assert img.terms_used <= 5
             assert abs(img.value - m.value) <= img.error_estimate + m.error_estimate
@@ -1005,7 +1016,7 @@ def test_dual_within_its_estimate_of_mpmath(theta, tau, kind, zero_mode):
     series, grad = _series_and_grad(kind, theta)
     t, sign = engine._canonical_theta(theta)
     res = engine._reduced(theta, tau, SeriesControl(), zero_mode, series, grad)
-    assert res == engine._images(t, tau, SeriesControl(), zero_mode, series, grad * sign)
+    assert res == finished(engine._images, t, tau, SeriesControl(), zero_mode, series, grad * sign)
     assert res.converged and res.terms_used <= 5
     assert res.error_estimate <= 1e-10 * abs(res.value)
     ref, ref_bound = mp_series(theta, tau, pressure=kind == "P", faraday=kind == "F",

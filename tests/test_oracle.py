@@ -162,10 +162,13 @@ def test_pieces_have_the_bits_of_the_numpy_construction(monkeypatch):
     assert oracle_module._matsubara_count(3e-4, 1e-10) > oracle_module._SLICE
     for n in (0, 1, 3, 10, 1000):
         for tau in (0.5, 0.3, 2.0):
+            lo = 2.0 * n * tau
+            if lo >= 746.0:  # e^{-u} is 0 over the whole window: no quadrature
+                assert oracle_matsubara_term(n, ReducedPoint(0.3, tau)) == 0.0, (n, tau)
+                continue
             with pytest.raises(_Captured) as caught:
                 oracle_matsubara_term(n, ReducedPoint(0.3, tau))
             [(_, pieces)] = caught.value.args[0]
-            lo = 2.0 * n * tau
             pts = np.concatenate(((lo, lo + oracle_module._CUTOFF), oracle_module._GRADING))
             edges = np.unique(pts[(pts >= lo) & (pts <= lo + oracle_module._CUTOFF)])
             assert _bits(pieces) == _numpy_pieces(edges, "term").tobytes(), (n, tau)
@@ -535,6 +538,16 @@ def test_single_matsubara_term():
         oracle_matsubara_term(-1, p)
 
 
+def test_a_matsubara_window_past_the_underflow_is_zero():
+    # from u = 746 on e^{-u} is 0.  At tau = 1e17 the quadrature gave 0.0; at
+    # tau = 3e17 the window's end 2 tau + 40 rounded to its start, and it
+    # raised IndexError on no pieces
+    for tau in (373.0, 1e17, 3e17):
+        assert oracle_matsubara_term(1, ReducedPoint(0.3, tau)) == 0.0, tau
+    # a window that starts below 746 is still integrated: a subnormal term
+    assert -1e-320 < oracle_matsubara_term(1, ReducedPoint(0.3, 372.5)) < 0.0
+
+
 def test_tau_zero_rejected():
     with pytest.raises(ValueError):
         oracle_free_energy(ReducedPoint(0.3, 0.0))
@@ -603,6 +616,20 @@ def test_pressure_finite_T_matches_engine():
 def test_pressure_negative_tau_rejected():
     with pytest.raises(ValueError):
         oracle_pressure(0.3, -1.0)
+
+
+def test_an_angle_or_temperature_that_is_not_finite_is_a_value_error():
+    # each raised RuntimeError from the quadrature or the Matsubara count
+    for tau in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="tau must be >= 0"):
+            oracle_pressure(0.3, tau)
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"theta must be finite, got {theta!r}"):
+            oracle_pressure(theta, 1.0)
+        with pytest.raises(ValueError, match=f"theta must be finite, got {theta!r}"):
+            oracle_free_energy_T0(theta)
+    with pytest.raises(ValueError, match="theta must be finite, got nan"):
+        oracle_free_energy_T0([0.3, math.nan])
 
 
 # -------------------------------------------------------------------- compare
