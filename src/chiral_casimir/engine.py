@@ -44,8 +44,10 @@ over the images alpha in {2 theta, 2 pi - 2 theta} + 2 pi j, j >= 0; P and
 dE/dtheta follow in the same way.  From one image pair to the next the
 terms fall by about e^{-2 pi^2/tau}, and at theta = 0 the alpha = 0
 image is the -zeta(3) tau^2/(2 pi^2) of Brown and Maclay, so every angle
-takes one image at small tau and a handful at tau = _TAU_C.  Points at
-tau <= _TAU_C go to the images, the rest to the m-series.
+takes one image at small tau and a handful at tau = _TAU_C.  Every image
+carries e^{-pi alpha/tau}, so below tau = 2 pi theta/745.2, about theta/119,
+all of them underflow and none is summed: there the closed forms are the
+sum.  Points at tau <= _TAU_C go to the images, the rest to the m-series.
 
 Above _TAU_C the m-series weights fall like e^{-2 m tau}, so it needs a
 few terms at any sane rel_tol.  The m-series (_m_series), the images and
@@ -73,6 +75,7 @@ unconverged at the first n where that tail exceeds the stop tolerance of
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from collections import namedtuple
 from enum import Enum
@@ -329,8 +332,8 @@ def _finish(sum_, rel_tol: float, scale: float = 1.0, lift: float = 1.0) -> Eval
     result is converged where the value is finite and the estimate within
     rel_tol |value|.  Value and estimate are then scaled by scale/lift, the
     factor to physical units that only _physical passes (_unit_scale); the
-    default 1/1 changes no bit.  reduced_free_energy, reduced_pressure,
-    _reduced and _physical each call it once per result.
+    default 1/1 changes no bit.  reduced_free_energy, reduced_pressure and
+    _physical each call it once per result.
     """
     parts, tail, floor, terms = sum_
     value = math.fsum(parts)
@@ -544,8 +547,11 @@ def _images(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePo
     floor is the error of the closed forms (_CL4_ERR, _SL3_ERR and, under
     TM_ONLY, the two zero modes) plus that of every image.  Stops by _stops,
     which the tail reaching 0 at mu = pi alpha/tau > 745 ensures within
-    2 + 745 tau/pi^2 images.  Returns (parts, tail, floor, images) for
-    _finish, whose terms_used counts the images.
+    2 + 745 tau/pi^2 images.  Where the first image underflows,
+    pi phi/tau > 745.2, so does every image, and none is summed: the closed
+    forms are the sum, returned with the one 0.0 image, floor and tail the
+    loop would give.  Returns (parts, tail, floor, images) for _finish,
+    whose terms_used counts the images.
     """
     phi = 2.0 * theta
     # -Cl4/tau + tau^3/90 for E, three times the first minus the second for P
@@ -563,10 +569,17 @@ def _images(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePo
         full, full_err = _zero_mode(theta, ZeroModePolicy.FULL, pressure, grad)
         parts += tm + [-x for x in full]
         floor += tm_err + full_err
+    pi_tau = math.pi / tau
+    if pi_tau * phi > 745.2:
+        # the first image's e^{-mu} underflows, so its term, mag and slope_d
+        # are 0 and the floor gains 1e-300; the next one's rho, at
+        # 2 pi - phi >= phi, underflows too, and with it the tail: the loop
+        # below would stop after this one image, with this tuple
+        parts.append(0.0)
+        return parts, 0.0, floor + 1e-300, 1
     s = math.fsum(parts)
     stop_tol = ctrl._stop_tol
     abs_grad = abs(grad)
-    pi_tau = math.pi / tau
     c1 = 0.5 * tau / math.pi  # tau/(2 pi)
     c0 = c1 * tau / math.pi  # tau^2/(2 pi^2)
     geo = 0.5 - 4.5 * math.exp(-2.0 * math.pi * pi_tau)  # (1 - 9q)/2
@@ -600,6 +613,10 @@ def _images(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePo
         alpha = (far if i % 2 else phi) + TWO_PI * (i // 2)
         rho = math.exp(-pi_tau * alpha)
         bound = alpha * (0.5 * alpha + abs_grad) if pressure else c1 * alpha + c0
+        # theta = pi/2 is the limit where this bound is all but an equality:
+        # there phi = 2 pi - phi = pi and the images come in equal pairs, so
+        # a tail that starts with a pair uses up the factor 2, and only
+        # 1/(1 - 9q) - 1 ~ 9q of the bound is left over
         tail = bound * rho / ((1.0 - rho) * geo)
         if _stops(tail, floor, abs(s), stop_tol):
             return parts, tail, floor, i
@@ -690,19 +707,6 @@ def reduced_free_energy(p: ReducedPoint, ctrl: SeriesControl | None = None,
     return _finish(_summed(t, tau, ctrl, zero_mode, _ENERGY, 0.0), ctrl.rel_tol)
 
 
-def _reduced(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePolicy,
-             pressure: bool, grad: float = 0.0) -> EvalResult:
-    """Reduced free energy or pressure, plus grad dE/dtheta (m_first only), at any theta.
-
-    theta (by _canonical_theta) and tau become Python floats here, so that
-    numpy scalar inputs give float and bool results; _physical takes both
-    from _units, and reduced_free_energy and reduced_pressure from
-    _point_fold, instead.
-    """
-    t, sign = _canonical_theta(theta)
-    return _finish(_summed(t, float(tau), ctrl, zero_mode, pressure, grad * sign), ctrl.rel_tol)
-
-
 def _summed(t: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePolicy,
             pressure: bool, grad: float) -> tuple[list[float], float, float, int]:
     """The (parts, tail, floor, terms) of a sum at an angle t folded by _canonical_theta.
@@ -719,14 +723,13 @@ def _summed(t: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModePolicy
     return _n_first(t, tau, ctrl, zero_mode, pressure)
 
 
-def _matsubara_n(n: int, theta: float, phi: float, two_cos: float, tau: float,
+def _matsubara_n(a: float, theta: float, phi: float, two_cos: float,
                  pressure: bool) -> tuple[float, float]:
     """Term n >= 1 of the Matsubara sum of the reduced free energy or pressure, and its error.
 
-    theta is folded; phi = 2 theta and, for the pressure, two_cos = 2 cos phi
-    are taken once per sum by the caller.
+    a = 2 n tau.  theta is folded; phi = 2 theta and, for the pressure,
+    two_cos = 2 cos phi are taken once per sum by the caller.
     """
-    a = 2.0 * n * tau
     if a > 745.0:  # e^{-a} underflows; term is identically zero at double precision
         return 0.0, 0.0
     r = math.exp(-a)
@@ -781,7 +784,7 @@ def _n_first(theta: float, tau: float, ctrl: SeriesControl, zero_mode: ZeroModeP
         return parts, whole, acc_err, 1
     stop_tol = ctrl._stop_tol
     for n in range(1, _MAX_N + 1):
-        term, term_err = _matsubara_n(n, theta, phi, two_cos, tau, pressure)
+        term, term_err = _matsubara_n(2.0 * n * tau, theta, phi, two_cos, pressure)
         parts.append(term)
         total += term
         acc_err += term_err
@@ -849,18 +852,30 @@ def classical_limit_reduced(theta: float) -> float:
 def matsubara_term(n: int, p: ReducedPoint) -> float:
     """Reduced contribution of Matsubara index n (before the n=0 half weight).
 
-    n = 0 gives -clausen_cos(3, 2 theta) (full policy); n >= 1 needs
-    e^{-2 n tau} < 1 as a float, that is tau > 0 and 2 n tau >= 2^-54.
+    n is an integer (numpy integers pass).  n = 0 gives
+    -clausen_cos(3, 2 theta) (full policy); n >= 1 needs e^{-2 n tau} < 1 as
+    a float, that is tau > 0 and 2 n tau >= 2^-54, and is 0.0 where that
+    factor underflows, an n past the float range included.
     """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"Matsubara index n must be an integer, got {n!r}") from None
     if n < 0:
         raise ValueError(f"Matsubara index must be >= 0, got {n!r}")
     if n == 0:  # twice the half-weighted zero mode
         return 2.0 * classical_limit_reduced(p.theta)
     theta, _ = _canonical_theta(p.theta)
-    if not math.exp(-2.0 * n * p.tau) < 1.0:  # the damping re_polylog_damped takes
+    tau = float(p.tau)
+    try:
+        a = 2.0 * n * tau
+    except OverflowError:  # n past the float range: 2 n tau exactly, capped past the underflow
+        num, den = tau.as_integer_ratio()
+        a = min(2 * n * num, 746 * den) / den
+    if not math.exp(-a) < 1.0:  # the damping re_polylog_damped takes
         raise ValueError(f"terms n >= 1 need e^(-2 n tau) < 1, got n = {n!r}, tau = {p.tau!r}")
     # the energy term reads no cosine
-    return _matsubara_n(n, theta, 2.0 * theta, 0.0, float(p.tau), _ENERGY)[0]
+    return _matsubara_n(a, theta, 2.0 * theta, 0.0, _ENERGY)[0]
 
 
 def effective_theta(cfg: CavityConfig) -> float:

@@ -53,6 +53,7 @@ the public functions do not return.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from bisect import bisect_right
 
@@ -459,14 +460,24 @@ def _pressure(points, q: QuadControl) -> list[tuple[float, float]]:
 def oracle_matsubara_term(n: int, p, q: QuadControl | None = None) -> float:
     """Single reduced Matsubara term J_n/2 by adaptive quadrature.
 
-    The window starts at u = 2 n tau, and from 746 on e^{-u} is 0 over all
-    of it, so the term is 0.0 there without a quadrature (whose window
-    lo + _CUTOFF rounds to lo itself once lo reaches 2^59).
+    n is an integer (numpy integers pass).  The window starts at
+    u = 2 n tau, and from 746 on e^{-u} is 0 over all of it, so the term is
+    0.0 there without a quadrature (whose window lo + _CUTOFF rounds to lo
+    itself once lo reaches 2^59), an n past the float range included.
     """
     q = q or QuadControl()
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"Matsubara index n must be an integer, got {n!r}") from None
     if n < 0:
         raise ValueError(f"Matsubara index must be >= 0, got {n!r}")
-    lo = 2.0 * n * float(p.tau)
+    tau = float(p.tau)
+    try:
+        lo = 2.0 * n * tau
+    except OverflowError:  # n past the float range: 2 n tau exactly, capped past the underflow
+        num, den = tau.as_integer_ratio()
+        lo = min(2 * n * num, 746 * den) / den
     if lo >= 746.0:
         return 0.0
     edges = _breaks(lo, lo + _CUTOFF)

@@ -230,9 +230,11 @@ _LOG_MU = 1.0
 # sums of 1 + int(42/mu) <= 43 terms; polylog_exp_23 takes s = 2 and 3 in pairs
 _INV_POW = {s: [1.0 / k**s for k in range(1, 44)] for s in (2, 3, 4)}
 _INV_POW_23 = list(zip(_INV_POW[2], _INV_POW[3]))
-# re_polylog_damped's direct sums, built once: _DAMPED_HORNER[s][K - 1] is
-# 1/K^s, ..., 1/1^s, the Horner sequence of its first K = 1 + int(42/a) terms
+# the direct sums' Horner sequences, built once: _DAMPED_HORNER[s][K - 1] is
+# 1/K^s, ..., 1/1^s, re_polylog_damped's first K = 1 + int(42/a) terms, and
+# _HORNER_23[K - 1] the pairs (1/K^2, 1/K^3), ..., (1, 1), polylog_exp_23's
 _DAMPED_HORNER = {s: [tuple(inv[k::-1]) for k in range(43)] for s, inv in _INV_POW.items()}
+_HORNER_23 = [tuple(_INV_POW_23[k::-1]) for k in range(43)]
 # (sin2[j], cos3[j+1]) for j = 12 down to 1: below mu = 1 the alternating
 # tails fall by more than (2 pi)^2 a term, so what the 12 leave out is below
 # (2 pi)^-24 = 7e-20 of their first terms (Li_2's below 0.014, Li_3's below
@@ -270,7 +272,7 @@ def polylog_exp_23(mu: float) -> tuple[float, float]:
     if mu >= _LOG_MU:
         rho, acc2, acc3 = math.exp(-mu), 0.0, 0.0
         # the first k = 1 + int(42/mu) terms: e^{-k mu} < e^{-42}
-        for inv2, inv3 in _INV_POW_23[int(42.0 / mu)::-1]:
+        for inv2, inv3 in _HORNER_23[int(42.0 / mu)]:
             acc2, acc3 = acc2 * rho + inv2, acc3 * rho + inv3
         return acc2 * rho, acc3 * rho
     if not mu:

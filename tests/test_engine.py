@@ -49,6 +49,12 @@ def finished(path, theta, tau, ctrl, *args):
     return engine._finish(path(theta, tau, ctrl, *args), ctrl.rel_tol)
 
 
+def summed(theta, tau, ctrl, zero_mode, pressure, grad=0.0):
+    """The result at any theta: folded by _canonical_theta, grad signed by the fold, by _summed."""
+    t, sign = engine._canonical_theta(theta)
+    return finished(engine._summed, t, tau, ctrl, zero_mode, pressure, grad * sign)
+
+
 # engine outputs cross-checked against the independent quadrature oracle,
 # frozen at more digits than the oracle's 1e-10 budget
 ENERGY_REFS = {
@@ -188,6 +194,19 @@ def test_matsubara_validation():
     with pytest.raises(ValueError, match="n = 1, tau = 1e-17"):
         matsubara_term(1, ReducedPoint(0.3, 1e-17))
     assert matsubara_term(1000, ReducedPoint(0.3, 1.0)) == 0.0  # underflown
+    # n is an integer: 1.5 returned a value with no meaning; numpy integers pass
+    for n in (1.5, np.float64(2.0), "2"):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            matsubara_term(n, ReducedPoint(0.3, 1.0))
+    assert matsubara_term(np.int64(2), ReducedPoint(0.3, 1.0)) == matsubara_term(
+        2, ReducedPoint(0.3, 1.0))
+    # past the float range: 10**400 raised OverflowError.  2 n tau is taken
+    # exactly, so a subnormal tau still gives a term, here at 2 n tau = 2^-49
+    assert matsubara_term(10**400, ReducedPoint(0.3, 1e-300)) == 0.0
+    assert matsubara_term(2**1024, ReducedPoint(0.3, 5e-324)) == matsubara_term(
+        1, ReducedPoint(0.3, 2.0**-50))
+    with pytest.raises(ValueError, match="need e\\^\\(-2 n tau\\) < 1"):
+        matsubara_term(10**400, ReducedPoint(0.3, 0.0))
 
 
 # ------------------------------------------------------ limits and continuity
@@ -352,8 +371,7 @@ def test_the_stop_and_the_verdict_are_one_inequality(fn, point, zero_mode, terms
 
 def test_an_infinite_value_is_not_converged():
     # the estimate inf <= rel_tol * inf held: both calls were called converged
-    grown = engine._reduced(1e15, 1e-300, SeriesControl(), ZeroModePolicy.FULL,
-                            engine._PRESSURE, -1e15)
+    grown = summed(1e15, 1e-300, SeriesControl(), ZeroModePolicy.FULL, engine._PRESSURE, -1e15)
     alone = engine._finish(([math.inf], 0.0, 0.0, 1), 1e-10)
     for res in (grown, alone):
         assert math.isinf(res.value)
@@ -979,9 +997,34 @@ def test_small_tau_costs_at_most_two_images(theta):
         for zero_mode in ZeroModePolicy:
             for kind in "EPF":
                 series, grad = _series_and_grad(kind, theta)
-                res = engine._reduced(theta, tau, SeriesControl(), zero_mode, series, grad)
+                res = summed(theta, tau, SeriesControl(), zero_mode, series, grad)
                 assert res.converged and res.terms_used <= 2, (theta, tau, zero_mode, kind)
     assert reduced_free_energy(ReducedPoint(1e-6, 1e-3)).terms_used == 1
+
+
+def test_underflown_images_are_not_summed(monkeypatch):
+    # where pi 2t/tau > 745.2 every image is 0.0: the closed forms are the
+    # sum, with no stop to test.  Just below that the one image is summed
+    calls, stops = [], engine._stops
+
+    def counted(*args):
+        calls.append(args)
+        return stops(*args)
+
+    monkeypatch.setattr(engine, "_stops", counted)
+    theta, edge = 0.6, math.pi * 1.2 / 745.2
+    for tau, stops_per_sum in ((1e-6, 0), (edge * (1.0 - 1e-6), 0), (edge * (1.0 + 1e-6), 1)):
+        for kind in "EPF":
+            series, grad = _series_and_grad(kind, theta)
+            for zero_mode in ZeroModePolicy:
+                del calls[:]
+                res = summed(theta, tau, SeriesControl(), zero_mode, series, grad)
+                assert len(calls) == stops_per_sum, (tau, kind, zero_mode)
+                assert res.converged and res.terms_used == 1
+    p = ReducedPoint(theta, 1e-6)
+    del calls[:]
+    assert reduced_free_energy(p).terms_used == reduced_pressure(p).terms_used == 1
+    assert not calls
 
 
 @pytest.mark.parametrize("kind", ["E", "P", "F"])
@@ -1010,13 +1053,19 @@ def test_dual_and_m_series_agree_on_their_overlap(kind, zero_mode):
     (-1.2, 0.5, "F", ZeroModePolicy.FULL),
     (2.5, 1.2, "E", ZeroModePolicy.TM_ONLY),
     (0.02, 1e-3, "P", ZeroModePolicy.FULL),
+] + [
+    # either side of pi 2t/tau = 745.2, below which no image is summed (t the
+    # folded theta: 1.2, and pi - 2.5 with the fold's sign for F)
+    (theta, math.pi * 2.0 * engine._canonical_theta(theta)[0] / 745.2 * (1.0 + side), kind,
+     zero_mode)
+    for kind, theta in (("E", 1.2), ("P", 1.2), ("F", 2.5))
+    for zero_mode in ZeroModePolicy
+    for side in (-1e-6, 1e-6)
 ])
 def test_dual_within_its_estimate_of_mpmath(theta, tau, kind, zero_mode):
     # the dual: the image sum, the low-temperature dual of the m-series
     series, grad = _series_and_grad(kind, theta)
-    t, sign = engine._canonical_theta(theta)
-    res = engine._reduced(theta, tau, SeriesControl(), zero_mode, series, grad)
-    assert res == finished(engine._images, t, tau, SeriesControl(), zero_mode, series, grad * sign)
+    res = summed(theta, tau, SeriesControl(), zero_mode, series, grad)
     assert res.converged and res.terms_used <= 5
     assert res.error_estimate <= 1e-10 * abs(res.value)
     ref, ref_bound = mp_series(theta, tau, pressure=kind == "P", faraday=kind == "F",
@@ -1057,12 +1106,17 @@ def test_dual_within_its_estimate_of_mpmath(theta, tau, kind, zero_mode):
 @example(1000 * math.pi + 0.7550352635972403, -1.0, "F", ZeroModePolicy.FULL, -10.0)
 @example(-5 * math.pi + 0.7550352635972403 + 1e-12, 0.3, "E", ZeroModePolicy.FULL, -10.0)
 @example(3 * math.pi + 0.7550352635972403, 1.0, "F", ZeroModePolicy.FULL, -12.0)
+# theta = pi/2 exactly, where the images come in equal pairs and the tail
+# bound is all but an equality: |error|/estimate 0.999995 and 0.99985
+# against 40-digit sums at rel 1e-30
+@example(math.pi / 2, math.log10(1.33), "E", ZeroModePolicy.FULL, math.log10(2.4e-7))
+@example(math.pi / 2, math.log10(1.05), "P", ZeroModePolicy.FULL, -6.0)
 @settings(max_examples=60, deadline=None)
 def test_converged_results_are_within_their_estimate_of_mpmath(theta, log_tau, kind, zero_mode,
                                                                 log_tol):
     tau, ctrl = 10.0**log_tau, SeriesControl(rel_tol=10.0**log_tol)
     series, grad = _series_and_grad(kind, theta)
-    res = engine._reduced(theta, tau, ctrl, zero_mode, series, grad)
+    res = summed(theta, tau, ctrl, zero_mode, series, grad)
     if not res.converged:
         return
     if tau <= engine._TAU_C:
@@ -1122,7 +1176,7 @@ def test_n_first_value_is_the_exact_sum_of_its_terms(fn, point, pressure):
     assert res.converged
     zero = matsubara_term(0, ReducedPoint(theta, tau)) * (1.0 if pressure else 0.5)
     phi = 2.0 * theta
-    terms = [engine._matsubara_n(n, theta, phi, 2.0 * math.cos(phi), tau, pressure)[0]
+    terms = [engine._matsubara_n(2.0 * n * tau, theta, phi, 2.0 * math.cos(phi), pressure)[0]
              for n in range(1, res.terms_used)]
     assert res.value == math.fsum([zero, *terms])
 

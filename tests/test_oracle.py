@@ -536,6 +536,12 @@ def test_single_matsubara_term():
         matsubara_term(2, p), rel=0, abs=1e-8)
     with pytest.raises(ValueError):
         oracle_matsubara_term(-1, p)
+    # n is an integer, as matsubara_term's: numpy integers pass, 1.5 does not,
+    # and past the float range (an OverflowError before) the term is 0.0
+    assert oracle_matsubara_term(np.int64(2), p) == oracle_matsubara_term(2, p)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        oracle_matsubara_term(1.5, p)
+    assert oracle_matsubara_term(10**400, p) == 0.0
 
 
 def test_a_matsubara_window_past_the_underflow_is_zero():

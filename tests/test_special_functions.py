@@ -371,7 +371,7 @@ def test_polylog_near_one_evaluates_at_constant_cost():
     theta, tau = 0.8, 1.3e-9
     term, took = _best_of_three(lambda: matsubara_term(3, ReducedPoint(theta, tau)))
     assert took < 1e-3
-    value, bound = engine._matsubara_n(3, theta, 2.0 * theta, 2.0 * math.cos(2.0 * theta), tau,
+    value, bound = engine._matsubara_n(6.0 * tau, theta, 2.0 * theta, 2.0 * math.cos(2.0 * theta),
                                        pressure=False)
     assert term == value
     a = 6.0 * tau
@@ -457,13 +457,17 @@ def test_polylog_order_out_of_range(s):
 
 
 def test_damped_horner_sequences_are_the_reversed_inverse_powers():
-    # re_polylog_damped walks these, built once, in place of a slice per call
-    from chiral_casimir.special_functions import _DAMPED_HORNER, _INV_POW
+    # re_polylog_damped and polylog_exp_23 walk these, built once, in place
+    # of a slice per call
+    from chiral_casimir.special_functions import _DAMPED_HORNER, _HORNER_23, _INV_POW
 
     for s in (2, 3, 4):
         assert len(_DAMPED_HORNER[s]) == 43
         for k in range(1, 44):
             assert list(_DAMPED_HORNER[s][k - 1]) == _INV_POW[s][k - 1::-1], (s, k)
+    assert len(_HORNER_23) == 43
+    for k in range(1, 44):
+        assert list(_HORNER_23[k - 1]) == list(zip(_INV_POW[2], _INV_POW[3]))[k - 1::-1], k
 
 
 @pytest.mark.parametrize("r", [-0.1, 1.0, 1.5])
