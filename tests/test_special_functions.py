@@ -371,10 +371,10 @@ def test_polylog_near_one_evaluates_at_constant_cost():
     theta, tau = 0.8, 1.3e-9
     term, took = _best_of_three(lambda: matsubara_term(3, ReducedPoint(theta, tau)))
     assert took < 1e-3
-    value, bound = engine._matsubara_n(6.0 * tau, theta, 2.0 * theta, 2.0 * math.cos(2.0 * theta),
+    a = 6.0 * tau
+    value, bound = engine._matsubara_n(a, theta, 2.0 * theta, 2.0 * math.cos(2.0 * theta),
                                        pressure=False)
     assert term == value
-    a = 6.0 * tau
     r = math.exp(-a)
     ref = -(mp_damped(3, r, 2.0 * theta) + a * mp_damped(2, r, 2.0 * theta))
     assert abs(term - ref) <= bound
